@@ -207,9 +207,8 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
         emitted_for_spec = 0
         for outcome in outcomes:
             if isinstance(outcome, PreferencePair):
-                pair_id = spec.id if len(outcomes) == 1 else \
-                    f"{spec.id}#{emitted_for_spec}"
-                pair_rows.append(corpus.pair_row(pair_id, outcome))
+                pair_rows.append(corpus.pair_row(f"{spec.id}#{emitted_for_spec}",
+                                                 outcome))
                 emitted_for_spec += 1
             else:
                 discard_counts[outcome.reason] = \

@@ -26,8 +26,10 @@ class JsonlError(ValueError):
         self.lineno = lineno
 
 
-def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, object) pairs; malformed lines raise JsonlError."""
+def iter_jsonl(path, on_error=None) -> Iterator[tuple[int, dict]]:
+    """Yield (lineno, object) pairs. A malformed line raises JsonlError, or,
+    when on_error is given, is reported as on_error(lineno, message) and
+    skipped."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -35,26 +37,15 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except ValueError as exc:
-                raise JsonlError(path, lineno, f"bad JSON: {exc}")
-            if not isinstance(obj, dict):
-                raise JsonlError(path, lineno, "row is not a JSON object")
-            yield lineno, obj
-
-
-def iter_jsonl_tolerant(path, on_error) -> Iterator[dict]:
-    """Like iter_jsonl but reports malformed lines to on_error and skips."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("row is not a JSON object")
-            except ValueError as exc:
-                on_error(lineno, str(exc))
-                continue
-            yield obj
+                problem = f"bad JSON: {exc}"
+            else:
+                if isinstance(obj, dict):
+                    yield lineno, obj
+                    continue
+                problem = "row is not a JSON object"
+            if on_error is None:
+                raise JsonlError(path, lineno, problem)
+            on_error(lineno, problem)
 
 
 def read_jsonl(path) -> list[dict]:
@@ -134,15 +125,6 @@ def pair_row(pair_id: str, pair) -> dict:
     }
 
 
-def task_result_row(result) -> dict:
-    return {
-        "task": result.task,
-        "n": result.n,
-        "c_syntax": result.c_syntax,
-        "c_function": result.c_function,
-    }
-
-
 def outcome_json(outcome) -> dict:
     """Render a SimOutcome as a JSON-friendly dict for the CLI."""
     from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
@@ -169,13 +151,12 @@ def outcome_json(outcome) -> dict:
 
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
     pairs = []
-    errors: list[str] = []
 
     def record(lineno, msg):
         if on_error:
             on_error(lineno, msg)
 
-    for obj in iter_jsonl_tolerant(path, record):
+    for _, obj in iter_jsonl(path, record):
         try:
             pairs.append(SpecCodePair(id=str(obj["id"]), spec=str(obj["spec"]),
                                       code=str(obj["code"])))

@@ -1,9 +1,8 @@
-"""Verilog-subset frontend: lexer, parser, interface and dataflow extraction."""
+"""Verilog-subset frontend: lexer, parser and dataflow extraction."""
 
 from tbforge.frontend.tokens import Token, TokenKind, lex
 from tbforge.frontend.ast_nodes import AstNode, NodeKind, node_to_text
 from tbforge.frontend.parser import parse_module, parse_source
-from tbforge.frontend.interface import ModuleInterface, Parameter, Port, extract_interface
 from tbforge.frontend.dfg import Dfg, extract_dfg
 
 __all__ = [
@@ -15,10 +14,6 @@ __all__ = [
     "node_to_text",
     "parse_module",
     "parse_source",
-    "ModuleInterface",
-    "Port",
-    "Parameter",
-    "extract_interface",
     "Dfg",
     "extract_dfg",
 ]

@@ -1,6 +1,6 @@
 """Prompt templates for the testbench pipeline.
 
-The six stage prompts ship verbatim as template files; they are part of the
+The five stage prompts ship verbatim as template files; they are part of the
 method, not incidental strings. Placeholders are written ``{Name}`` and are
 substituted textually, so literal braces in the prompt bodies (JSON
 examples, begin/end skeletons) need no escaping. Rendering fails when a
@@ -17,7 +17,6 @@ from tbforge.errors import TemplateError
 
 
 class TemplateName(Enum):
-    GenerateSpecification = "generate_specification"
     GenerateFunctionPoints = "generate_function_points"
     GenerateTestCases = "generate_test_cases"
     DraftTestbench = "draft_testbench"
@@ -29,7 +28,6 @@ PLACEHOLDERS = ("Code", "Specification", "Simulation", "CoverageReport",
                 "PreviousTestbench", "ErrorLog")
 
 _REQUIRED = {
-    TemplateName.GenerateSpecification: ("Code",),
     TemplateName.GenerateFunctionPoints: ("Specification",),
     TemplateName.GenerateTestCases: (),
     TemplateName.DraftTestbench: ("Code",),

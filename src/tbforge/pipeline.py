@@ -55,6 +55,7 @@ from tbforge.llm.prompts import (
     render,
     render_text,
 )
+from tbforge.sim.backends import SimulatorBackend
 from tbforge.sim.outcomes import CompileError, CoverageReport, Report, RuntimeAbort
 from tbforge.sim.logparse import render_sim_log
 
@@ -197,7 +198,8 @@ def _outcome_log(outcome) -> str:
 class TestbenchPipeline:
     __test__ = False  # not a pytest class, despite the name
 
-    def __init__(self, client, simulator, config: PipelineConfig | None = None, *,
+    def __init__(self, client, simulator: SimulatorBackend,
+                 config: PipelineConfig | None = None, *,
                  temperature: float = 0.0, max_tokens: int = 4096,
                  retries: int = 3, backoff: float = 0.5):
         self.client = client
@@ -302,11 +304,11 @@ class TestbenchPipeline:
                     self._record(trace, Stage.DRAFT, "scaffold", "max")
                     raise ScaffoldMissing(missing)
 
-            compiled = self.simulator.compile(code, tb)
-            if not isinstance(compiled, CompileError):
+            error = self.simulator.compile(code, tb)
+            if error is None:
                 self._record(trace, Stage.DRAFT, "compile", "pass")
                 return tb, attempt
-            last_log = compiled.log
+            last_log = error.log
             at_bound = attempt == self.config.max_draft_attempts
             self._record(trace, Stage.DRAFT, "compile", "max" if at_bound else "fail")
             prompt = render_text(DRAFT_COMPILE_FEEDBACK,
@@ -321,7 +323,7 @@ class TestbenchPipeline:
         if self.config.skip_coverage:
             self._record(trace, Stage.IMPROVE, "skip", "pass")
             return tb, None, 0
-        if not getattr(self.simulator, "supports_coverage", False):
+        if not self.simulator.supports_coverage:
             raise ConfigError(
                 "coverage measurement unavailable; configure a coverage "
                 "command or set skip_coverage")
@@ -351,12 +353,12 @@ class TestbenchPipeline:
                 rounds += 1
                 candidate = self._extract(response)
                 if candidate is not None:
-                    compiled = self.simulator.compile(code, candidate)
-                    if not isinstance(compiled, CompileError):
+                    error = self.simulator.compile(code, candidate)
+                    if error is None:
                         current = candidate
                         self._record(trace, Stage.IMPROVE, "compile", "pass")
                         break
-                    error_log = compiled.log
+                    error_log = error.log
                 else:
                     error_log = "no code in response"
                 attempts += 1
@@ -458,6 +460,6 @@ class TestbenchPipeline:
             return None
 
 
-def run_pipeline(pair: SpecCodePair, client, simulator,
+def run_pipeline(pair: SpecCodePair, client, simulator: SimulatorBackend,
                  config: PipelineConfig | None = None, **kwargs) -> PipelineResult:
     return TestbenchPipeline(client, simulator, config, **kwargs).run(pair)

@@ -23,6 +23,7 @@ from tbforge.llm.client import ChatRequest, Message, complete
 from tbforge.llm.postprocess import extract_code_block
 from tbforge.errors import NoCodeFound
 from tbforge.pipeline import TestbenchRecord
+from tbforge.sim.backends import SimulatorBackend
 from tbforge.sim.outcomes import CompileError, RuntimeAbort, SimOutcome
 from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
@@ -124,7 +125,7 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None,
 
 
 def evaluate_candidate(code: str, testbench: Union[str, TestbenchRecord],
-                       simulator) -> CandidateEval:
+                       simulator: SimulatorBackend) -> CandidateEval:
     """Compile and run one candidate under a pipeline-produced testbench."""
     tb_text = testbench.testbench if isinstance(testbench, TestbenchRecord) else testbench
     if not code.strip():

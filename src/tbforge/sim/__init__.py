@@ -3,7 +3,6 @@
 from tbforge.sim.outcomes import (
     CaseLine,
     CompileError,
-    CompiledUnit,
     CoverageReport,
     Report,
     RuntimeAbort,
@@ -16,7 +15,6 @@ from tbforge.sim.backends import CommandSimulator, MockSimulator, SimulatorBacke
 __all__ = [
     "CaseLine",
     "CompileError",
-    "CompiledUnit",
     "CoverageReport",
     "Report",
     "RuntimeAbort",

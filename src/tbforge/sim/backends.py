@@ -1,9 +1,11 @@
 """Simulator backends: real external processes and a scripted mock.
 
-Every external invocation gets a fresh private working directory, so any
-number of concurrent invocations never share files. The mock consumes a
-fixed script of outcomes under a lock, which makes pipeline state-machine
-tests fully deterministic with zero external tools.
+Every call writes its sources into a fresh private working directory and
+removes that directory before it returns, so any number of concurrent
+calls never share files and none are left behind. Every external process
+is bounded by the configured timeout. The mock consumes a fixed script of
+outcomes under a lock, which makes pipeline state-machine tests fully
+deterministic with zero external tools.
 """
 
 from __future__ import annotations
@@ -13,14 +15,20 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Protocol, Sequence, Union
+from typing import Iterator, Protocol, Sequence, Union, runtime_checkable
 
-from tbforge.errors import ConfigError, ScriptExhausted, ToolMissing, UnparseableLog
+from tbforge.errors import (
+    ConfigError,
+    ScriptExhausted,
+    ToolMissing,
+    UnparseableLog,
+    UnparseableReport,
+)
 from tbforge.sim.config import SimulatorConfig
 from tbforge.sim.logparse import parse_coverage, parse_sim_log
 from tbforge.sim.outcomes import (
-    CompiledUnit,
     CompileError,
     CoverageReport,
     Report,
@@ -29,17 +37,24 @@ from tbforge.sim.outcomes import (
 )
 
 
+@runtime_checkable
 class SimulatorBackend(Protocol):
-    def compile(self, dut: str, tb: str) -> CompiledUnit | CompileError: ...
-
-    def run(self, unit: CompiledUnit) -> SimOutcome: ...
-
-    def run_test(self, dut: str, tb: str) -> SimOutcome: ...
-
-    def coverage(self, dut: str, tb: str) -> CoverageReport: ...
+    """What the pipeline and candidate evaluation need from a simulator."""
 
     @property
     def supports_coverage(self) -> bool: ...
+
+    def compile(self, dut: str, tb: str) -> CompileError | None:
+        """Compile only; None when the sources compile."""
+
+    def run_test(self, dut: str, tb: str) -> SimOutcome:
+        """Compile and, when that succeeds, run the testbench."""
+
+    def coverage(self, dut: str, tb: str) -> CoverageReport:
+        """Measure line coverage of the DUT under the testbench."""
+
+
+_EMPTY_SOURCE = CompileError(log="empty DUT or testbench source")
 
 
 class CommandSimulator:
@@ -52,92 +67,79 @@ class CommandSimulator:
     def supports_coverage(self) -> bool:
         return self.config.coverage_command is not None
 
-    def _fresh_dir(self) -> Path:
+    @contextmanager
+    def _workdir(self, dut: str, tb: str) -> Iterator[dict[str, str]]:
+        """Yield the template placeholders of a fresh ``sim-*`` directory
+        holding dut.v and tb.v; the directory is removed on exit."""
         root = self.config.workdir_root
         if root:
             Path(root).mkdir(parents=True, exist_ok=True)
-        return Path(tempfile.mkdtemp(prefix="sim-", dir=root))
+        workdir = Path(tempfile.mkdtemp(prefix="sim-", dir=root))
+        try:
+            (workdir / "dut.v").write_text(dut, encoding="utf-8")
+            (workdir / "tb.v").write_text(tb, encoding="utf-8")
+            yield {"dut": str(workdir / "dut.v"), "tb": str(workdir / "tb.v"),
+                   "out": str(workdir / "sim.out"), "workdir": str(workdir)}
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
 
-    def _invoke(self, template: str, timeout: float | None = None, **paths) -> tuple[int, str]:
+    def _invoke(self, template: str, paths: dict[str, str]) -> tuple[int, str]:
+        """Run one command; raises subprocess.TimeoutExpired past the
+        configured timeout."""
         argv = [part.format(**paths) for part in shlex.split(template)]
         try:
             proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout,
-                cwd=paths.get("workdir"),
+                argv, capture_output=True, text=True,
+                timeout=self.config.timeout, cwd=paths["workdir"],
             )
         except FileNotFoundError as exc:
             raise ToolMissing(f"simulator command not found: {argv[0]}") from exc
         return proc.returncode, (proc.stdout or "") + (proc.stderr or "")
 
-    def compile(self, dut: str, tb: str) -> CompiledUnit | CompileError:
-        if not dut.strip() or not tb.strip():
-            return CompileError(log="empty DUT or testbench source")
-        workdir = self._fresh_dir()
-        dut_path = workdir / "dut.v"
-        tb_path = workdir / "tb.v"
-        out_path = workdir / "sim.out"
-        dut_path.write_text(dut, encoding="utf-8")
-        tb_path.write_text(tb, encoding="utf-8")
-        code, log = self._invoke(
-            self.config.compile_command,
-            dut=str(dut_path), tb=str(tb_path), out=str(out_path),
-            workdir=str(workdir),
-        )
-        if code != 0:
-            shutil.rmtree(workdir, ignore_errors=True)
-            return CompileError(log=log)
-        return CompiledUnit(workdir=workdir, out_path=out_path,
-                            dut_path=dut_path, tb_path=tb_path)
-
-    def run(self, unit: CompiledUnit, cleanup: bool = True) -> SimOutcome:
+    def _compile_in(self, paths: dict[str, str]) -> CompileError | None:
         try:
-            argv = [part.format(out=str(unit.out_path), workdir=str(unit.workdir))
-                    for part in shlex.split(self.config.run_command)]
+            code, log = self._invoke(self.config.compile_command, paths)
+        except subprocess.TimeoutExpired:
+            return CompileError(
+                log=f"compile timeout: no result within {self.config.timeout}s")
+        return CompileError(log=log) if code != 0 else None
+
+    def compile(self, dut: str, tb: str) -> CompileError | None:
+        if not dut.strip() or not tb.strip():
+            return _EMPTY_SOURCE
+        with self._workdir(dut, tb) as paths:
+            return self._compile_in(paths)
+
+    def run_test(self, dut: str, tb: str) -> SimOutcome:
+        if not dut.strip() or not tb.strip():
+            return _EMPTY_SOURCE
+        with self._workdir(dut, tb) as paths:
+            error = self._compile_in(paths)
+            if error is not None:
+                return error
             try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True,
-                    timeout=self.config.timeout, cwd=str(unit.workdir),
-                )
-            except FileNotFoundError as exc:
-                raise ToolMissing(f"simulator command not found: {argv[0]}") from exc
+                code, output = self._invoke(self.config.run_command, paths)
             except subprocess.TimeoutExpired:
                 return RuntimeAbort(reason="timeout",
                                     log=f"no result within {self.config.timeout}s")
-            output = (proc.stdout or "") + (proc.stderr or "")
-            try:
-                return parse_sim_log(output)
-            except UnparseableLog:
-                if proc.returncode != 0:
-                    return RuntimeAbort(reason="crash", log=output)
-                raise
-        finally:
-            if cleanup:
-                shutil.rmtree(unit.workdir, ignore_errors=True)
-
-    def run_test(self, dut: str, tb: str) -> SimOutcome:
-        compiled = self.compile(dut, tb)
-        if isinstance(compiled, CompileError):
-            return compiled
-        return self.run(compiled)
+        try:
+            return parse_sim_log(output)
+        except UnparseableLog:
+            if code != 0:
+                return RuntimeAbort(reason="crash", log=output)
+            raise
 
     def coverage(self, dut: str, tb: str) -> CoverageReport:
         if self.config.coverage_command is None:
             raise ConfigError("no coverage_command configured")
-        workdir = self._fresh_dir()
-        try:
-            dut_path = workdir / "dut.v"
-            tb_path = workdir / "tb.v"
-            dut_path.write_text(dut, encoding="utf-8")
-            tb_path.write_text(tb, encoding="utf-8")
-            _, log = self._invoke(
-                self.config.coverage_command,
-                timeout=self.config.timeout,
-                dut=str(dut_path), tb=str(tb_path),
-                out=str(workdir / "cov.out"), workdir=str(workdir),
-            )
-            return parse_coverage(log)
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
+        with self._workdir(dut, tb) as paths:
+            try:
+                _, log = self._invoke(self.config.coverage_command, paths)
+            except subprocess.TimeoutExpired as exc:
+                raise UnparseableReport(
+                    f"coverage timeout: no report within {self.config.timeout}s"
+                ) from exc
+        return parse_coverage(log)
 
 
 _COMPILE_OK = "ok"
@@ -154,6 +156,8 @@ class MockSimulator:
     ``run_test`` consumes a compile entry and, if it compiled, a run entry.
     """
 
+    supports_coverage = True
+
     def __init__(self, script: Sequence[ScriptEntry]):
         if not script:
             raise ValueError("mock simulator script must be nonempty")
@@ -161,10 +165,6 @@ class MockSimulator:
         self._cursor = 0
         self._lock = threading.Lock()
         self.calls: list[str] = []
-
-    @property
-    def supports_coverage(self) -> bool:
-        return True
 
     def _next(self, call: str) -> ScriptEntry:
         with self._lock:
@@ -175,27 +175,22 @@ class MockSimulator:
             self._cursor += 1
             return entry
 
-    def compile(self, dut: str, tb: str) -> CompiledUnit | CompileError:
+    def compile(self, dut: str, tb: str) -> CompileError | None:
         entry = self._next("compile")
         if entry == _COMPILE_OK:
-            root = Path(tempfile.gettempdir())
-            return CompiledUnit(workdir=root, out_path=root / "mock.out",
-                                dut_path=root / "dut.v", tb_path=root / "tb.v")
+            return None
         if isinstance(entry, CompileError):
             return entry
         raise ValueError(f"mock script expected compile entry, got {entry!r}")
 
-    def run(self, unit: CompiledUnit) -> SimOutcome:
+    def run_test(self, dut: str, tb: str) -> SimOutcome:
+        error = self.compile(dut, tb)
+        if error is not None:
+            return error
         entry = self._next("run")
         if isinstance(entry, (Report, RuntimeAbort)):
             return entry
         raise ValueError(f"mock script expected run entry, got {entry!r}")
-
-    def run_test(self, dut: str, tb: str) -> SimOutcome:
-        compiled = self.compile(dut, tb)
-        if isinstance(compiled, CompileError):
-            return compiled
-        return self.run(compiled)
 
     def coverage(self, dut: str, tb: str) -> CoverageReport:
         entry = self._next("coverage")

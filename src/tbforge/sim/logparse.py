@@ -10,6 +10,7 @@ accepted, singular or plural.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from tbforge.errors import UnparseableLog, UnparseableReport
 from tbforge.sim.outcomes import CaseLine, CoverageReport, Report
@@ -20,7 +21,7 @@ _CASE_ACTUAL = re.compile(r"Test Case (\d+)\.\s*Actual\s?(.*)")
 _FAILURES = re.compile(r"^\s*Test (?:completed )?with (\d+) failures?\.?\s*$")
 _PASS_MARKER = "Your Design Passed"
 
-_COVERAGE_TOTAL = re.compile(r"^TOTAL\s+(\d+)\s+(\d+)\s+(\d+(?:\.\d+)?)\s*$")
+_COVERAGE_TOTAL = re.compile(r"^TOTAL\s+(\d+)\s+(\d+)\s+(\d+(?:\.(\d+))?)\s*$")
 _COVERAGE_MODULE = re.compile(r"^Line Coverage for Module\s*:\s*(\S+)")
 _LINE_FLAG = re.compile(r"^\s*([01])/1(?!\d)")
 
@@ -86,11 +87,12 @@ def parse_coverage(report: str) -> CoverageReport:
 
     The TOTAL row carries total/covered/percent; lines prefixed ``1/1`` are
     covered and ``0/1 ==>`` uncovered, keyed by their 1-based position in
-    the report text. Raises UnparseableReport when the TOTAL row is absent.
+    the report text. Raises UnparseableReport when the TOTAL row is absent
+    or its percent disagrees with covered/total by more than half a unit
+    in the percent's last printed decimal place.
     """
     module_name = ""
-    total = covered = None
-    percent = 0.0
+    total_row = None
     flags: list[tuple[int, bool]] = []
 
     for lineno, line in enumerate(report.splitlines(), start=1):
@@ -99,17 +101,21 @@ def parse_coverage(report: str) -> CoverageReport:
             module_name = m.group(1)
             continue
         m = _COVERAGE_TOTAL.match(line.replace("\t", " ").strip())
-        if m and total is None:
-            total = int(m.group(1))
-            covered = int(m.group(2))
-            percent = float(m.group(3))
+        if m and total_row is None:
+            total_row = m
             continue
         m = _LINE_FLAG.match(line)
         if m:
             flags.append((lineno, m.group(1) == "1"))
 
-    if total is None or covered is None:
+    if total_row is None:
         raise UnparseableReport("no TOTAL row in coverage report")
+    total, covered = int(total_row.group(1)), int(total_row.group(2))
+    printed = Fraction(total_row.group(3))
+    tolerance = Fraction(1, 2 * 10 ** len(total_row.group(4) or ""))
+    if total > 0 and abs(Fraction(100 * covered, total) - printed) > tolerance:
+        raise UnparseableReport(
+            f"TOTAL percent {total_row.group(3)} inconsistent with {covered}/{total}")
     return CoverageReport(module_name=module_name, total_lines=total,
-                          covered_lines=covered, percent=percent,
+                          covered_lines=covered, percent=float(total_row.group(3)),
                           line_flags=tuple(flags))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Union
 
 
@@ -58,16 +57,6 @@ SimOutcome = Union[Report, CompileError, RuntimeAbort]
 
 
 @dataclass(frozen=True)
-class CompiledUnit:
-    """Artifacts of a successful compile, rooted in a private directory."""
-
-    workdir: Path
-    out_path: Path
-    dut_path: Path
-    tb_path: Path
-
-
-@dataclass(frozen=True)
 class CoverageReport:
     """Line-coverage summary plus per-line covered flags.
 
@@ -86,9 +75,3 @@ class CoverageReport:
             raise ValueError("covered_lines exceeds total_lines")
         if not 0.0 <= self.percent <= 100.0:
             raise ValueError(f"percent out of range: {self.percent}")
-        if self.total_lines > 0:
-            exact = 100.0 * self.covered_lines / self.total_lines
-            if abs(exact - self.percent) > 0.01:
-                raise ValueError(
-                    f"percent {self.percent} inconsistent with "
-                    f"{self.covered_lines}/{self.total_lines}")

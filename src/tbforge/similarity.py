@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from tbforge.errors import EmptyInput
 from tbforge.frontend.ast_nodes import AstNode, NodeKind
@@ -25,15 +24,8 @@ BLEU_MAX_NGRAM = 4
 AST_SIGNATURE_DEPTH = 1
 
 
-class Method(Enum):
-    Bleu = "bleu"
-    Ast = "ast"
-    Dfg = "dfg"
-
-
 @dataclass(frozen=True)
 class SimilarityScore:
-    method: Method
     value: float
 
     def __post_init__(self):
@@ -63,11 +55,11 @@ def bleu(candidate: list[Token], reference: list[Token]) -> SimilarityScore:
         cand_counts = _ngram_counts(cand, n)
         total = sum(cand_counts.values())
         if total == 0:
-            return SimilarityScore(Method.Bleu, 0.0)
+            return SimilarityScore(0.0)
         ref_counts = _ngram_counts(ref, n)
         clipped = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
         if clipped == 0:
-            return SimilarityScore(Method.Bleu, 0.0)
+            return SimilarityScore(0.0)
         log_sum += math.log(clipped / total) / BLEU_MAX_NGRAM
 
     if len(cand) > len(ref):
@@ -75,7 +67,7 @@ def bleu(candidate: list[Token], reference: list[Token]) -> SimilarityScore:
     else:
         bp = math.exp(1.0 - len(ref) / len(cand))
 
-    return SimilarityScore(Method.Bleu, min(1.0, bp * math.exp(log_sum)))
+    return SimilarityScore(min(1.0, bp * math.exp(log_sum)))
 
 
 def _signature(node: AstNode, depth: int) -> tuple:
@@ -108,13 +100,13 @@ def ast_similarity(candidate: AstNode, reference: AstNode) -> SimilarityScore:
     if candidate.kind is not NodeKind.Module or reference.kind is not NodeKind.Module:
         raise EmptyInput("AST similarity needs Module roots")
     value = _multiset_jaccard(ast_signatures(candidate), ast_signatures(reference))
-    return SimilarityScore(Method.Ast, value)
+    return SimilarityScore(value)
 
 
 def dfg_similarity(candidate: Dfg, reference: Dfg) -> SimilarityScore:
     """Jaccard similarity over dataflow edge sets; two empty graphs score 1."""
     union = candidate.edges | reference.edges
     if not union:
-        return SimilarityScore(Method.Dfg, 1.0)
+        return SimilarityScore(1.0)
     inter = candidate.edges & reference.edges
-    return SimilarityScore(Method.Dfg, len(inter) / len(union))
+    return SimilarityScore(len(inter) / len(union))

@@ -7,6 +7,8 @@ import pytest
 from tbforge.corpus import read_jsonl
 
 from cli_fixtures import (
+    CANDIDATE_A,
+    CANDIDATE_B,
     cli_argv,
     write_collect_scripts,
     write_config,
@@ -144,7 +146,7 @@ def test_collect_pairs_testbench_method(collected):
                    "--evals-out", str(evals_out))
     assert proc.returncode == 0, proc.stderr
     pairs = read_jsonl(pairs_out)
-    assert len(pairs) == 3
+    assert [row["id"] for row in pairs] == ["design000#0", "design001#0", "design002#0"]
     for row in pairs:
         assert row["method"] == "testbench"
         assert row["chosen_passed"] == 4
@@ -154,6 +156,32 @@ def test_collect_pairs_testbench_method(collected):
     assert len(evals) == 6
     assert {e["candidate_idx"] for e in evals} == {0, 1}
     assert "pairs: 3" in proc.stdout
+
+
+def test_collect_pairs_id_counts_emitted_pairs_only(collected):
+    # three candidates: one pair plus two abort discards per spec
+    tmp_path, specs, tb_out, _ = collected
+    llm_c = tmp_path / "llm_three.json"
+    llm_c.write_text(json.dumps([CANDIDATE_A, CANDIDATE_B, CANDIDATE_A]),
+                     encoding="utf-8")
+    sim_c = tmp_path / "sim_three.json"
+    sim_c.write_text(json.dumps([
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "total": 5, "failures": 1},
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "total": 5, "failures": 3},
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "abort": "timeout"},
+    ]), encoding="utf-8")
+    config_c = write_config(tmp_path, llm_c, sim_c, name="three.ini")
+    pairs_out = tmp_path / "pairs.jsonl"
+    proc = run_cli("collect-pairs", "--specs", str(specs),
+                   "--testbenches", str(tb_out), "--out", str(pairs_out),
+                   "--method", "testbench", "--n", "3", "--config", str(config_c))
+    assert proc.returncode == 0, proc.stderr
+    assert [row["id"] for row in read_jsonl(pairs_out)] == \
+        ["design000#0", "design001#0", "design002#0"]
+    assert "discarded (aborted): 6" in proc.stdout
 
 
 def test_collect_pairs_all_ties_all_discarded(tmp_path):

@@ -41,6 +41,10 @@ def test_malformed_line_raises_with_lineno(tmp_path):
     with pytest.raises(JsonlError) as exc:
         list(iter_jsonl(path))
     assert exc.value.lineno == 2
+    errors = []
+    rows = list(iter_jsonl(path, on_error=lambda n, m: errors.append(n)))
+    assert rows == [(1, {"id": "a"})]
+    assert errors == [2]
 
 
 def test_tolerant_loader_skips_and_reports(tmp_path):
@@ -93,8 +97,8 @@ def scripts(tmp_path):
     sim_script = tmp_path / "sim.json"
     sim_script.write_text(json.dumps([
         {"kind": "compile", "ok": True},
-        {"kind": "compile", "ok": False, "log": "boom"},
         {"kind": "run", "total": 5, "failures": 2},
+        {"kind": "compile", "ok": False, "log": "boom"},
         {"kind": "coverage", "percent": 91.5},
     ]), encoding="utf-8")
     return llm_script, sim_script
@@ -151,9 +155,8 @@ def test_sim_script_parses_to_domain_objects(tmp_path, scripts):
         llm_script=llm_script, sim_script=sim_script))
     config = load_config(path)
     sim = make_simulator_factory(config)()
-    assert not isinstance(sim.compile("d", "t"), CompileError)
+    assert sim.run_test("d", "t") == Report(5, 2)
     assert sim.compile("d", "t") == CompileError("boom")
-    assert sim.run(None) == Report(5, 2)
     assert sim.coverage("d", "t").percent == 91.5
 
 
@@ -166,6 +169,6 @@ def test_mock_factories_give_fresh_instances(tmp_path, scripts):
     a, b = sim_factory(), sim_factory()
     a.compile("d", "t")
     # b replays from the top regardless of a's cursor
-    assert not isinstance(b.compile("d", "t"), CompileError)
+    assert b.compile("d", "t") is None
     llm_factory = make_chat_client_factory(config)
     assert llm_factory() is not llm_factory()

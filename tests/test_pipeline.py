@@ -331,22 +331,16 @@ class RandomBehaviorSim:
     def compile(self, dut, tb):
         if self.rng.random() < 0.4:
             return CompileError("random compile failure")
-        from tbforge.sim import CompiledUnit
-        from pathlib import Path
-        return CompiledUnit(Path("."), Path("x"), Path("d"), Path("t"))
+        return None
 
-    def run(self, unit):
-        roll = self.rng.random()
-        if roll < 0.2:
+    def run_test(self, dut, tb):
+        error = self.compile(dut, tb)
+        if error is not None:
+            return error
+        if self.rng.random() < 0.2:
             return RuntimeAbort("timeout")
         total = self.rng.randint(1, 6)
         return Report(total, self.rng.randint(0, total))
-
-    def run_test(self, dut, tb):
-        compiled = self.compile(dut, tb)
-        if isinstance(compiled, CompileError):
-            return compiled
-        return self.run(compiled)
 
     def coverage(self, dut, tb):
         from tbforge.sim import CoverageReport

@@ -1,17 +1,17 @@
-import shutil
+import dataclasses
 import stat
 import threading
 
 import pytest
 
-from tbforge.errors import ConfigError, ScriptExhausted, ToolMissing
+from tbforge.errors import ConfigError, ScriptExhausted, ToolMissing, UnparseableReport
 from tbforge.sim import (
     CommandSimulator,
     CompileError,
-    CompiledUnit,
     MockSimulator,
     Report,
     RuntimeAbort,
+    SimulatorBackend,
     SimulatorConfig,
 )
 
@@ -24,13 +24,20 @@ def test_mock_scripted_compile_sequence():
     mock = MockSimulator([CompileError("e1"), CompileError("e2"), "ok"])
     assert mock.compile("d", "t") == CompileError("e1")
     assert mock.compile("d", "t") == CompileError("e2")
-    assert isinstance(mock.compile("d", "t"), CompiledUnit)
+    assert mock.compile("d", "t") is None
 
 
 def test_mock_run_sequence():
     mock = MockSimulator(["ok", Report(5, 5)])
     outcome = mock.run_test("d", "t")
     assert outcome == Report(5, 5)
+    assert mock.calls == ["compile", "run"]
+
+
+def test_mock_run_test_stops_at_compile_error():
+    mock = MockSimulator([CompileError("e"), Report(5, 5)])
+    assert mock.run_test("d", "t") == CompileError("e")
+    assert mock.calls == ["compile"]
 
 
 def test_mock_exhaustion():
@@ -80,11 +87,15 @@ def test_mock_thread_safety_consumes_each_entry_once():
 
 @pytest.fixture
 def fake_tools(tmp_path):
-    """A 'compiler' that concatenates sources and a 'runner' that prints a
-    canned log, failing when the testbench mentions an undeclared signal."""
+    """A 'compiler' that logs its directory and concatenates the sources,
+    failing when the testbench mentions an undeclared signal; a 'runner'
+    that needs the compiled file and prints a canned log; a coverage tool
+    that prints a one-decimal TOTAL row; and a tool that outlives any
+    timeout the tests set."""
     compiler = tmp_path / "fakecomp"
     compiler.write_text(
         "#!/bin/sh\n"
+        f'pwd >> "{tmp_path}/dirs.log"\n'
         'if grep -q undeclared_signal "$3"; then\n'
         '  echo "error: undeclared_signal is not declared" >&2; exit 1\n'
         "fi\n"
@@ -93,32 +104,43 @@ def fake_tools(tmp_path):
     runner = tmp_path / "fakerun"
     runner.write_text(
         "#!/bin/sh\n"
+        'test -f "$1" || exit 1\n'
         'echo "Test Case 1. Expected x: 1"\n'
         'echo "Test Case 1. Actual x: 1"\n'
         'echo "Your Design Passed"\n'
     )
+    coverer = tmp_path / "fakecov"
+    coverer.write_text(
+        "#!/bin/sh\n"
+        'echo "Line Coverage for Module : m"\n'
+        'printf "TOTAL\\t3\\t2\\t66.7\\n"\n'
+    )
     sleeper = tmp_path / "fakesleep"
     sleeper.write_text("#!/bin/sh\nsleep 5\n")
-    for tool in (compiler, runner, sleeper):
+    for tool in (compiler, runner, coverer, sleeper):
         tool.chmod(tool.stat().st_mode | stat.S_IEXEC)
     return tmp_path
 
 
-def _config(tools, tmp_path, run="fakerun {out}", timeout=10.0):
+def _config(tools, tmp_path, compile="fakecomp", run="fakerun", cover="fakecov",
+            timeout=10.0):
     return SimulatorConfig(
-        compile_command=f"{tools}/fakecomp {{out}} {{dut}} {{tb}}",
-        run_command=f"{tools}/{run}" if "{out}" in run else f"{tools}/{run} {{out}}",
+        compile_command=f"{tools}/{compile} {{out}} {{dut}} {{tb}}",
+        run_command=f"{tools}/{run} {{out}}",
+        coverage_command=f"{tools}/{cover} {{dut}} {{tb}}",
         timeout=timeout,
         workdir_root=str(tmp_path / "work"),
     )
 
 
+def _workdirs_left(tmp_path):
+    return sorted(p.name for p in (tmp_path / "work").glob("sim-*"))
+
+
 def test_command_compile_ok(fake_tools, tmp_path):
     sim = CommandSimulator(_config(fake_tools, tmp_path))
-    unit = sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
-    assert isinstance(unit, CompiledUnit)
-    assert unit.out_path.exists()
-    shutil.rmtree(unit.workdir)
+    assert sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON) is None
+    assert _workdirs_left(tmp_path) == []
 
 
 def test_command_compile_error_captures_log(fake_tools, tmp_path):
@@ -127,6 +149,7 @@ def test_command_compile_error_captures_log(fake_tools, tmp_path):
     outcome = sim.compile(AUDIO_ENCODER_DUT, bad_tb)
     assert isinstance(outcome, CompileError)
     assert "undeclared_signal" in outcome.log
+    assert _workdirs_left(tmp_path) == []
 
 
 def test_command_run_parses_log(fake_tools, tmp_path):
@@ -134,13 +157,41 @@ def test_command_run_parses_log(fake_tools, tmp_path):
     outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
     assert outcome == Report(1, 0, outcome.case_lines)
     assert outcome.passed == 1
+    assert _workdirs_left(tmp_path) == []
+
+
+def test_command_coverage_parses_report(fake_tools, tmp_path):
+    sim = CommandSimulator(_config(fake_tools, tmp_path))
+    assert sim.supports_coverage
+    report = sim.coverage(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert (report.total_lines, report.covered_lines, report.percent) == (3, 2, 66.7)
+    assert _workdirs_left(tmp_path) == []
+
+
+def test_command_compile_timeout(fake_tools, tmp_path):
+    sim = CommandSimulator(_config(fake_tools, tmp_path, compile="fakesleep",
+                                   timeout=0.2))
+    outcome = sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert isinstance(outcome, CompileError)
+    assert "timeout" in outcome.log
+    assert sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON) == outcome
+    assert _workdirs_left(tmp_path) == []
 
 
 def test_command_timeout(fake_tools, tmp_path):
-    sim = CommandSimulator(_config(fake_tools, tmp_path, run="fakesleep {out}",
+    sim = CommandSimulator(_config(fake_tools, tmp_path, run="fakesleep",
                                    timeout=0.2))
     outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
     assert outcome == RuntimeAbort(reason="timeout", log=outcome.log)
+    assert _workdirs_left(tmp_path) == []
+
+
+def test_command_coverage_timeout(fake_tools, tmp_path):
+    sim = CommandSimulator(_config(fake_tools, tmp_path, cover="fakesleep",
+                                   timeout=0.2))
+    with pytest.raises(UnparseableReport, match="timeout"):
+        sim.coverage(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert _workdirs_left(tmp_path) == []
 
 
 def test_command_tool_missing(tmp_path):
@@ -155,15 +206,22 @@ def test_command_tool_missing(tmp_path):
 
 def test_fresh_isolated_directories(fake_tools, tmp_path):
     sim = CommandSimulator(_config(fake_tools, tmp_path))
-    a = sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
-    b = sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
-    assert a.workdir != b.workdir
-    shutil.rmtree(a.workdir)
-    shutil.rmtree(b.workdir)
+    assert sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON) is None
+    assert sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON) is None
+    a, b = (tmp_path / "dirs.log").read_text().split()
+    assert a != b
+    assert _workdirs_left(tmp_path) == []
+
+
+def test_backends_satisfy_the_protocol(fake_tools, tmp_path):
+    assert isinstance(CommandSimulator(_config(fake_tools, tmp_path)), SimulatorBackend)
+    assert isinstance(MockSimulator(["ok"]), SimulatorBackend)
 
 
 def test_coverage_requires_configuration(fake_tools, tmp_path):
-    sim = CommandSimulator(_config(fake_tools, tmp_path))
+    sim = CommandSimulator(dataclasses.replace(_config(fake_tools, tmp_path),
+                                               coverage_command=None))
+    assert not sim.supports_coverage
     with pytest.raises(ConfigError):
         sim.coverage("module m; endmodule", "module tb; endmodule")
 

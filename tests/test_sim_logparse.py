@@ -143,6 +143,22 @@ def test_coverage_handcrafted_ten_lines():
     assert len(cov.line_flags) == 10
 
 
+@pytest.mark.parametrize("row, percent", [
+    ("TOTAL 3 2 66.7", 66.7),
+    ("TOTAL 3 2 66.67", 66.67),
+    ("TOTAL 3 2 67", 67.0),
+    ("TOTAL 16 3 18.8", 18.8),
+])
+def test_coverage_percent_checked_to_printed_precision(row, percent):
+    assert parse_coverage(row + "\n").percent == percent
+
+
+@pytest.mark.parametrize("row", ["TOTAL 3 2 66.6", "TOTAL 3 2 66.70", "TOTAL 3 2 66"])
+def test_coverage_inconsistent_percent_rejected(row):
+    with pytest.raises(UnparseableReport, match="inconsistent"):
+        parse_coverage(row + "\n")
+
+
 def test_coverage_missing_total_row():
     with pytest.raises(UnparseableReport):
         parse_coverage("Line Coverage for Module : m\n1/1 x;\n")

@@ -10,7 +10,6 @@ from tbforge.errors import EmptyInput
 from tbforge.frontend import Dfg, lex, parse_source
 from tbforge.frontend.tokens import Token, TokenKind
 from tbforge.similarity import (
-    Method,
     SimilarityScore,
     ast_similarity,
     bleu,
@@ -208,4 +207,4 @@ def test_dfg_symmetry():
 
 def test_score_range_validation():
     with pytest.raises(ValueError):
-        SimilarityScore(Method.Dfg, 1.5)
+        SimilarityScore(1.5)

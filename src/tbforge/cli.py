@@ -36,7 +36,6 @@ from tbforge.errors import (
     TransportError,
 )
 from tbforge.dpo import DEFAULT_BETA, PairLogProbs, dpo_loss, random_grad_check
-from tbforge.frontend import extract_dfg, lex, parse_module
 from tbforge.metrics import TaskResults, pass_at_k
 from tbforge.pipeline import Finished, TestbenchPipeline
 from tbforge.preference import (
@@ -46,9 +45,10 @@ from tbforge.preference import (
     build_pairs,
     code_line_count,
     evaluate_candidate,
+    form_similarity,
     sample_candidates,
+    similarity_form,
 )
-from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
 log = logging.getLogger("tbforge")
 
@@ -167,8 +167,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
     specs = corpus.load_spec_code_pairs(
         specs_path, on_error=lambda lineno, msg: log.error(
             "[specs] line %s skipped: %s", lineno, msg))
-    tb_rows = {row["id"]: row for row in corpus.read_jsonl(tb_path)}
-    corpus.check_unique_ids(list(tb_rows.values()))
+    tb_rows = corpus.load_testbench_rows(tb_path)
 
     sampling = config.sampling
     if n_candidates is not None:
@@ -273,16 +272,10 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
 @click.argument("file_b", type=click.Path(exists=True))
 def cmd_similarity(method, file_a, file_b):
     """Score FILE_A (candidate) against FILE_B (reference)."""
-    source_a = Path(file_a).read_text(encoding="utf-8")
-    source_b = Path(file_b).read_text(encoding="utf-8")
-    if method == "bleu":
-        score = bleu(lex(source_a), lex(source_b))
-    elif method == "ast":
-        score = ast_similarity(parse_module(lex(source_a)),
-                               parse_module(lex(source_b)))
-    else:
-        score = dfg_similarity(extract_dfg(parse_module(lex(source_a))),
-                               extract_dfg(parse_module(lex(source_b))))
+    pair_method = PairMethod(method)
+    candidate = similarity_form(pair_method, Path(file_a).read_text(encoding="utf-8"))
+    reference = similarity_form(pair_method, Path(file_b).read_text(encoding="utf-8"))
+    score = form_similarity(pair_method, candidate, reference)
     click.echo(f"{score.value:.6f}")
 
 

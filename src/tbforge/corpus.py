@@ -76,6 +76,19 @@ def check_unique_ids(rows: list[dict], key: str = "id") -> None:
         seen.add(value)
 
 
+def load_testbench_rows(path) -> dict:
+    """Testbench rows keyed by id. A row without an id or a tb, or a
+    repeated id, is an input error (ValueError)."""
+    rows = []
+    for lineno, row in iter_jsonl(path):
+        for field in ("id", "tb"):
+            if field not in row:
+                raise ValueError(f"{path}:{lineno}: testbench row missing field {field!r}")
+        rows.append(row)
+    check_unique_ids(rows)
+    return {row["id"]: row for row in rows}
+
+
 def testbench_row(pair_id: str, record) -> dict:
     """Serialize a pipeline TestbenchRecord; coverage_percent is omitted
     when coverage was skipped."""

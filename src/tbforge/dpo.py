@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from tbforge.errors import EmptyInput, IndexOutOfRange, NonPositiveBeta
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported where it is used: importing this module, which every
+# CLI start does through the package, must not pay for it.
 
 DEFAULT_BETA = 0.1
 
@@ -85,6 +89,8 @@ class TabularPolicy:
     logits: np.ndarray  # shape (contexts, vocab)
 
     def __post_init__(self):
+        import numpy as np
+
         logits = np.asarray(self.logits, dtype=float)
         if logits.ndim != 2:
             raise ValueError("logits must be 2-D (contexts x vocab)")
@@ -101,6 +107,8 @@ class TabularPolicy:
         return self.logits.shape[1]
 
     def log_probs(self) -> np.ndarray:
+        import numpy as np
+
         row_max = self.logits.max(axis=1, keepdims=True)
         shifted = self.logits - row_max
         return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -141,6 +149,8 @@ def sft_loss(policy: TabularPolicy,
 def _seq_logprob_grad(policy: TabularPolicy, context_ids: Sequence[int],
                       token_ids: Sequence[int]) -> np.ndarray:
     """d sequence_logprob / d logits, via the softmax Jacobian."""
+    import numpy as np
+
     probs = np.exp(policy.log_probs())
     grad = np.zeros_like(policy.logits)
     for ctx, tok in zip(context_ids, token_ids):
@@ -208,6 +218,8 @@ def dpo_policy_grad_check(policy: TabularPolicy, ref: TabularPolicy,
 def random_grad_check(seed: int, max_contexts: int = 5, max_vocab: int = 8,
                       beta: float = DEFAULT_BETA) -> float:
     """One randomized policy-gradient check; returns its max relative error."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     contexts = int(rng.integers(2, max_contexts + 1))
     vocab = int(rng.integers(2, max_vocab + 1))

@@ -51,136 +51,92 @@ _OPERATORS = [
     "<", ">", "=", "?", ":",
 ]
 
-_PUNCTUATION = ["(", ")", "[", "]", "{", "}", ";", ",", ".", "#", "@"]
+_PUNCTUATION = "()[]{};,.#@"
 
-_SIZED_NUMBER = re.compile(
-    r"(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
-)
-_PLAIN_NUMBER = re.compile(r"\d[\d_]*(?:\.\d[\d_]*)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_SYSTEM_IDENT = re.compile(r"\$[A-Za-z_][A-Za-z0-9_$]*")
-_DIRECTIVE_IDENT = re.compile(r"`[A-Za-z_][A-Za-z0-9_$]*")
-_ESCAPED_IDENT = re.compile(r"\\\S+")
+# One alternation, tried in order at each position: the order is the
+# lexer's precedence (comments before "/", attributes before "(", sized
+# numbers before plain ones). The *_open rules match only where the full
+# rule above them failed, that is at an unterminated construct. No rule
+# matches the empty string and "illegal" matches any character, so the
+# matches tile the source.
+_RULES = [
+    ("newline", r"\n"),
+    ("space", r"[ \t\r\f]+"),
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*[\s\S]*?\*/"),
+    ("block_comment_open", r"/\*"),
+    # "(*)" in an event control is not an attribute.
+    ("attribute", r"\(\*(?!\))[\s\S]*?\*\)"),
+    ("attribute_open", r"\(\*(?!\))"),
+    ("string", r'"(?:[^"\\\n]|\\[\s\S])*"'),
+    ("string_open", r'"'),
+    ("escaped_ident", r"\\\S+"),
+    ("backslash", r"\\"),
+    ("number", r"(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
+               r"|\d[\d_]*(?:\.\d[\d_]*)?"),
+    ("word", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("system_ident", r"[$`][A-Za-z_][A-Za-z0-9_$]*"),
+    ("operator", "|".join(re.escape(op) for op in _OPERATORS)),
+    ("punctuation", "[" + re.escape(_PUNCTUATION) + "]"),
+    ("illegal", r"[\s\S]"),
+]
+_SCANNER = re.compile("|".join(f"(?P<{name}>{rule})" for name, rule in _RULES))
+
+_TOKEN_KINDS = {
+    "number": TokenKind.Number,
+    "system_ident": TokenKind.Identifier,
+    "operator": TokenKind.Operator,
+    "punctuation": TokenKind.Punctuation,
+    "string": TokenKind.StringLiteral,
+}
+_SKIPPED = frozenset({"space", "line_comment", "escaped_ident"})
+_MULTILINE_SKIPPED = frozenset({"block_comment", "attribute"})
+_ERRORS = {
+    "block_comment_open": "unterminated block comment",
+    "attribute_open": "unterminated attribute",
+    "string_open": "unterminated string literal",
+    "backslash": "stray backslash",
+}
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize Verilog text. Raises LexError with line/column on an
-    unterminated string or an illegal character."""
+    unterminated comment, attribute or string, a stray backslash, or an
+    illegal character.
+
+    Lines advance at newlines outside tokens, including those inside
+    comments and attributes; a backslash-escaped newline inside a string
+    literal does not advance them.
+    """
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(source)
-
-    def col() -> int:
-        return pos - line_start + 1
-
-    def advance_lines(text: str) -> None:
-        nonlocal line, line_start
-        count = text.count("\n")
-        if count:
-            line += count
-            line_start = pos + text.rindex("\n") + 1
-
-    while pos < n:
-        ch = source[pos]
-
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch in " \t\r\f":
-            pos += 1
-            continue
-
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line, col())
-            advance_lines(source[pos:end + 2])
-            pos = end + 2
-            continue
-
-        # Attribute instance. "(*)" in an event control is not an attribute.
-        if source.startswith("(*", pos) and not source.startswith("(*)", pos):
-            end = source.find("*)", pos + 2)
-            if end == -1:
-                raise LexError("unterminated attribute", line, col())
-            advance_lines(source[pos:end + 2])
-            pos = end + 2
-            continue
-
-        if ch == '"':
-            end = pos + 1
-            while end < n:
-                if source[end] == "\\":
-                    end += 2
-                    continue
-                if source[end] == '"':
-                    break
-                if source[end] == "\n":
-                    raise LexError("unterminated string literal", line, col())
-                end += 1
-            if end >= n:
-                raise LexError("unterminated string literal", line, col())
-            tokens.append(Token(TokenKind.StringLiteral, source[pos:end + 1], line))
-            pos = end + 1
-            continue
-
-        if ch == "\\":
-            m = _ESCAPED_IDENT.match(source, pos)
-            if m:
-                pos = m.end()
-                continue
-            raise LexError("stray backslash", line, col())
-
-        m = _SIZED_NUMBER.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.Number, m.group(), line))
-            pos = m.end()
-            continue
-        m = _PLAIN_NUMBER.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.Number, m.group(), line))
-            pos = m.end()
-            continue
-
-        m = _IDENT.match(source, pos)
-        if m:
+    for m in _SCANNER.finditer(source):
+        group = m.lastgroup
+        kind = _TOKEN_KINDS.get(group)
+        if kind is not None:
+            append(Token(kind, m.group(), line))
+        elif group == "word":
             text = m.group()
-            kind = TokenKind.Keyword if text in KEYWORDS else TokenKind.Identifier
-            tokens.append(Token(kind, text, line))
-            pos = m.end()
+            append(Token(TokenKind.Keyword if text in KEYWORDS else TokenKind.Identifier,
+                         text, line))
+        elif group == "newline":
+            line += 1
+            line_start = m.end()
+        elif group in _SKIPPED:
             continue
-
-        m = _SYSTEM_IDENT.match(source, pos) or _DIRECTIVE_IDENT.match(source, pos)
-        if m:
-            tokens.append(Token(TokenKind.Identifier, m.group(), line))
-            pos = m.end()
-            continue
-
-        matched = False
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token(TokenKind.Operator, op, line))
-                pos += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-
-        if ch in _PUNCTUATION:
-            tokens.append(Token(TokenKind.Punctuation, ch, line))
-            pos += 1
-            continue
-
-        raise LexError(f"illegal character {ch!r}", line, col())
-
+        elif group in _MULTILINE_SKIPPED:
+            text = m.group()
+            count = text.count("\n")
+            if count:
+                line += count
+                line_start = m.start() + text.rindex("\n") + 1
+        elif group == "illegal":
+            raise LexError(f"illegal character {m.group()!r}", line,
+                           m.start() - line_start + 1)
+        else:
+            raise LexError(_ERRORS[group], line, m.start() - line_start + 1)
     return tokens
 
 

@@ -25,7 +25,7 @@ from tbforge.errors import NoCodeFound
 from tbforge.pipeline import TestbenchRecord
 from tbforge.sim.backends import SimulatorBackend
 from tbforge.sim.outcomes import CompileError, RuntimeAbort, SimOutcome
-from tbforge.similarity import ast_similarity, bleu, dfg_similarity
+from tbforge.similarity import SimilarityScore, ast_similarity, bleu, dfg_similarity
 
 
 class PairMethod(Enum):
@@ -142,13 +142,22 @@ def evaluate_candidate(code: str, testbench: Union[str, TestbenchRecord],
                          passed=outcome.passed, total=outcome.total_cases)
 
 
-def build_pair_testbench(spec: str, a: CandidateEval, b: CandidateEval) -> PairOutcome:
-    """Prefer the candidate passing more testcases; discard compile
-    failures, aborts, and ties."""
+def _status_discard(a: CandidateEval, b: CandidateEval) -> Discard | None:
+    """The discard owed to a pair before any pass count or similarity is
+    compared: either candidate failed to compile, or aborted."""
     if not a.compile_ok or not b.compile_ok:
         return Discard("compile_failure")
     if a.aborted or b.aborted:
         return Discard("aborted")
+    return None
+
+
+def build_pair_testbench(spec: str, a: CandidateEval, b: CandidateEval) -> PairOutcome:
+    """Prefer the candidate passing more testcases; discard compile
+    failures, aborts, and ties."""
+    discard = _status_discard(a, b)
+    if discard is not None:
+        return discard
     if a.passed == b.passed:
         return Discard("tie")
     chosen, rejected = (a, b) if a.passed > b.passed else (b, a)
@@ -158,33 +167,91 @@ def build_pair_testbench(spec: str, a: CandidateEval, b: CandidateEval) -> PairO
                           method=PairMethod.Testbench)
 
 
-def _similarity_to_reference(method: PairMethod, candidate_code: str,
-                             reference_code: str) -> float:
+# Frontend failures that leave a code without a similarity score; a pair
+# that needs such a score is discarded as "parse".
+_UNSCORABLE = (ParseError, LexError, EmptyInput)
+
+
+def similarity_form(method: PairMethod, code: str):
+    """Bring code to the form a similarity method compares: its tokens
+    (BLEU), its module AST, or that module's dataflow graph. Raises LexError
+    or ParseError on code the frontend rejects."""
+    if method not in SIMILARITY_METHODS:
+        raise ValueError(f"not a similarity method: {method}")
+    tokens = lex(code)
     if method is PairMethod.Bleu:
-        return bleu(lex(candidate_code), lex(reference_code)).value
+        return tokens
+    tree = parse_module(tokens)
     if method is PairMethod.Ast:
-        return ast_similarity(parse_module(lex(candidate_code)),
-                              parse_module(lex(reference_code))).value
+        return tree
+    return extract_dfg(tree)
+
+
+def form_similarity(method: PairMethod, candidate, reference) -> SimilarityScore:
+    """Score a candidate against a reference, both in the method's
+    ``similarity_form``."""
+    if method is PairMethod.Bleu:
+        return bleu(candidate, reference)
+    if method is PairMethod.Ast:
+        return ast_similarity(candidate, reference)
     if method is PairMethod.Dfg:
-        return dfg_similarity(extract_dfg(parse_module(lex(candidate_code))),
-                              extract_dfg(parse_module(lex(reference_code)))).value
+        return dfg_similarity(candidate, reference)
     raise ValueError(f"not a similarity method: {method}")
 
 
-def build_pair_similarity(spec: str, reference_code: str, a: CandidateEval,
-                          b: CandidateEval, method: PairMethod) -> PairOutcome:
-    """Prefer the candidate more similar to the reference code; both
-    candidates must compile, and parse failures or ties discard the pair."""
+class _ReferenceScores:
+    """Similarity of each candidate of one spec to the spec's reference
+    code, indexed like the candidates. Each score is computed on first use
+    and at most once; so is the reference's form. None marks a candidate
+    that has no score because it or the reference is unscorable."""
+
+    def __init__(self, method: PairMethod, reference_code: str,
+                 evals: Sequence[CandidateEval]):
+        self._method = method
+        self._reference_code = reference_code
+        self._evals = evals
+        self._reference = None
+        self._reference_failed = False
+        self._scores: dict[int, float | None] = {}
+
+    def __getitem__(self, index: int) -> float | None:
+        if index not in self._scores:
+            self._scores[index] = self._score(self._evals[index].code)
+        return self._scores[index]
+
+    def _score(self, code: str) -> float | None:
+        if self._reference_failed:
+            return None
+        try:
+            candidate = similarity_form(self._method, code)
+        except _UNSCORABLE:
+            return None
+        if self._reference is None:
+            try:
+                self._reference = similarity_form(self._method, self._reference_code)
+            except _UNSCORABLE:
+                self._reference_failed = True
+                return None
+        try:
+            return form_similarity(self._method, candidate, self._reference).value
+        except _UNSCORABLE:
+            return None
+
+
+def build_pair_similarity(spec: str, a: CandidateEval, b: CandidateEval,
+                          score_a: float | None, score_b: float | None,
+                          method: PairMethod) -> PairOutcome:
+    """Prefer the candidate more similar to the reference code. score_a and
+    score_b are the candidates' similarities to the reference, None where
+    the candidate or the reference failed to lex or parse. Both candidates
+    must compile and not abort; a missing score or a tie discards the
+    pair."""
     if method not in SIMILARITY_METHODS:
         raise ValueError(f"not a similarity method: {method}")
-    if not a.compile_ok or not b.compile_ok:
-        return Discard("compile_failure")
-    if a.aborted or b.aborted:
-        return Discard("aborted")
-    try:
-        score_a = _similarity_to_reference(method, a.code, reference_code)
-        score_b = _similarity_to_reference(method, b.code, reference_code)
-    except (ParseError, LexError, EmptyInput):
+    discard = _status_discard(a, b)
+    if discard is not None:
+        return discard
+    if score_a is None or score_b is None:
         return Discard("parse")
     if score_a == score_b:
         return Discard("tie")
@@ -212,16 +279,23 @@ def build_pair_with_fails(spec: str, a: CandidateEval, b: CandidateEval) -> Pair
 
 def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],
                 method: PairMethod, cap: int = DEFAULT_PAIR_CAP) -> list[PairOutcome]:
-    """All strict pairs over the candidate set, capped per spec."""
+    """All strict pairs over the candidate set, capped per spec. Under a
+    similarity method each candidate, and the reference, is scored at most
+    once, and only when a pair that passes the compile and abort checks
+    needs it."""
+    scores = _ReferenceScores(method, reference_code, evals)
     outcomes: list[PairOutcome] = []
     emitted = 0
-    for a, b in itertools.combinations(evals, 2):
+    for (i, a), (j, b) in itertools.combinations(enumerate(evals), 2):
         if method is PairMethod.Testbench:
             outcome = build_pair_testbench(spec, a, b)
         elif method is PairMethod.TestbenchWithFails:
             outcome = build_pair_with_fails(spec, a, b)
         else:
-            outcome = build_pair_similarity(spec, reference_code, a, b, method)
+            outcome = _status_discard(a, b)
+            if outcome is None:
+                outcome = build_pair_similarity(spec, a, b, scores[i], scores[j],
+                                                method)
         if isinstance(outcome, PreferencePair):
             if emitted >= cap:
                 continue

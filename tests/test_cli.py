@@ -1,6 +1,7 @@
 import json
 import math
 import subprocess
+import sys
 
 import pytest
 
@@ -239,6 +240,40 @@ def test_collect_pairs_with_fails_method(tmp_path):
     assert pairs[0]["method"] == "tb-with-fails"
 
 
+def _collect_with_testbench_rows(tmp_path, tb_rows):
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 1)
+    llm_c, sim_c = write_collect_scripts(tmp_path)
+    config_c = write_config(tmp_path, llm_c, sim_c)
+    tb_path = tmp_path / "tb.jsonl"
+    tb_path.write_text("".join(json.dumps(row) + "\n" for row in tb_rows),
+                       encoding="utf-8")
+    pairs_out = tmp_path / "pairs.jsonl"
+    proc = run_cli("collect-pairs", "--specs", str(specs),
+                   "--testbenches", str(tb_path), "--out", str(pairs_out),
+                   "--method", "testbench", "--config", str(config_c))
+    return proc, pairs_out
+
+
+def test_collect_pairs_duplicate_testbench_id_exit_1(tmp_path):
+    proc, pairs_out = _collect_with_testbench_rows(
+        tmp_path, [{"id": "design000", "tb": "first"},
+                   {"id": "design000", "tb": "second"}])
+    assert proc.returncode == 1
+    assert "error: duplicate id in corpus: 'design000'" in proc.stderr
+    assert not pairs_out.exists()
+
+
+def test_collect_pairs_testbench_row_without_id_exit_1(tmp_path):
+    proc, pairs_out = _collect_with_testbench_rows(
+        tmp_path, [{"id": "design000", "tb": "t"}, {"tb": "no id"}])
+    assert proc.returncode == 1
+    assert "error: " in proc.stderr
+    assert "tb.jsonl:2: testbench row missing field 'id'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not pairs_out.exists()
+
+
 # ---- passk ----
 
 def write_task_results(path, rows):
@@ -374,6 +409,13 @@ def test_simulate_tool_missing_exit_3(tmp_path):
                    "--config", str(config))
     assert proc.returncode == 3
     assert "backend unavailable" in proc.stderr
+
+
+def test_cli_import_does_not_load_numpy():
+    probe = "import sys, tbforge.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_usage_error_exit_1():

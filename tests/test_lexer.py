@@ -6,7 +6,10 @@ from tbforge.errors import LexError
 from tbforge.frontend import Token, TokenKind, lex
 from tbforge.frontend.tokens import render_tokens
 
+import cli_fixtures
+import fixture_data
 from fixture_data import AUDIO_ENCODER_DUT, TESTBENCH_SKELETON
+from reference_lexer import reference_lex
 
 
 def kinds_texts(tokens):
@@ -164,3 +167,95 @@ _piece = st.one_of(
 def test_roundtrip_random_token_soup(pieces):
     source = " ".join(pieces)
     _roundtrip(source)
+
+
+# ---- the compiled scanner against the character-loop reference ----
+
+
+def lex_result(lexer, source):
+    """The (kind, text, line) stream, or the LexError's message, line and
+    column."""
+    try:
+        return [(t.kind, t.text, t.line) for t in lexer(source)]
+    except LexError as exc:
+        return ("LexError", str(exc), exc.line, exc.col)
+
+
+FIXTURE_SOURCES = {
+    f"{module.__name__}.{name}": value
+    for module in (fixture_data, cli_fixtures)
+    for name, value in vars(module).items()
+    if name.isupper() and isinstance(value, str)
+}
+
+
+# Inputs where a scanner rule that is almost right would differ.
+EDGE_SOURCES = [
+    "always @(*) y = a; (* keep *) wire w;",
+    "always @(*) y = a * b; // (*)\n(* two\n lines *) z = a ** b *c;",
+    "/* a */ b /* c\n d */ e /*/ f */ g",
+    'x = "two\nlines";',
+    'x = "esc\\"aped" + "q\\\\" + "r";',
+    "a<<<b>>>c===d!==e**f<<g>>h<=i>=j==k!=l&&m||n~&o~|p~^q^~r[s+:t][u-:v]",
+    "8'hFF 'sb1 4'b1x?z 16'hDEAD_BEEF 1.5 1_000 2 'd3 8 'o7",
+    "\\escaped$id wire \\x[0] $display `define",
+]
+
+
+@pytest.mark.parametrize("source", sorted(FIXTURE_SOURCES.values()) + EDGE_SOURCES)
+def test_lex_matches_reference(source):
+    assert lex_result(lex, source) == lex_result(reference_lex, source)
+
+
+LEX_ERRORS = [
+    ("wire w;\n  /* never closed\n", "unterminated block comment", 2, 3),
+    ("a\n(* keep = 1\n wire w;", "unterminated attribute", 2, 1),
+    ('x = "oops\n;', "unterminated string literal", 1, 5),
+    ('x = "trailing escape\\', "unterminated string literal", 1, 5),
+    ("assign y = a \\ b;", "stray backslash", 1, 14),
+    ("wire w \x01;", "illegal character '\\x01'", 1, 8),
+    ("/* two\nlines */ x = 8';", "illegal character \"'\"", 2, 15),
+    ('s = "a\\\nb"; $', "illegal character '$'", 1, 13),
+]
+
+
+@pytest.mark.parametrize("source,message,line,col", LEX_ERRORS)
+def test_lex_errors_match_reference(source, message, line, col):
+    expected = ("LexError", f"L{line}:{col}: {message}", line, col)
+    assert lex_result(reference_lex, source) == expected
+    assert lex_result(lex, source) == expected
+
+
+def test_escaped_newline_in_string_keeps_line():
+    # The reference counts no line inside a string literal, not even a
+    # backslash-escaped newline; the scanner keeps that.
+    source = 's = "a\\\nb";\nt'
+    assert lex_result(lex, source)[-1] == (TokenKind.Identifier, "t", 2)
+    assert lex_result(lex, source) == lex_result(reference_lex, source)
+
+
+_VERILOG_CHARS = "abhsxz_019$`'\\\"/*()[]{}<>=!~&|^+-:;,.#@?% \t\n\r\f\x01é٣"
+
+_fragment = st.one_of(
+    _piece,
+    st.sampled_from([
+        "// line comment", "/* block */", "/* two\nlines */", "/* open",
+        "(* keep *)", "(* two\nlines *)", "(*)", "(**)", "(* open",
+        '"str"', '"esc\\"aped"', '"a\\\nb"', '"open', "\\escaped$id ", "\\",
+        "8'hFF", "'sb1", "4'b1x?z", "16'hDEAD_BEEF", "1.5", "1_000", "2 'd3",
+        "$display", "`define", "<<<", ">>>", "===", "!==", "**", "~&", "^~",
+        "+:", "-:", "\t", "\r\n", "\f",
+    ]),
+    st.text(alphabet=_VERILOG_CHARS, max_size=3),
+)
+
+
+@given(st.text(alphabet=_VERILOG_CHARS, max_size=80))
+def test_lex_matches_reference_on_generated_text(source):
+    assert lex_result(lex, source) == lex_result(reference_lex, source)
+
+
+@given(st.lists(_fragment, max_size=30), st.sampled_from(["", " ", "\n"]))
+def test_lex_matches_reference_on_generated_verilog(fragments, separator):
+    source = separator.join(fragments)
+    assert lex_result(lex, source) == lex_result(reference_lex, source)

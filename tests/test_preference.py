@@ -1,14 +1,20 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tbforge.errors import ScriptExhausted
+from tbforge import preference
+from tbforge.errors import EmptyInput, LexError, ParseError, ScriptExhausted
+from tbforge.frontend import extract_dfg, lex, parse_module
 from tbforge.llm import MockChatClient
 from tbforge.preference import (
     CandidateEval,
     Discard,
     PairMethod,
     PreferencePair,
+    SIMILARITY_METHODS,
     SamplingParams,
     build_pair_similarity,
     build_pair_testbench,
@@ -20,6 +26,7 @@ from tbforge.preference import (
     sample_candidates,
 )
 from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort
+from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
 
 def ev(passed, total=5, compile_ok=True, aborted=False, code=None):
@@ -142,41 +149,210 @@ NEAR = "module c(input a, b, output y); assign y = a & b; endmodule"
 FAR = "module c(input p, q, output z); wire t; assign t = p | q; assign z = ~t; endmodule"
 
 
+def pairwise_score(method, candidate_code, reference_code):
+    """One candidate's similarity to the reference, from both sources, as
+    the pairwise rule computed it for every pair before per-spec scoring."""
+    if method is PairMethod.Bleu:
+        return bleu(lex(candidate_code), lex(reference_code)).value
+    if method is PairMethod.Ast:
+        return ast_similarity(parse_module(lex(candidate_code)),
+                              parse_module(lex(reference_code))).value
+    return dfg_similarity(extract_dfg(parse_module(lex(candidate_code))),
+                          extract_dfg(parse_module(lex(reference_code)))).value
+
+
+def score_or_none(method, code, reference_code=REF):
+    try:
+        return pairwise_score(method, code, reference_code)
+    except (ParseError, LexError, EmptyInput):
+        return None
+
+
+def similarity_pair(a, b, method):
+    return build_pair_similarity("s", a, b, score_or_none(method, a.code),
+                                 score_or_none(method, b.code), method)
+
+
 def test_similarity_rule_prefers_higher_score():
     a = ev(2, code=NEAR)
     b = ev(4, code=FAR)
-    for method in (PairMethod.Bleu, PairMethod.Ast, PairMethod.Dfg):
-        pair = build_pair_similarity("s", REF, a, b, method)
+    for method in SIMILARITY_METHODS:
+        pair = similarity_pair(a, b, method)
         assert isinstance(pair, PreferencePair), method
         assert pair.chosen == NEAR
         assert pair.method is method
 
 
 def test_similarity_rule_requires_compiling_candidates():
-    outcome = build_pair_similarity("s", REF, ev(0, compile_ok=False, code=NEAR),
-                                    ev(3, code=FAR), PairMethod.Bleu)
+    outcome = similarity_pair(ev(0, compile_ok=False, code=NEAR),
+                              ev(3, code=FAR), PairMethod.Bleu)
     assert outcome == Discard("compile_failure")
 
 
 def test_similarity_rule_parse_failure_discards():
     broken = "module c; generate endgenerate endmodule"
-    outcome = build_pair_similarity("s", REF, ev(1, code=broken), ev(2, code=FAR),
-                                    PairMethod.Ast)
+    outcome = similarity_pair(ev(1, code=broken), ev(2, code=FAR), PairMethod.Ast)
     assert outcome == Discard("parse")
 
 
 def test_similarity_rule_tie_discards():
-    outcome = build_pair_similarity("s", REF, ev(1, code=NEAR), ev(2, code=NEAR),
-                                    PairMethod.Dfg)
+    outcome = similarity_pair(ev(1, code=NEAR), ev(2, code=NEAR), PairMethod.Dfg)
     assert outcome == Discard("tie")
 
 
 def test_bleu_fixture_chooses_higher():
     # NEAR shares the reference token stream exactly; FAR shares little.
-    pair = build_pair_similarity("s", REF, ev(0, total=5, code=FAR),
-                                 ev(5, code=NEAR), PairMethod.Bleu)
+    pair = similarity_pair(ev(0, total=5, code=FAR), ev(5, code=NEAR),
+                           PairMethod.Bleu)
     assert isinstance(pair, PreferencePair)
     assert pair.chosen == NEAR
+
+
+def test_similarity_rule_compile_status_before_missing_score():
+    outcome = build_pair_similarity("s", ev(0, aborted=True, code=NEAR),
+                                    ev(2, code=FAR), None, 0.5, PairMethod.Dfg)
+    assert outcome == Discard("aborted")
+    with pytest.raises(ValueError):
+        build_pair_similarity("s", ev(1), ev(2), 0.1, 0.2, PairMethod.Testbench)
+
+
+# ---- per-spec scoring against the pairwise rule ----
+
+MID = "module c(input a, b, output y); wire t; assign t = a & b; assign y = t; endmodule"
+NO_PARSE = "module c; generate endgenerate endmodule"
+NO_LEX = "module c(input a, output y); assign y = a \x01; endmodule"
+NO_TOKENS = "// nothing but a comment"
+REF_NO_PARSE = "module r; generate endgenerate endmodule"
+REF_NO_LEX = "module r; \\ endmodule"
+
+
+def pairwise_reference(spec, reference_code, evals, method, cap):
+    """build_pairs under a similarity method as it stood before per-spec
+    scoring: both candidates and the reference re-scored for every pair."""
+    outcomes = []
+    emitted = 0
+    for a, b in itertools.combinations(evals, 2):
+        if not a.compile_ok or not b.compile_ok:
+            outcome = Discard("compile_failure")
+        elif a.aborted or b.aborted:
+            outcome = Discard("aborted")
+        else:
+            try:
+                score_a = pairwise_score(method, a.code, reference_code)
+                score_b = pairwise_score(method, b.code, reference_code)
+            except (ParseError, LexError, EmptyInput):
+                outcome = Discard("parse")
+            else:
+                if score_a == score_b:
+                    outcome = Discard("tie")
+                else:
+                    chosen, rejected = (a, b) if score_a > score_b else (b, a)
+                    outcome = PreferencePair(
+                        spec=spec, chosen=chosen.code, rejected=rejected.code,
+                        chosen_passed=chosen.passed,
+                        rejected_passed=rejected.passed, method=method)
+        if isinstance(outcome, PreferencePair):
+            if emitted >= cap:
+                continue
+            emitted += 1
+        outcomes.append(outcome)
+    return outcomes
+
+
+MIXED = [
+    ev(3, code=NEAR), ev(1, code=FAR), ev(2, code=MID), ev(4, code=NO_PARSE),
+    ev(0, compile_ok=False, code=NEAR), ev(2, code=NEAR), ev(0, aborted=True, code=MID),
+    ev(5, code=NO_LEX), ev(1, code=NO_TOKENS), ev(2, code=FAR),
+]
+
+CASES = {
+    "mixed": (REF, MIXED),
+    "reference-does-not-parse": (REF_NO_PARSE, MIXED),
+    "reference-does-not-lex": (REF_NO_LEX, MIXED),
+    "duplicates-only": (REF, [ev(1, code=NEAR), ev(2, code=NEAR), ev(3, code=FAR),
+                              ev(4, code=FAR)]),
+    "all-compile-status": (REF, [ev(0, compile_ok=False, code=NEAR),
+                                 ev(0, aborted=True, code=FAR),
+                                 ev(2, code=MID)]),
+}
+
+
+@pytest.mark.parametrize("cap", [0, 2, 100])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("method", SIMILARITY_METHODS, ids=lambda m: m.value)
+def test_build_pairs_matches_pairwise_reference(method, case, cap):
+    reference_code, evals = CASES[case]
+    expected = pairwise_reference("s", reference_code, evals, method, cap)
+    assert build_pairs("s", reference_code, evals, method, cap=cap) == expected
+
+
+_CODES = [REF, NEAR, FAR, MID, NO_PARSE, NO_LEX, NO_TOKENS]
+
+
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(SIMILARITY_METHODS),
+       reference_code=st.sampled_from(_CODES + [REF_NO_PARSE, REF_NO_LEX]),
+       candidates=st.lists(st.tuples(st.sampled_from(_CODES),
+                                     st.sampled_from(["ok", "compile", "abort"]),
+                                     st.integers(0, 5)),
+                           max_size=7),
+       cap=st.integers(0, 6))
+def test_build_pairs_matches_pairwise_reference_random(method, reference_code,
+                                                       candidates, cap):
+    evals = [ev(passed, code=code, compile_ok=status != "compile",
+                aborted=status == "abort")
+             for code, status, passed in candidates]
+    expected = pairwise_reference("s", reference_code, evals, method, cap)
+    assert build_pairs("s", reference_code, evals, method, cap=cap) == expected
+
+
+@pytest.fixture
+def frontend_calls(monkeypatch):
+    calls = {"lex": 0, "parse_module": 0}
+    for name in calls:
+        real = getattr(preference, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(preference, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", [PairMethod.Ast, PairMethod.Dfg],
+                         ids=lambda m: m.value)
+def test_build_pairs_parses_each_candidate_and_reference_once(frontend_calls, method):
+    # Four candidates reach the comparison, two discard on compile status.
+    evals = [ev(1, code=NEAR), ev(2, code=FAR), ev(3, code=MID), ev(4, code=NO_PARSE),
+             ev(0, compile_ok=False, code=NEAR), ev(0, aborted=True, code=FAR)]
+    build_pairs("s", REF, evals, method, cap=100)
+    assert frontend_calls == {"lex": 5, "parse_module": 5}
+
+
+def test_build_pairs_bleu_lexes_each_candidate_and_reference_once(frontend_calls):
+    evals = [ev(1, code=NEAR), ev(2, code=FAR), ev(3, code=NEAR),
+             ev(0, compile_ok=False, code=MID)]
+    build_pairs("s", REF, evals, PairMethod.Bleu)
+    assert frontend_calls == {"lex": 4, "parse_module": 0}
+
+
+def test_build_pairs_unparseable_reference_parsed_once(frontend_calls):
+    evals = [ev(1, code=NEAR), ev(2, code=FAR), ev(3, code=MID)]
+    outcomes = build_pairs("s", REF_NO_PARSE, evals, PairMethod.Dfg)
+    assert outcomes == [Discard("parse")] * 3
+    assert frontend_calls["parse_module"] <= len(evals) + 1
+    assert frontend_calls["lex"] <= len(evals) + 1
+
+
+@pytest.mark.parametrize("method", SIMILARITY_METHODS, ids=lambda m: m.value)
+def test_build_pairs_scores_nothing_when_compile_status_discards_all(frontend_calls,
+                                                                    method):
+    evals = [ev(0, compile_ok=False, code=NEAR), ev(0, aborted=True, code=FAR),
+             ev(3, code=MID), ev(0, compile_ok=False, code=MID)]
+    outcomes = build_pairs("s", REF, evals, method)
+    assert all(o.reason in ("compile_failure", "aborted") for o in outcomes)
+    assert frontend_calls == {"lex": 0, "parse_module": 0}
 
 
 # ---- compile-status rule ----

@@ -155,7 +155,10 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--evals-out", "evals_path", type=click.Path(), default=None,
               help="Also write per-candidate evaluation rows.")
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", default=1, show_default=True,
+              help="Specs processed at once: at most this many chat requests "
+                   "and this many simulator calls in flight. Within a spec, "
+                   "each candidate is evaluated while the next is sampled.")
 def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
@@ -185,11 +188,25 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
         spec, tb_row = item
         client = client_factory()
         simulator = simulator_factory()
-        codes = sample_candidates(client, spec.spec, sampling,
+        # One evaluation lane per row: candidate k is simulated while k+1 is
+        # sampled, in candidate order, so a row never has more than one chat
+        # call and one simulator call in flight.
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            pending = []
+
+            def on_code(code):
+                pending.append(lane.submit(evaluate_candidate, code,
+                                           tb_row["tb"], simulator))
+
+            try:
+                sample_candidates(client, spec.spec, sampling,
                                   retries=config.llm.retries,
-                                  backoff=config.llm.backoff_seconds)
-        evals = [evaluate_candidate(code, tb_row["tb"], simulator)
-                 for code in codes]
+                                  backoff=config.llm.backoff_seconds,
+                                  on_code=on_code)
+            except BaseException:
+                lane.shutdown(cancel_futures=True)
+                raise
+            evals = [future.result() for future in pending]
         outcomes = build_pairs(spec.spec, spec.code, evals, pair_method,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes

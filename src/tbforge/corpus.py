@@ -77,16 +77,18 @@ def check_unique_ids(rows: list[dict], key: str = "id") -> None:
 
 
 def load_testbench_rows(path) -> dict:
-    """Testbench rows keyed by id. A row without an id or a tb, or a
-    repeated id, is an input error (ValueError)."""
+    """Testbench rows keyed by ``str(id)``, the form spec ids take in
+    ``load_spec_code_pairs``, so ``5`` and ``"5"`` name the same row. A row
+    without an id or a tb, or a repeated id, is an input error
+    (ValueError)."""
     rows = []
     for lineno, row in iter_jsonl(path):
         for field in ("id", "tb"):
             if field not in row:
                 raise ValueError(f"{path}:{lineno}: testbench row missing field {field!r}")
         rows.append(row)
-    check_unique_ids(rows)
-    return {row["id"]: row for row in rows}
+    check_unique_ids([{"id": str(row["id"])} for row in rows])
+    return {str(row["id"]): row for row in rows}
 
 
 def testbench_row(pair_id: str, record) -> dict:
@@ -163,17 +165,18 @@ def outcome_json(outcome) -> dict:
 
 
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
+    """Spec/code rows with ids as strings. A malformed line or a row missing
+    a field raises JsonlError, or, when on_error is given, is reported as
+    on_error(lineno, message) and skipped, as in ``iter_jsonl``."""
     pairs = []
-
-    def record(lineno, msg):
-        if on_error:
-            on_error(lineno, msg)
-
-    for _, obj in iter_jsonl(path, record):
+    for lineno, obj in iter_jsonl(path, on_error):
         try:
             pairs.append(SpecCodePair(id=str(obj["id"]), spec=str(obj["spec"]),
                                       code=str(obj["code"])))
         except KeyError as exc:
-            record(-1, f"row missing field {exc}")
+            problem = f"row missing field {exc}"
+            if on_error is None:
+                raise JsonlError(path, lineno, problem) from None
+            on_error(lineno, problem)
     check_unique_ids([{"id": p.id} for p in pairs])
     return pairs

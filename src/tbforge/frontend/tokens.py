@@ -87,10 +87,10 @@ _TOKEN_KINDS = {
     "system_ident": TokenKind.Identifier,
     "operator": TokenKind.Operator,
     "punctuation": TokenKind.Punctuation,
-    "string": TokenKind.StringLiteral,
 }
 _SKIPPED = frozenset({"space", "line_comment", "escaped_ident"})
-_MULTILINE_SKIPPED = frozenset({"block_comment", "attribute"})
+# Matches that may span lines; of these only strings make a token.
+_MULTILINE = frozenset({"string", "block_comment", "attribute"})
 _ERRORS = {
     "block_comment_open": "unterminated block comment",
     "attribute_open": "unterminated attribute",
@@ -104,9 +104,9 @@ def lex(source: str) -> list[Token]:
     unterminated comment, attribute or string, a stray backslash, or an
     illegal character.
 
-    Lines advance at newlines outside tokens, including those inside
-    comments and attributes; a backslash-escaped newline inside a string
-    literal does not advance them.
+    Lines advance at every newline, including those inside comments,
+    attributes and (backslash-escaped) inside string literals; a token's
+    line is the line it starts on.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -126,8 +126,10 @@ def lex(source: str) -> list[Token]:
             line_start = m.end()
         elif group in _SKIPPED:
             continue
-        elif group in _MULTILINE_SKIPPED:
+        elif group in _MULTILINE:
             text = m.group()
+            if group == "string":
+                append(Token(TokenKind.StringLiteral, text, line))
             count = text.count("\n")
             if count:
                 line += count

@@ -15,7 +15,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from tbforge.errors import EmptyInput, LexError, ParseError
 from tbforge.frontend import extract_dfg, lex, parse_module
@@ -99,10 +99,15 @@ class SamplingParams:
 
 
 def sample_candidates(client, spec: str, params: SamplingParams | None = None,
-                      retries: int = 3, backoff: float = 0.5) -> list[str]:
+                      retries: int = 3, backoff: float = 0.5,
+                      on_code: Callable[[str], None] | None = None) -> list[str]:
     """Draw n independent completions for a specification and extract the
     code. Responses with no code yield an empty-code marker; they evaluate
-    as non-compiling."""
+    as non-compiling.
+
+    ``on_code``, when given, receives each extracted code (or the marker) in
+    candidate order, before the next request goes out, so a caller can
+    start on candidate k while candidate k+1 is sampled."""
     params = params or SamplingParams()
     if not spec.strip():
         raise EmptyInput("empty specification")
@@ -118,9 +123,12 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None,
         )
         response = complete(client, request, retries=retries, backoff=backoff)
         try:
-            codes.append(extract_code_block(response))
+            code = extract_code_block(response)
         except NoCodeFound:
-            codes.append("")
+            code = ""
+        codes.append(code)
+        if on_code is not None:
+            on_code(code)
     return codes
 
 

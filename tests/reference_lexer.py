@@ -98,7 +98,9 @@ def reference_lex(source: str) -> list[Token]:
                 end += 1
             if end >= n:
                 raise LexError("unterminated string literal", line, col())
-            tokens.append(Token(TokenKind.StringLiteral, source[pos:end + 1], line))
+            text = source[pos:end + 1]
+            tokens.append(Token(TokenKind.StringLiteral, text, line))
+            advance_lines(text)
             pos = end + 1
             continue
 

@@ -159,6 +159,47 @@ def test_collect_pairs_testbench_method(collected):
     assert "pairs: 3" in proc.stdout
 
 
+@pytest.mark.parametrize("method", ["testbench", "bleu", "ast", "dfg",
+                                    "tb-with-fails"])
+def test_collect_pairs_outputs_identical_across_jobs(collected, method):
+    # five candidates per spec: two that pass 4/5 and 2/5, a prose reply
+    # (no code), the reference itself passing 5/5, and one that does not
+    # compile
+    tmp_path, specs, tb_out, _ = collected
+    llm_c = tmp_path / "llm_five.json"
+    llm_c.write_text(json.dumps([CANDIDATE_A, CANDIDATE_B, "no code here",
+                                 f"```verilog\n{AUDIO_ENCODER_DUT}```",
+                                 CANDIDATE_A.replace("[0]", "[1]")]),
+                     encoding="utf-8")
+    sim_c = tmp_path / "sim_five.json"
+    sim_c.write_text(json.dumps([
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "total": 5, "failures": 1},
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "total": 5, "failures": 3},
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "total": 5, "failures": 0},
+        {"kind": "compile", "ok": False, "log": "syntax error"},
+    ]), encoding="utf-8")
+    config_c = write_config(tmp_path, llm_c, sim_c, name="five.ini")
+    outputs = []
+    for jobs in (1, 2, 3):
+        pairs_out = tmp_path / f"pairs{jobs}.jsonl"
+        evals_out = tmp_path / f"evals{jobs}.jsonl"
+        proc = run_cli("collect-pairs", "--specs", str(specs),
+                       "--testbenches", str(tb_out), "--out", str(pairs_out),
+                       "--method", method, "--n", "5", "--config", str(config_c),
+                       "--evals-out", str(evals_out), "--jobs", str(jobs))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((pairs_out.read_bytes(), evals_out.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(read_jsonl(tmp_path / "pairs1.jsonl")) >= 6
+    assert [(row["candidate_idx"], row["passed"], row["status"])
+            for row in read_jsonl(tmp_path / "evals1.jsonl")][:5] == \
+        [(0, 4, "report"), (1, 2, "report"), (2, 0, "no_code"),
+         (3, 5, "report"), (4, 0, "compile_error")]
+
+
 def test_collect_pairs_id_counts_emitted_pairs_only(collected):
     # three candidates: one pair plus two abort discards per spec
     tmp_path, specs, tb_out, _ = collected
@@ -240,9 +281,14 @@ def test_collect_pairs_with_fails_method(tmp_path):
     assert pairs[0]["method"] == "tb-with-fails"
 
 
-def _collect_with_testbench_rows(tmp_path, tb_rows):
+def _collect_with_testbench_rows(tmp_path, tb_rows, spec_id=None):
     specs = tmp_path / "specs.jsonl"
-    write_spec_rows(specs, 1)
+    if spec_id is None:
+        write_spec_rows(specs, 1)
+    else:
+        specs.write_text(json.dumps({"id": spec_id, "spec": "s",
+                                     "code": AUDIO_ENCODER_DUT}) + "\n",
+                         encoding="utf-8")
     llm_c, sim_c = write_collect_scripts(tmp_path)
     config_c = write_config(tmp_path, llm_c, sim_c)
     tb_path = tmp_path / "tb.jsonl"
@@ -261,6 +307,23 @@ def test_collect_pairs_duplicate_testbench_id_exit_1(tmp_path):
                    {"id": "design000", "tb": "second"}])
     assert proc.returncode == 1
     assert "error: duplicate id in corpus: 'design000'" in proc.stderr
+    assert not pairs_out.exists()
+
+
+def test_collect_pairs_joins_integer_ids(tmp_path):
+    proc, pairs_out = _collect_with_testbench_rows(
+        tmp_path, [{"id": 5, "tb": "t"}], spec_id=5)
+    assert proc.returncode == 0, proc.stderr
+    assert "specs: 1  pairs: 1" in proc.stdout
+    assert [row["id"] for row in read_jsonl(pairs_out)] == ["5#0"]
+
+
+def test_collect_pairs_integer_and_string_testbench_id_exit_1(tmp_path):
+    proc, pairs_out = _collect_with_testbench_rows(
+        tmp_path, [{"id": 5, "tb": "first"}, {"id": "5", "tb": "second"}],
+        spec_id=5)
+    assert proc.returncode == 1
+    assert "error: duplicate id in corpus: '5'" in proc.stderr
     assert not pairs_out.exists()
 
 

@@ -52,12 +52,26 @@ def test_tolerant_loader_skips_and_reports(tmp_path):
     path.write_text(
         '{"id": "a", "spec": "s", "code": "c"}\n'
         "...garbage...\n"
-        '{"id": "b", "spec": "s", "code": "c"}\n',
+        '{"id": "b", "spec": "s", "code": "c"}\n'
+        '{"id": "c", "spec": "s"}\n',
         encoding="utf-8")
     errors = []
-    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append(n))
+    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append((n, m)))
     assert [p.id for p in pairs] == ["a", "b"]
-    assert errors == [2]
+    assert [n for n, _ in errors] == [2, 4]
+    assert errors[0][1].startswith("bad JSON: ")
+    assert errors[1][1] == "row missing field 'code'"
+
+
+@pytest.mark.parametrize("bad_line", ["...garbage...", '{"id": "b", "spec": "s"}'])
+def test_spec_loader_without_callback_raises(tmp_path, bad_line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "spec": "s", "code": "c"}\n' + bad_line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(JsonlError) as exc:
+        load_spec_code_pairs(path)
+    assert exc.value.lineno == 2
+    assert str(exc.value).startswith(f"{path}:2: ")
 
 
 def test_duplicate_ids_rejected():

@@ -215,7 +215,7 @@ LEX_ERRORS = [
     ("assign y = a \\ b;", "stray backslash", 1, 14),
     ("wire w \x01;", "illegal character '\\x01'", 1, 8),
     ("/* two\nlines */ x = 8';", "illegal character \"'\"", 2, 15),
-    ('s = "a\\\nb"; $', "illegal character '$'", 1, 13),
+    ('s = "a\\\nb"; $', "illegal character '$'", 2, 5),
 ]
 
 
@@ -227,10 +227,10 @@ def test_lex_errors_match_reference(source, message, line, col):
 
 
 def test_escaped_newline_in_string_keeps_line():
-    # The reference counts no line inside a string literal, not even a
-    # backslash-escaped newline; the scanner keeps that.
+    # A backslash-escaped newline inside a string literal is a line break:
+    # tokens after it, and error columns, count from the line it starts.
     source = 's = "a\\\nb";\nt'
-    assert lex_result(lex, source)[-1] == (TokenKind.Identifier, "t", 2)
+    assert lex_result(lex, source)[-1] == (TokenKind.Identifier, "t", 3)
     assert lex_result(lex, source) == lex_result(reference_lex, source)
 
 

@@ -56,6 +56,24 @@ def test_sample_prose_yields_empty_marker():
     assert codes[1] == ""
 
 
+def test_sample_on_code_fires_in_order_before_next_request():
+    client = MockChatClient([
+        "```verilog\nmodule a; endmodule\n```",
+        "no code at all",
+        "```verilog\nmodule c; endmodule\n```",
+    ])
+    seen = []
+
+    def on_code(code):
+        seen.append((code, len(client.calls)))
+
+    codes = sample_candidates(client, "spec", SamplingParams(n=3), backoff=0,
+                              on_code=on_code)
+    assert [code for code, _ in seen] == codes
+    assert codes[1] == ""
+    assert [calls for _, calls in seen] == [1, 2, 3]
+
+
 def test_sample_call_count_over_batch():
     client = MockChatClient(["module m; endmodule"] * 20)
     for _ in range(10):

@@ -12,6 +12,7 @@ nonzero exit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -39,9 +40,9 @@ from tbforge.dpo import DEFAULT_BETA, PairLogProbs, dpo_loss, random_grad_check
 from tbforge.metrics import TaskResults, pass_at_k
 from tbforge.pipeline import Finished, TestbenchPipeline
 from tbforge.preference import (
+    SIMILARITY_METHODS,
     PairMethod,
     PreferencePair,
-    SamplingParams,
     build_pairs,
     code_line_count,
     evaluate_candidate,
@@ -102,13 +103,8 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                  len(pairs), before, min_code_lines)
 
     def run_row(pair):
-        pipeline = TestbenchPipeline(
-            client_factory(), simulator_factory(), config.pipeline,
-            temperature=config.llm.temperature,
-            max_tokens=config.llm.max_tokens,
-            retries=config.llm.retries,
-            backoff=config.llm.backoff_seconds,
-        )
+        pipeline = TestbenchPipeline(client_factory(), simulator_factory(),
+                                     config.pipeline, llm=config.llm)
         return pipeline.run(pair)
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
@@ -174,10 +170,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
 
     sampling = config.sampling
     if n_candidates is not None:
-        sampling = SamplingParams(n=n_candidates,
-                                  temperatures=sampling.temperatures,
-                                  top_p=sampling.top_p, top_k=sampling.top_k,
-                                  max_tokens=sampling.max_tokens)
+        sampling = dataclasses.replace(sampling, n=n_candidates)
 
     joined = [(spec, tb_rows[spec.id]) for spec in specs if spec.id in tb_rows]
     missing = len(specs) - len(joined)
@@ -284,7 +277,8 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
 # ---- similarity ----
 
 @cli.command("similarity")
-@click.option("--method", required=True, type=click.Choice(["bleu", "ast", "dfg"]))
+@click.option("--method", required=True,
+              type=click.Choice([m.value for m in SIMILARITY_METHODS]))
 @click.argument("file_a", type=click.Path(exists=True))
 @click.argument("file_b", type=click.Path(exists=True))
 def cmd_similarity(method, file_a, file_b):

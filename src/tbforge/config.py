@@ -1,5 +1,12 @@
 """Toolkit configuration: a simple INI file with strict key validation.
 
+Each section fills the settings dataclass of the ``Config`` field of the
+same name, and that dataclass is the only place a key, its type and its
+default are written. Two keys sit in another section than their field:
+``[paths] workdir_root`` fills the simulator settings, and ``[sampling]
+max_pairs_per_spec`` fills ``Config`` itself. An empty value means the
+default.
+
 Secrets never live in the file; the LLM API key is read from the
 environment variable named by ``llm.api_key_env``. Mock backends are
 configured with JSON script files and are instantiated fresh per pipeline
@@ -10,81 +17,60 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+import types
+from collections import defaultdict
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from tbforge.errors import ConfigError
-from tbforge.llm.client import EndpointConfig, HttpChatClient, MockChatClient
+from tbforge.llm.client import HttpChatClient, LlmSettings, MockChatClient
 from tbforge.pipeline import PipelineConfig
 from tbforge.preference import DEFAULT_PAIR_CAP, SamplingParams
 from tbforge.sim.backends import CommandSimulator, MockSimulator
-from tbforge.sim.config import (
-    DEFAULT_COMPILE_COMMAND,
-    DEFAULT_RUN_COMMAND,
-    DEFAULT_TIMEOUT_SECONDS,
-    SimulatorConfig,
-)
+from tbforge.sim.config import SimulatorConfig
 from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
-
-
-@dataclass(frozen=True)
-class LlmSettings:
-    backend: str = "http"  # http | mock
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = "TBFORGE_API_KEY"
-    max_tokens: int = 4096
-    retries: int = 3
-    backoff_seconds: float = 0.5
-    temperature: float = 0.0  # pipeline prompts run deterministically
-    request_timeout: float = 120.0
-    mock_script: str = ""
-
-
-@dataclass(frozen=True)
-class SimulatorSettings:
-    backend: str = "command"  # command | mock
-    config: SimulatorConfig = field(default_factory=SimulatorConfig)
-    mock_script: str = ""
 
 
 @dataclass(frozen=True)
 class Config:
     llm: LlmSettings = field(default_factory=LlmSettings)
-    simulator: SimulatorSettings = field(default_factory=SimulatorSettings)
+    simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     sampling: SamplingParams = field(default_factory=SamplingParams)
     max_pairs_per_spec: int = DEFAULT_PAIR_CAP
 
 
-_SCHEMA = {
-    "llm": {"backend", "endpoint", "model", "api_key_env", "max_tokens",
-            "retries", "backoff_seconds", "temperature", "request_timeout",
-            "mock_script"},
-    "simulator": {"backend", "compile_command", "run_command",
-                  "coverage_command", "timeout", "mock_script"},
-    "pipeline": {"max_draft_attempts", "max_improve_attempts",
-                 "max_rectify_iterations", "coverage_threshold",
-                 "skip_coverage"},
-    "sampling": {"n", "temperatures", "top_p", "top_k", "max_pairs_per_spec",
-                 "max_tokens"},
-    "paths": {"workdir_root"},
-}
+def ini_schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """Each INI section's keys, mapped to (the ``Config`` field whose
+    dataclass the key fills, or "" for a field of ``Config`` itself, the
+    key's type)."""
+    owners = get_type_hints(Config)
+    schema = {owner: {key: (owner, hint) for key, hint in get_type_hints(cls).items()}
+              for owner, cls in owners.items() if is_dataclass(cls)}
+    schema["paths"] = {"workdir_root": schema["simulator"].pop("workdir_root")}
+    schema["sampling"]["max_pairs_per_spec"] = ("", owners["max_pairs_per_spec"])
+    return schema
 
 
-def _typed(section, key, cast, default):
-    raw = section.get(key)
-    if raw is None or raw == "":
-        return default
+def _typed(key: str, raw: str, hint):
+    """Cast one non-empty INI value to its field's type."""
+    if isinstance(hint, types.UnionType):  # ``T | None``: the value is a T
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if hint == tuple[float, ...]:  # comma-separated sampling temperatures
+        try:
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad sampling temperatures: {raw!r}") from exc
     try:
-        if cast is bool:
+        if hint is bool:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return cast(raw)
+        return hint(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -99,80 +85,28 @@ def load_config(path) -> Config:
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
+    schema = ini_schema()
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in schema:
             raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _SCHEMA[section]
+        unknown = set(parser[section]) - set(schema[section])
         if unknown:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
 
-    llm_raw = parser["llm"] if parser.has_section("llm") else {}
-    sim_raw = parser["simulator"] if parser.has_section("simulator") else {}
-    pipe_raw = parser["pipeline"] if parser.has_section("pipeline") else {}
-    samp_raw = parser["sampling"] if parser.has_section("sampling") else {}
-    paths_raw = parser["paths"] if parser.has_section("paths") else {}
+    found: dict[str, dict] = defaultdict(dict)
+    for section, keys in schema.items():
+        for key, (owner, hint) in keys.items():
+            raw = parser.get(section, key, fallback="")
+            if raw:
+                found[owner][key] = (raw, hint)
 
-    llm = LlmSettings(
-        backend=_typed(llm_raw, "backend", str, "http"),
-        endpoint=_typed(llm_raw, "endpoint", str, ""),
-        model=_typed(llm_raw, "model", str, ""),
-        api_key_env=_typed(llm_raw, "api_key_env", str, "TBFORGE_API_KEY"),
-        max_tokens=_typed(llm_raw, "max_tokens", int, 4096),
-        retries=_typed(llm_raw, "retries", int, 3),
-        backoff_seconds=_typed(llm_raw, "backoff_seconds", float, 0.5),
-        temperature=_typed(llm_raw, "temperature", float, 0.0),
-        request_timeout=_typed(llm_raw, "request_timeout", float, 120.0),
-        mock_script=_typed(llm_raw, "mock_script", str, ""),
-    )
-    if llm.backend not in ("http", "mock"):
-        raise ConfigError(f"llm backend must be http or mock, got {llm.backend!r}")
-    if llm.backend == "mock" and not llm.mock_script:
-        raise ConfigError("llm backend mock needs mock_script")
+    def typed(owner: str) -> dict:
+        return {key: _typed(key, raw, hint) for key, (raw, hint) in found[owner].items()}
 
-    coverage_command = _typed(sim_raw, "coverage_command", str, "") or None
-    sim_config = SimulatorConfig(
-        compile_command=_typed(sim_raw, "compile_command", str, DEFAULT_COMPILE_COMMAND),
-        run_command=_typed(sim_raw, "run_command", str, DEFAULT_RUN_COMMAND),
-        coverage_command=coverage_command,
-        timeout=_typed(sim_raw, "timeout", float, DEFAULT_TIMEOUT_SECONDS),
-        workdir_root=_typed(paths_raw, "workdir_root", str, "") or None,
-    )
-    simulator = SimulatorSettings(
-        backend=_typed(sim_raw, "backend", str, "command"),
-        config=sim_config,
-        mock_script=_typed(sim_raw, "mock_script", str, ""),
-    )
-    if simulator.backend not in ("command", "mock"):
-        raise ConfigError(
-            f"simulator backend must be command or mock, got {simulator.backend!r}")
-    if simulator.backend == "mock" and not simulator.mock_script:
-        raise ConfigError("simulator backend mock needs mock_script")
-
-    pipeline = PipelineConfig(
-        max_draft_attempts=_typed(pipe_raw, "max_draft_attempts", int, 3),
-        max_improve_attempts=_typed(pipe_raw, "max_improve_attempts", int, 3),
-        max_rectify_iterations=_typed(pipe_raw, "max_rectify_iterations", int, 3),
-        coverage_threshold=_typed(pipe_raw, "coverage_threshold", float, 90.0),
-        skip_coverage=_typed(pipe_raw, "skip_coverage", bool, False),
-    )
-
-    temps_raw = _typed(samp_raw, "temperatures", str, "0.2, 0.5, 0.8")
-    try:
-        temperatures = tuple(float(part) for part in temps_raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad sampling temperatures: {temps_raw!r}") from exc
-    sampling = SamplingParams(
-        n=_typed(samp_raw, "n", int, 2),
-        temperatures=temperatures,
-        top_p=_typed(samp_raw, "top_p", float, 0.95),
-        top_k=_typed(samp_raw, "top_k", int, 50),
-        max_tokens=_typed(samp_raw, "max_tokens", int, 4096),
-    )
-    cap = _typed(samp_raw, "max_pairs_per_spec", int, DEFAULT_PAIR_CAP)
-
-    return Config(llm=llm, simulator=simulator, pipeline=pipeline,
-                  sampling=sampling, max_pairs_per_spec=cap)
+    settings = {owner: cls(**typed(owner))
+                for owner, cls in get_type_hints(Config).items() if is_dataclass(cls)}
+    return Config(**settings, **typed(""))
 
 
 # -- backend factories --
@@ -219,7 +153,7 @@ def make_simulator_factory(config: Config):
     if config.simulator.backend == "mock":
         script = _load_sim_script(config.simulator.mock_script)
         return lambda: MockSimulator(list(script))
-    shared = CommandSimulator(config.simulator.config)
+    shared = CommandSimulator(config.simulator)
     return lambda: shared
 
 
@@ -227,15 +161,7 @@ def make_chat_client_factory(config: Config):
     if config.llm.backend == "mock":
         script = _load_llm_script(config.llm.mock_script)
         return lambda: MockChatClient(list(script))
-    endpoint = EndpointConfig(
-        url=config.llm.endpoint,
-        model=config.llm.model,
-        api_key_env=config.llm.api_key_env,
-        request_timeout=config.llm.request_timeout,
-        retries=config.llm.retries,
-        backoff_seconds=config.llm.backoff_seconds,
-    )
-    if not endpoint.url:
+    if not config.llm.endpoint:
         raise ConfigError("llm backend http needs an endpoint URL")
-    shared = HttpChatClient(endpoint)
+    shared = HttpChatClient(config.llm)
     return lambda: shared

@@ -1,7 +1,7 @@
 """Verilog-subset frontend: lexer, parser and dataflow extraction."""
 
 from tbforge.frontend.tokens import Token, TokenKind, lex
-from tbforge.frontend.ast_nodes import AstNode, NodeKind, node_to_text
+from tbforge.frontend.ast_nodes import AstNode, NodeKind
 from tbforge.frontend.parser import parse_module, parse_source
 from tbforge.frontend.dfg import Dfg, extract_dfg
 
@@ -11,7 +11,6 @@ __all__ = [
     "lex",
     "AstNode",
     "NodeKind",
-    "node_to_text",
     "parse_module",
     "parse_source",
     "Dfg",

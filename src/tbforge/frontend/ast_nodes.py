@@ -55,30 +55,3 @@ class AstNode:
             yield node
             stack.extend(reversed(node.children))
 
-
-def node_to_text(node: AstNode) -> str:
-    """Render an expression subtree back to compact source text."""
-    k = node.kind
-    if k is NodeKind.IdentRef or k is NodeKind.NumberLit:
-        return node.label
-    if k is NodeKind.UnaryOp:
-        return f"{node.label}{node_to_text(node.children[0])}"
-    if k is NodeKind.BinaryOp:
-        lhs, rhs = node.children
-        return f"({node_to_text(lhs)} {node.label} {node_to_text(rhs)})"
-    if k is NodeKind.TernaryOp:
-        c, a, b = node.children
-        return f"({node_to_text(c)} ? {node_to_text(a)} : {node_to_text(b)})"
-    if k is NodeKind.Concat:
-        return "{" + ", ".join(node_to_text(c) for c in node.children) + "}"
-    if k is NodeKind.Replicate:
-        count, body = node.children
-        return "{" + node_to_text(count) + node_to_text(body) + "}"
-    if k is NodeKind.BitSelect:
-        base, index = node.children
-        return f"{node_to_text(base)}[{node_to_text(index)}]"
-    if k is NodeKind.PartSelect:
-        base, left, right = node.children
-        sep = node.qualifier or ":"
-        return f"{node_to_text(base)}[{node_to_text(left)}{sep}{node_to_text(right)}]"
-    raise ValueError(f"not an expression node: {node.kind}")

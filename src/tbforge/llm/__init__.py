@@ -2,8 +2,8 @@
 
 from tbforge.llm.client import (
     ChatRequest,
-    EndpointConfig,
     HttpChatClient,
+    LlmSettings,
     Message,
     MockChatClient,
     complete,
@@ -20,8 +20,8 @@ from tbforge.llm.postprocess import (
 
 __all__ = [
     "ChatRequest",
-    "EndpointConfig",
     "HttpChatClient",
+    "LlmSettings",
     "Message",
     "MockChatClient",
     "complete",

@@ -3,7 +3,7 @@
 The wire protocol is the widely deployed chat-completions convention: a
 JSON body with a messages array (role/content), temperature, and max_tokens;
 the response carries the assistant message text. The API key is read from an
-environment variable named in the endpoint config, never from files.
+environment variable named in the [llm] settings, never from files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import requests
 
-from tbforge.errors import RateLimited, ScriptExhausted, TransportError
+from tbforge.errors import ConfigError, RateLimited, ScriptExhausted, TransportError
 
 _ROLES = ("system", "user", "assistant")
 
@@ -49,18 +49,30 @@ class ChatRequest:
 
 
 @dataclass(frozen=True)
-class EndpointConfig:
-    url: str
+class LlmSettings:
+    """The [llm] config section: which chat backend, and how to call it."""
+
+    backend: str = "http"  # http | mock
+    endpoint: str = ""
     model: str = ""
     api_key_env: str = "TBFORGE_API_KEY"
-    request_timeout: float = 120.0
+    max_tokens: int = 4096
     retries: int = 3
     backoff_seconds: float = 0.5
+    temperature: float = 0.0  # pipeline prompts run deterministically
+    request_timeout: float = 120.0
+    mock_script: str = ""
+
+    def __post_init__(self):
+        if self.backend not in ("http", "mock"):
+            raise ConfigError(f"llm backend must be http or mock, got {self.backend!r}")
+        if self.backend == "mock" and not self.mock_script:
+            raise ConfigError("llm backend mock needs mock_script")
 
 
 class HttpChatClient:
-    def __init__(self, endpoint: EndpointConfig):
-        self.endpoint = endpoint
+    def __init__(self, settings: LlmSettings):
+        self.settings = settings
         self._session = requests.Session()
 
     def complete_once(self, request: ChatRequest) -> str:
@@ -69,22 +81,22 @@ class HttpChatClient:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        if self.endpoint.model:
-            payload["model"] = self.endpoint.model
+        if self.settings.model:
+            payload["model"] = self.settings.model
         if request.top_p is not None:
             payload["top_p"] = request.top_p
         if request.top_k is not None:
             payload["top_k"] = request.top_k
 
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.endpoint.api_key_env, "")
+        api_key = os.environ.get(self.settings.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
         try:
             response = self._session.post(
-                self.endpoint.url, json=payload, headers=headers,
-                timeout=self.endpoint.request_timeout,
+                self.settings.endpoint, json=payload, headers=headers,
+                timeout=self.settings.request_timeout,
             )
         except requests.RequestException as exc:
             raise TransportError(f"chat endpoint unreachable: {exc}") from exc
@@ -134,8 +146,7 @@ class MockChatClient:
         return item
 
 
-def complete(client, request: ChatRequest, retries: int = 3,
-             backoff: float = 0.5) -> str:
+def complete(client, request: ChatRequest, retries: int, backoff: float) -> str:
     """Issue a chat completion, retrying transient transport failures.
 
     Rate limiting is surfaced distinctly and never retried here; the caller

@@ -7,11 +7,12 @@ terminates the whole run when its attempt bound is hit:
            specification only (the code is never shown at this stage).
   Draft    renders the testbench prompt with the DUT code and re-prompts
            with the compiler log until the draft compiles.
-  Improve  measures line coverage and re-prompts with the marked report
-           until coverage reaches the threshold. Attempts are consumed by
-           below-threshold measurements and by failed recompiles, so a
-           coverage script like [50, 60, 70] with three attempts terminates
-           on the third low measurement.
+  Improve  measures line coverage and re-prompts with the report as the
+           coverage tool printed it, uncovered lines marked, until coverage
+           reaches the threshold. Attempts are consumed by below-threshold
+           measurements and by failed recompiles, so a coverage script like
+           [50, 60, 70] with three attempts terminates on the third low
+           measurement.
   Rectify  makes sure the testbench reports a final score (one render pass
            adds the error_count epilogue when missing), then runs the
            simulator and re-prompts with the simulation output until the
@@ -38,7 +39,7 @@ from tbforge.errors import (
     NoCodeFound,
     ScaffoldMissing,
 )
-from tbforge.llm.client import ChatRequest, Message, complete
+from tbforge.llm.client import ChatRequest, LlmSettings, Message, complete
 from tbforge.llm.postprocess import (
     FunctionPoint,
     TestCaseSpec,
@@ -56,7 +57,7 @@ from tbforge.llm.prompts import (
     render_text,
 )
 from tbforge.sim.backends import SimulatorBackend
-from tbforge.sim.outcomes import CompileError, CoverageReport, Report, RuntimeAbort
+from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
 from tbforge.sim.logparse import render_sim_log
 
 TESTCASE_BANNER = "===========TestCases==========="
@@ -173,18 +174,6 @@ def has_score_epilogue(tb: str) -> bool:
     return "error_count" in tb and PASS_MARKER in tb
 
 
-def render_coverage_for_prompt(report: CoverageReport) -> str:
-    lines = [
-        f"Line Coverage for Module : {report.module_name or 'dut'}",
-        "Line No.\tTotal\tCovered\tPercent",
-        f"TOTAL\t\t{report.total_lines}\t{report.covered_lines}\t{report.percent:.2f}",
-    ]
-    for lineno, covered in report.line_flags:
-        marker = "1/1" if covered else "0/1 ==>"
-        lines.append(f"{marker} line {lineno}")
-    return "\n".join(lines)
-
-
 def _outcome_log(outcome) -> str:
     if isinstance(outcome, Report):
         return render_sim_log(outcome)
@@ -200,25 +189,25 @@ class TestbenchPipeline:
 
     def __init__(self, client, simulator: SimulatorBackend,
                  config: PipelineConfig | None = None, *,
-                 temperature: float = 0.0, max_tokens: int = 4096,
-                 retries: int = 3, backoff: float = 0.5):
+                 llm: LlmSettings | None = None):
         self.client = client
         self.simulator = simulator
         self.config = config or PipelineConfig()
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.retries = retries
-        self.backoff = backoff
+        self.llm = llm or LlmSettings()
+        if not self.config.skip_coverage and not simulator.supports_coverage:
+            raise ConfigError(
+                "coverage measurement unavailable; configure a coverage "
+                "command or set skip_coverage")
 
     # -- plumbing --
 
     def _ask(self, conversation: list[Message], text: str) -> str:
         conversation.append(Message("user", text))
         request = ChatRequest(messages=tuple(conversation),
-                              temperature=self.temperature,
-                              max_tokens=self.max_tokens)
-        response = complete(self.client, request, retries=self.retries,
-                            backoff=self.backoff)
+                              temperature=self.llm.temperature,
+                              max_tokens=self.llm.max_tokens)
+        response = complete(self.client, request, retries=self.llm.retries,
+                            backoff=self.llm.backoff_seconds)
         conversation.append(Message("assistant", response))
         return response
 
@@ -323,10 +312,6 @@ class TestbenchPipeline:
         if self.config.skip_coverage:
             self._record(trace, Stage.IMPROVE, "skip", "pass")
             return tb, None, 0
-        if not self.simulator.supports_coverage:
-            raise ConfigError(
-                "coverage measurement unavailable; configure a coverage "
-                "command or set skip_coverage")
         if conversation is None:
             conversation = []
 
@@ -335,7 +320,6 @@ class TestbenchPipeline:
         current = tb
         while True:
             report = self.simulator.coverage(code, current)
-            report_text = render_coverage_for_prompt(report)
             if report.percent >= self.config.coverage_threshold:
                 self._record(trace, Stage.IMPROVE, "coverage", "pass")
                 return current, report.percent, rounds
@@ -343,11 +327,11 @@ class TestbenchPipeline:
             if attempts >= self.config.max_improve_attempts:
                 self._record(trace, Stage.IMPROVE, "coverage", "max")
                 raise _Termination(TerminationStage.IMPROVE_COVERAGE, attempts,
-                                   report_text)
+                                   report.text)
             self._record(trace, Stage.IMPROVE, "coverage", "fail")
 
             prompt = render(TemplateName.ImproveTestbench,
-                            CoverageReport=report_text)
+                            CoverageReport=report.text)
             while True:
                 response = self._ask(conversation, prompt)
                 rounds += 1
@@ -368,7 +352,7 @@ class TestbenchPipeline:
                                        attempts, error_log)
                 self._record(trace, Stage.IMPROVE, "compile", "fail")
                 prompt = render_text(IMPROVE_COMPILE_FEEDBACK,
-                                     CoverageReport=report_text,
+                                     CoverageReport=report.text,
                                      ErrorLog=error_log)
 
     def rectify(self, spec: str, code: str, tb: str, trace=None,

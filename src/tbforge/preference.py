@@ -98,8 +98,8 @@ class SamplingParams:
             raise ValueError("need at least one sampling temperature")
 
 
-def sample_candidates(client, spec: str, params: SamplingParams | None = None,
-                      retries: int = 3, backoff: float = 0.5,
+def sample_candidates(client, spec: str, params: SamplingParams | None = None, *,
+                      retries: int, backoff: float,
                       on_code: Callable[[str], None] | None = None) -> list[str]:
     """Draw n independent completions for a specification and extract the
     code. Responses with no code yield an empty-code marker; they evaluate

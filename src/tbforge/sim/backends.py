@@ -152,8 +152,9 @@ class MockSimulator:
 
     Script entries are consumed one per backend call, in order:
     ``"ok"``/CompileError for compile calls, Report/RuntimeAbort for run
-    calls, CoverageReport or a bare percentage for coverage calls. A
-    ``run_test`` consumes a compile entry and, if it compiled, a run entry.
+    calls, CoverageReport or a bare percentage for coverage calls (its
+    report text is the header and TOTAL rows alone). A ``run_test``
+    consumes a compile entry and, if it compiled, a run entry.
     """
 
     supports_coverage = True
@@ -199,6 +200,10 @@ class MockSimulator:
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
             # 10000 lines keeps two-decimal percentages exactly consistent.
             covered = round(100.0 * float(entry))
+            text = ("Line Coverage for Module : mock\n"
+                    "Line No.\tTotal\tCovered\tPercent\n"
+                    f"TOTAL\t\t10000\t{covered}\t{float(entry):.2f}")
             return CoverageReport(module_name="mock", total_lines=10000,
-                                  covered_lines=covered, percent=float(entry))
+                                  covered_lines=covered, percent=float(entry),
+                                  text=text)
         raise ValueError(f"mock script expected coverage entry, got {entry!r}")

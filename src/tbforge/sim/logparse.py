@@ -118,4 +118,4 @@ def parse_coverage(report: str) -> CoverageReport:
             f"TOTAL percent {total_row.group(3)} inconsistent with {covered}/{total}")
     return CoverageReport(module_name=module_name, total_lines=total,
                           covered_lines=covered, percent=float(total_row.group(3)),
-                          line_flags=tuple(flags))
+                          line_flags=tuple(flags), text=report)

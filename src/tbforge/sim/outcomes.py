@@ -60,8 +60,9 @@ SimOutcome = Union[Report, CompileError, RuntimeAbort]
 class CoverageReport:
     """Line-coverage summary plus per-line covered flags.
 
-    ``line_flags`` index lines of the report text (1-based) carrying a
-    0/1-style marker, in report order.
+    ``text`` is the report as the coverage tool printed it, with the
+    source text of each marked line; ``line_flags`` index lines of that
+    text (1-based) carrying a 0/1-style marker, in report order.
     """
 
     module_name: str
@@ -69,6 +70,7 @@ class CoverageReport:
     covered_lines: int
     percent: float
     line_flags: tuple[tuple[int, bool], ...] = field(default=())
+    text: str = ""
 
     def __post_init__(self):
         if self.covered_lines > self.total_lines:

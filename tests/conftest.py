@@ -1,5 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
-# Make the shared fixture-data module importable from any test.
-sys.path.insert(0, str(Path(__file__).parent))
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
+
+# Make the shared fixture-data module and the uninstalled package importable
+# from any test, and the package importable by the ``python -m tbforge``
+# child processes the CLI tests start.
+sys.path[:0] = [str(TESTS), SRC]
+inherited = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = SRC + os.pathsep + inherited if inherited else SRC

@@ -15,7 +15,7 @@ import pytest
 from tbforge.corpus import SpecCodePair, read_jsonl
 from tbforge.dpo import dpo_loss, PairLogProbs, random_grad_check, sft_loss, TabularPolicy
 from tbforge.frontend import Dfg, lex, parse_source, extract_dfg
-from tbforge.llm import MockChatClient
+from tbforge.llm import LlmSettings, MockChatClient
 from tbforge.metrics import SequenceLogProb, TaskResults, pass_at_k, pass_at_single, perplexity
 from tbforge.pipeline import (
     Finished,
@@ -186,6 +186,7 @@ def test_criterion_6_simulation_log_fixtures():
 
 PAIR = SpecCodePair(id="a1", spec="A serial audio encoder.", code=AUDIO_ENCODER_DUT)
 TB_RESPONSE = f"```verilog\n{TESTBENCH_SKELETON}```"
+NO_BACKOFF = LlmSettings(backoff_seconds=0)
 
 
 def test_criterion_7_state_machine_bounds():
@@ -194,7 +195,7 @@ def test_criterion_7_state_machine_bounds():
         start = time.perf_counter()
         client = MockChatClient([POINTS_JSON, CASES_JSON] + [TB_RESPONSE] * 3)
         sim = MockSimulator([CompileError("e")] * 3)
-        result = TestbenchPipeline(client, sim, PipelineConfig(), backoff=0).run(PAIR)
+        result = TestbenchPipeline(client, sim, PipelineConfig(), llm=NO_BACKOFF).run(PAIR)
         assert isinstance(result.outcome, Terminated)
         assert result.outcome.stage is TerminationStage.DRAFT_COMPILE
         assert len(client.calls) - 2 == 3
@@ -205,7 +206,7 @@ def test_criterion_7_state_machine_bounds():
         client = MockChatClient([POINTS_JSON, CASES_JSON] + [TB_RESPONSE] * 4)
         sim = MockSimulator(["ok"] + ["ok", Report(5, 5)] * 4)
         config = PipelineConfig(skip_coverage=True)
-        result = TestbenchPipeline(client, sim, config, backoff=0).run(PAIR)
+        result = TestbenchPipeline(client, sim, config, llm=NO_BACKOFF).run(PAIR)
         assert isinstance(result.outcome, Terminated)
         assert result.outcome.stage is TerminationStage.RECTIFY_VERIFY
         assert result.outcome.attempts == 3
@@ -216,7 +217,7 @@ def test_criterion_7_state_machine_bounds():
         start = time.perf_counter()
         client = MockChatClient([POINTS_JSON, CASES_JSON] + [TB_RESPONSE] * 2)
         sim = MockSimulator(["ok", 83.87, "ok", 92.0, "ok", Report(5, 0)])
-        result = TestbenchPipeline(client, sim, PipelineConfig(), backoff=0).run(PAIR)
+        result = TestbenchPipeline(client, sim, PipelineConfig(), llm=NO_BACKOFF).run(PAIR)
         assert isinstance(result.outcome, Finished)
         record = result.outcome.record
         assert record.provenance.improve_rounds == 1

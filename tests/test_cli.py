@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from tbforge import cli
 from tbforge.corpus import read_jsonl
+from tbforge.llm import MockChatClient
 
 from cli_fixtures import (
     CANDIDATE_A,
@@ -117,6 +119,27 @@ def test_gen_testbench_bad_config_exit_1(pipeline_workspace):
                    "--out", str(tmp_path / "o.jsonl"), "--config", str(config))
     assert proc.returncode == 1
     assert "bogus" in proc.stderr
+
+
+def test_gen_testbench_without_coverage_fails_before_any_chat_call(
+        tmp_path, monkeypatch):
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 3)
+    llm_script, _ = write_pipeline_scripts(tmp_path)
+    config = tmp_path / "config.ini"
+    config.write_text(
+        f"[llm]\nbackend = mock\nmock_script = {llm_script}\n\n"
+        "[simulator]\nbackend = command\n"
+        "compile_command = true {out} {dut} {tb}\nrun_command = true {out}\n\n"
+        "[pipeline]\nskip_coverage = false\n", encoding="utf-8")
+    client = MockChatClient(json.loads(llm_script.read_text(encoding="utf-8")))
+    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: lambda: client)
+    out = tmp_path / "tb.jsonl"
+    code = cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
+                     "--config", str(config), "--jobs", "2"])
+    assert code == cli.EXIT_USAGE
+    assert client.calls == []
+    assert not out.exists()
 
 
 # ---- collect-pairs ----

@@ -1,8 +1,17 @@
+import configparser
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
-from tbforge.config import load_config, make_chat_client_factory, make_simulator_factory
+from tbforge.config import (
+    Config,
+    ini_schema,
+    load_config,
+    make_chat_client_factory,
+    make_simulator_factory,
+)
 from tbforge.corpus import (
     JsonlError,
     check_unique_ids,
@@ -130,7 +139,7 @@ def test_config_loads_and_types(tmp_path, scripts):
         llm_script=llm_script, sim_script=sim_script))
     config = load_config(path)
     assert config.llm.backend == "mock"
-    assert config.simulator.config.timeout == 15.0
+    assert config.simulator.timeout == 15.0
     assert config.pipeline.max_draft_attempts == 2
     assert config.pipeline.coverage_threshold == 85.5
     assert config.sampling.n == 3
@@ -186,3 +195,85 @@ def test_mock_factories_give_fresh_instances(tmp_path, scripts):
     assert b.compile("d", "t") is None
     llm_factory = make_chat_client_factory(config)
     assert llm_factory() is not llm_factory()
+
+
+def test_empty_file_loads_the_defaults(tmp_path):
+    assert load_config(write_config(tmp_path, "")) == Config()
+
+
+# A valid value other than the default for every key the loader accepts:
+# (INI text, typed value).
+NON_DEFAULT = {
+    ("llm", "backend"): ("mock", "mock"),
+    ("llm", "endpoint"): ("http://localhost:9/v1", "http://localhost:9/v1"),
+    ("llm", "model"): ("other-model", "other-model"),
+    ("llm", "api_key_env"): ("OTHER_KEY", "OTHER_KEY"),
+    ("llm", "max_tokens"): ("512", 512),
+    ("llm", "retries"): ("5", 5),
+    ("llm", "backoff_seconds"): ("0.25", 0.25),
+    ("llm", "temperature"): ("0.7", 0.7),
+    ("llm", "request_timeout"): ("9.5", 9.5),
+    ("llm", "mock_script"): ("llm.json", "llm.json"),
+    ("simulator", "backend"): ("mock", "mock"),
+    ("simulator", "compile_command"): ("cc -o {out} {dut} {tb}", "cc -o {out} {dut} {tb}"),
+    ("simulator", "run_command"): ("run {out}", "run {out}"),
+    ("simulator", "coverage_command"): ("cover {dut} {tb}", "cover {dut} {tb}"),
+    ("simulator", "timeout"): ("12", 12.0),
+    ("simulator", "mock_script"): ("sim.json", "sim.json"),
+    ("pipeline", "max_draft_attempts"): ("5", 5),
+    ("pipeline", "max_improve_attempts"): ("6", 6),
+    ("pipeline", "max_rectify_iterations"): ("7", 7),
+    ("pipeline", "coverage_threshold"): ("75.5", 75.5),
+    ("pipeline", "skip_coverage"): ("yes", True),
+    ("sampling", "n"): ("4", 4),
+    ("sampling", "temperatures"): ("0.1, 0.9", (0.1, 0.9)),
+    ("sampling", "top_p"): ("0.5", 0.5),
+    ("sampling", "top_k"): ("7", 7),
+    ("sampling", "max_tokens"): ("256", 256),
+    ("sampling", "max_pairs_per_spec"): ("9", 9),
+    ("paths", "workdir_root"): ("work", "work"),
+}
+
+
+def _with(config, section, key, value):
+    """``config`` with the field an INI key fills set to ``value``."""
+    if key == "max_pairs_per_spec":
+        return dataclasses.replace(config, max_pairs_per_spec=value)
+    owner = "simulator" if section == "paths" else section
+    part = dataclasses.replace(getattr(config, owner), **{key: value})
+    return dataclasses.replace(config, **{owner: part})
+
+
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, keys in ini_schema().items() for key in keys])
+def test_each_key_lands_on_its_field(tmp_path, section, key):
+    text, value = NON_DEFAULT[section, key]
+    ini = f"[{section}]\n{key} = {text}\n"
+    before = Config()
+    if key == "backend":  # a mock backend needs its script
+        ini += "mock_script = script.json\n"
+        before = _with(before, section, "mock_script", "script.json")
+    after = _with(before, section, key, value)
+    assert after != before
+    assert load_config(write_config(tmp_path, ini)) == after
+
+
+@pytest.mark.parametrize("section,key", [("paths", "compile_command"),
+                                         ("simulator", "workdir_root")])
+def test_key_in_another_section_is_unknown(tmp_path, section, key):
+    path = write_config(tmp_path, f"[{section}]\n{key} = x\n")
+    with pytest.raises(ConfigError, match=rf"unknown keys in \[{section}\]: {key}"):
+        load_config(path)
+
+
+def test_readme_ini_block_loads_and_names_every_key(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_config(write_config(tmp_path, block))
+    assert config.llm.temperature == 0.0
+    assert config.simulator.backend == "command"
+    assert config.sampling.n == 2
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    assert {section: set(parser[section]) for section in parser.sections()} == {
+        section: set(keys) for section, keys in ini_schema().items()}

@@ -35,7 +35,7 @@ def _req(text="hello"):
 
 def test_mock_returns_scripted_text():
     client = MockChatClient(["module testbench; endmodule"])
-    assert complete(client, _req()) == "module testbench; endmodule"
+    assert complete(client, _req(), retries=3, backoff=0) == "module testbench; endmodule"
 
 
 def test_retry_then_success():
@@ -59,9 +59,9 @@ def test_rate_limited_not_retried():
 
 def test_mock_script_exhaustion():
     client = MockChatClient(["only one"])
-    complete(client, _req())
+    complete(client, _req(), retries=3, backoff=0)
     with pytest.raises(ScriptExhausted):
-        complete(client, _req())
+        complete(client, _req(), retries=3, backoff=0)
 
 
 def test_chat_request_validation():
@@ -205,11 +205,11 @@ def test_parse_length_never_exceeds_cap(n):
 def test_live_endpoint_smoke():
     import os
 
-    from tbforge.llm import EndpointConfig, HttpChatClient
+    from tbforge.llm import HttpChatClient, LlmSettings
 
-    client = HttpChatClient(EndpointConfig(
-        url=os.environ["TBFORGE_LLM_ENDPOINT"],
-        model=os.environ.get("TBFORGE_LLM_MODEL", ""),
-    ))
-    text = complete(client, _req("Reply with the single word: ready"))
+    settings = LlmSettings(endpoint=os.environ["TBFORGE_LLM_ENDPOINT"],
+                           model=os.environ.get("TBFORGE_LLM_MODEL", ""))
+    client = HttpChatClient(settings)
+    text = complete(client, _req("Reply with the single word: ready"),
+                    retries=settings.retries, backoff=settings.backoff_seconds)
     assert text.strip()

@@ -4,7 +4,7 @@ import pytest
 
 from tbforge.corpus import SpecCodePair
 from tbforge.errors import AnalyzeFailed, ConfigError, ScaffoldMissing
-from tbforge.llm import MockChatClient
+from tbforge.llm import LlmSettings, MockChatClient
 from tbforge.pipeline import (
     PipelineConfig,
     Stage,
@@ -14,9 +14,9 @@ from tbforge.pipeline import (
     has_scaffold,
     run_pipeline,
 )
-from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort
+from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort, parse_coverage
 
-from fixture_data import AUDIO_ENCODER_DUT, TESTBENCH_SKELETON
+from fixture_data import AUDIO_ENCODER_DUT, COVERAGE_REPORT_SAMPLE, TESTBENCH_SKELETON
 
 POINTS_JSON = json.dumps({
     "1": {"Point": "reset", "Scenario": "reset during shift", "Application": "init"},
@@ -30,6 +30,7 @@ CASES_JSON = json.dumps({
 })
 
 PAIR = SpecCodePair(id="p1", spec="A serial audio encoder.", code=AUDIO_ENCODER_DUT)
+NO_BACKOFF = LlmSettings(backoff_seconds=0)
 
 
 def fenced(tb):
@@ -42,7 +43,7 @@ def analyze_script():
 
 def pipeline(llm_script, sim_script, config=None, **kwargs):
     return TestbenchPipeline(MockChatClient(llm_script), MockSimulator(sim_script),
-                             config or PipelineConfig(), backoff=0, **kwargs)
+                             config or PipelineConfig(), llm=NO_BACKOFF, **kwargs)
 
 
 # ---- analyze ----
@@ -186,6 +187,18 @@ def test_improve_recompile_failure_consumes_attempt():
     assert "broken" in feedback
 
 
+def test_improve_prompt_shows_the_uncovered_source_lines():
+    p = pipeline([fenced(TESTBENCH_SKELETON)],
+                 [parse_coverage(COVERAGE_REPORT_SAMPLE), "ok", 95.0])
+    p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    prompt = p.client.calls[0].messages[-1].content
+    uncovered = [line for line in COVERAGE_REPORT_SAMPLE.splitlines()
+                 if line.startswith("0/1 ==>")]
+    assert len(uncovered) == 5
+    for line in uncovered:
+        assert line in prompt
+
+
 def test_improve_skip_coverage():
     p = pipeline(["unused"], ["ok"], PipelineConfig(skip_coverage=True))
     tb, percent, rounds = p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
@@ -198,9 +211,10 @@ def test_improve_without_coverage_support_is_config_error():
     class NoCoverage:
         supports_coverage = False
 
-    p = TestbenchPipeline(MockChatClient(["x"]), NoCoverage(), PipelineConfig())
+    client = MockChatClient(["x"])
     with pytest.raises(ConfigError):
-        p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+        TestbenchPipeline(client, NoCoverage(), PipelineConfig())
+    assert client.calls == []
 
 
 # ---- rectify ----
@@ -267,7 +281,7 @@ def green_scripts():
 def test_run_all_green():
     llm, sim = green_scripts()
     result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), backoff=0)
+                          PipelineConfig(), llm=NO_BACKOFF)
     assert result.finished
     record = result.outcome.record
     assert record.testcase_count == 5
@@ -282,7 +296,7 @@ def test_run_draft_termination_skips_later_stages():
     llm = analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3
     sim = [CompileError("x")] * 3
     result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), backoff=0)
+                          PipelineConfig(), llm=NO_BACKOFF)
     assert isinstance(result.outcome, Terminated)
     assert result.outcome.stage is TerminationStage.DRAFT_COMPILE
     assert all(entry.stage in (Stage.ANALYZE, Stage.DRAFT) for entry in result.trace)
@@ -290,7 +304,7 @@ def test_run_draft_termination_skips_later_stages():
 
 def test_run_analyze_failure():
     result = run_pipeline(PAIR, MockChatClient(["prose", "prose"]),
-                          MockSimulator(["ok"]), PipelineConfig(), backoff=0)
+                          MockSimulator(["ok"]), PipelineConfig(), llm=NO_BACKOFF)
     assert isinstance(result.outcome, Terminated)
     assert result.outcome.stage is TerminationStage.ANALYZE
 
@@ -298,9 +312,9 @@ def test_run_analyze_failure():
 def test_run_is_replayable():
     llm, sim = green_scripts()
     a = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                     PipelineConfig(), backoff=0)
+                     PipelineConfig(), llm=NO_BACKOFF)
     b = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                     PipelineConfig(), backoff=0)
+                     PipelineConfig(), llm=NO_BACKOFF)
     assert a == b
 
 
@@ -308,14 +322,14 @@ def test_terminated_never_carries_record():
     llm = analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3
     sim = [CompileError("x")] * 3
     result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), backoff=0)
+                          PipelineConfig(), llm=NO_BACKOFF)
     assert not hasattr(result.outcome, "record")
 
 
 def test_finished_implies_last_verify_passed():
     llm, sim = green_scripts()
     result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), backoff=0)
+                          PipelineConfig(), llm=NO_BACKOFF)
     rectify_entries = [e for e in result.trace if e.stage is Stage.RECTIFY]
     assert rectify_entries[-1].status == "pass"
 
@@ -358,7 +372,7 @@ def test_llm_call_bounds_hold_for_random_tool_behavior():
     for seed in range(60):
         llm = MockChatClient(analyze_script() + [fenced(TESTBENCH_SKELETON)] * 12)
         sim = RandomBehaviorSim(random_mod.Random(seed))
-        result = TestbenchPipeline(llm, sim, config, backoff=0).run(PAIR)
+        result = TestbenchPipeline(llm, sim, config, llm=NO_BACKOFF).run(PAIR)
         assert result is not None
         assert len(llm.calls) <= bound, f"seed {seed}: {len(llm.calls)} calls"
 
@@ -378,7 +392,7 @@ def test_fault_injection_schedule_counts_match():
             llm = analyze_script() + [fenced(TESTBENCH_SKELETON)] * 4
             sim = ["ok", 95.0] + ["ok", Report(5, 5)] * 4
         result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                              PipelineConfig(), backoff=0)
+                              PipelineConfig(), llm=NO_BACKOFF)
         outcomes.append(result)
 
     finished = sum(1 for r in outcomes if r.finished)

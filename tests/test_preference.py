@@ -44,7 +44,7 @@ def test_sample_two_candidates():
         "```verilog\nmodule a; endmodule\n```",
         "```verilog\nmodule b; endmodule\n```",
     ])
-    codes = sample_candidates(client, "spec", SamplingParams(n=2), backoff=0)
+    codes = sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
     assert len(codes) == 2
     assert "module a" in codes[0]
     assert "module b" in codes[1]
@@ -52,7 +52,7 @@ def test_sample_two_candidates():
 
 def test_sample_prose_yields_empty_marker():
     client = MockChatClient(["module only; endmodule", "no code at all"])
-    codes = sample_candidates(client, "spec", SamplingParams(n=2), backoff=0)
+    codes = sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
     assert codes[1] == ""
 
 
@@ -67,7 +67,7 @@ def test_sample_on_code_fires_in_order_before_next_request():
     def on_code(code):
         seen.append((code, len(client.calls)))
 
-    codes = sample_candidates(client, "spec", SamplingParams(n=3), backoff=0,
+    codes = sample_candidates(client, "spec", SamplingParams(n=3), retries=3, backoff=0,
                               on_code=on_code)
     assert [code for code, _ in seen] == codes
     assert codes[1] == ""
@@ -77,17 +77,17 @@ def test_sample_on_code_fires_in_order_before_next_request():
 def test_sample_call_count_over_batch():
     client = MockChatClient(["module m; endmodule"] * 20)
     for _ in range(10):
-        sample_candidates(client, "spec", SamplingParams(n=2), backoff=0)
+        sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
     assert len(client.calls) == 20
     with pytest.raises(ScriptExhausted):
-        sample_candidates(client, "spec", SamplingParams(n=2), backoff=0)
+        sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
 
 
 def test_sample_forwards_sampling_params():
     client = MockChatClient(["module m; endmodule"] * 2)
     sample_candidates(client, "spec",
                       SamplingParams(n=2, temperatures=(0.2, 0.5), top_p=0.95, top_k=50),
-                      backoff=0)
+                      retries=3, backoff=0)
     assert [c.temperature for c in client.calls] == [0.2, 0.5]
     assert all(c.top_p == 0.95 and c.top_k == 50 for c in client.calls)
 

@@ -13,6 +13,7 @@ from tbforge.sim import (
     RuntimeAbort,
     SimulatorBackend,
     SimulatorConfig,
+    parse_coverage,
 )
 
 from fixture_data import AUDIO_ENCODER_DUT, TESTBENCH_SKELETON
@@ -56,6 +57,11 @@ def test_mock_coverage_from_float():
     mock = MockSimulator([83.87])
     cov = mock.coverage("d", "t")
     assert cov.percent == 83.87
+
+
+def test_mock_coverage_text_is_a_report_that_parses_back():
+    cov = MockSimulator([83.87]).coverage("d", "t")
+    assert parse_coverage(cov.text) == cov
 
 
 def test_mock_wrong_entry_type_is_an_error():

@@ -9,7 +9,6 @@ from tbforge.pipeline import (
     PipelineResult,
     TestbenchPipeline,
     TestbenchRecord,
-    run_pipeline,
 )
 from tbforge.preference import (
     CandidateEval,
@@ -33,7 +32,6 @@ __all__ = [
     "PipelineResult",
     "TestbenchPipeline",
     "TestbenchRecord",
-    "run_pipeline",
     "CandidateEval",
     "Discard",
     "PairMethod",

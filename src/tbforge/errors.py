@@ -62,25 +62,11 @@ class RateLimited(TransportError):
     pass
 
 
-class NoCodeFound(TbforgeError):
-    pass
-
-
 class MalformedJson(TbforgeError):
     pass
 
 
 class TemplateError(TbforgeError):
-    pass
-
-
-# --- pipeline ---
-
-class AnalyzeFailed(TbforgeError):
-    pass
-
-
-class ScaffoldMissing(TbforgeError):
     pass
 
 

@@ -4,7 +4,7 @@ The five stage prompts ship verbatim as template files; they are part of the
 method, not incidental strings. Placeholders are written ``{Name}`` and are
 substituted textually, so literal braces in the prompt bodies (JSON
 examples, begin/end skeletons) need no escaping. Rendering fails when a
-required placeholder is missing or an unknown one is supplied.
+placeholder in the body is left unfilled or an unknown one is supplied.
 """
 
 from __future__ import annotations
@@ -26,14 +26,6 @@ class TemplateName(Enum):
 
 PLACEHOLDERS = ("Code", "Specification", "Simulation", "CoverageReport",
                 "PreviousTestbench", "ErrorLog")
-
-_REQUIRED = {
-    TemplateName.GenerateFunctionPoints: ("Specification",),
-    TemplateName.GenerateTestCases: (),
-    TemplateName.DraftTestbench: ("Code",),
-    TemplateName.ImproveTestbench: ("CoverageReport",),
-    TemplateName.RectifyTestbench: ("Simulation",),
-}
 
 _PLACEHOLDER_RE = re.compile("{(" + "|".join(PLACEHOLDERS) + ")}")
 
@@ -59,10 +51,6 @@ def render_text(body: str, **values: str) -> str:
 
 
 def render(name: TemplateName, **values: str) -> str:
-    required = set(_REQUIRED[name])
-    missing = required - set(values)
-    if missing:
-        raise TemplateError(f"{name.name} requires placeholders: {sorted(missing)}")
     return render_text(template_body(name), **values)
 
 

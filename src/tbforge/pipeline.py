@@ -1,7 +1,7 @@
 """The Analyze -> Draft -> Improve -> Rectify testbench generation machine.
 
 Each stage calls the chat backend, feeds tool output back on failure, and
-terminates the whole run when its attempt bound is hit:
+ends the row when its attempt bound is hit:
 
   Analyze  extracts top-3 function points and top-5 test cases from the
            specification only (the code is never shown at this stage).
@@ -19,12 +19,16 @@ terminates the whole run when its attempt bound is hit:
            log says the design passed, for at most the configured number of
            rectification loops.
 
-One pipeline instance is strictly sequential; run any number of instances
-concurrently, each owns its conversations and working directories.
+A stage that hits its bound raises StageTerminated, and run() turns it into
+the row's Terminated outcome. One pipeline instance is strictly sequential:
+it owns the row's trace and the conversation Draft, Improve and Rectify
+share, and run() starts both fresh. Run any number of instances
+concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -32,13 +36,7 @@ from enum import Enum
 from typing import Union
 
 from tbforge.corpus import SpecCodePair
-from tbforge.errors import (
-    AnalyzeFailed,
-    ConfigError,
-    MalformedJson,
-    NoCodeFound,
-    ScaffoldMissing,
-)
+from tbforge.errors import ConfigError, MalformedJson
 from tbforge.llm.client import ChatRequest, LlmSettings, Message, complete
 from tbforge.llm.postprocess import (
     FunctionPoint,
@@ -58,13 +56,12 @@ from tbforge.llm.prompts import (
 )
 from tbforge.sim.backends import SimulatorBackend
 from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
-from tbforge.sim.logparse import render_sim_log
+from tbforge.sim.logparse import PASS_MARKER, render_sim_log
 
 TESTCASE_BANNER = "===========TestCases==========="
 _EXPECTED_LINE = re.compile(r"Test Case \d+\.\s*Expected")
 _ACTUAL_LINE = re.compile(r"Test Case \d+\.\s*Actual")
 _CASE_MARKER = re.compile(r"Test Case (\d+)\.")
-PASS_MARKER = "Your Design Passed"
 
 
 class Stage(Enum):
@@ -148,12 +145,19 @@ class PipelineResult:
         return isinstance(self.outcome, Finished)
 
 
-class _Termination(Exception):
-    def __init__(self, stage: TerminationStage, attempts: int, log: str):
+class StageTerminated(Exception):
+    """Raised by a stage that hits its bound; carries the row's outcome."""
+
+    def __init__(self, stage: TerminationStage, attempts: int, last_log: str):
         super().__init__(f"{stage.value} terminated after {attempts} attempts")
-        self.stage = stage
-        self.attempts = attempts
-        self.log = log
+        self.outcome = Terminated(stage, attempts, last_log)
+
+
+_TERMINATES_AT = {
+    Stage.DRAFT: TerminationStage.DRAFT_COMPILE,
+    Stage.IMPROVE: TerminationStage.IMPROVE_COVERAGE,
+    Stage.RECTIFY: TerminationStage.RECTIFY_VERIFY,
+}
 
 
 def has_scaffold(tb: str) -> tuple[bool, str]:
@@ -198,6 +202,8 @@ class TestbenchPipeline:
             raise ConfigError(
                 "coverage measurement unavailable; configure a coverage "
                 "command or set skip_coverage")
+        self._trace: list[TraceEntry] = []
+        self._conversation: list[Message] = []  # shared by Draft, Improve, Rectify
 
     # -- plumbing --
 
@@ -211,14 +217,27 @@ class TestbenchPipeline:
         conversation.append(Message("assistant", response))
         return response
 
-    @staticmethod
-    def _record(trace, stage: Stage, action: str, status: str) -> None:
-        if trace is not None:
-            trace.append(TraceEntry(stage=stage, action=action, status=status))
+    def _record(self, stage: Stage, action: str, status: str) -> None:
+        self._trace.append(TraceEntry(stage=stage, action=action, status=status))
+
+    def _fail(self, stage: Stage, action: str, used: int, bound: int,
+              log: str) -> None:
+        """Record a failed step; once ``used`` reaches ``bound``, record it
+        as the last one and terminate the row at this stage."""
+        at_bound = used >= bound
+        self._record(stage, action, "max" if at_bound else "fail")
+        if at_bound:
+            raise StageTerminated(_TERMINATES_AT[stage], used, log)
+
+    def _draft_reply(self, text: str) -> tuple[str, str]:
+        """Ask for a draft; returns (testbench, what its scaffold lacks, or
+        "" when it is complete)."""
+        tb = extract_code_block(self._ask(self._conversation, text))
+        return tb, has_scaffold(tb)[1] if tb else "no code in response"
 
     # -- stages --
 
-    def analyze(self, spec: str, trace=None) -> tuple[
+    def analyze(self, spec: str) -> tuple[
             tuple[FunctionPoint, ...], tuple[TestCaseSpec, ...]]:
         """Derive function points then test cases, sharing one conversation.
 
@@ -226,25 +245,22 @@ class TestbenchPipeline:
         behavior rather than implementation details.
         """
         if not spec.strip():
-            raise AnalyzeFailed("empty specification")
+            raise StageTerminated(TerminationStage.ANALYZE, 0, "empty specification")
         conversation: list[Message] = []
 
         def ask_json(prompt: str, parse, action: str):
-            response = self._ask(conversation, prompt)
-            try:
-                parsed = parse(response)
-                self._record(trace, Stage.ANALYZE, action, "pass")
-                return parsed
-            except MalformedJson:
-                self._record(trace, Stage.ANALYZE, action, "fail")
-            response = self._ask(conversation, JSON_REASK)
-            try:
-                parsed = parse(response)
-                self._record(trace, Stage.ANALYZE, action, "pass")
-                return parsed
-            except MalformedJson as exc:
-                self._record(trace, Stage.ANALYZE, action, "max")
-                raise AnalyzeFailed(f"{action}: {exc}") from exc
+            for text, status in ((prompt, "fail"), (JSON_REASK, "max")):
+                response = self._ask(conversation, text)
+                try:
+                    parsed = parse(response)
+                except MalformedJson as exc:
+                    self._record(Stage.ANALYZE, action, status)
+                    if status == "max":
+                        raise StageTerminated(TerminationStage.ANALYZE, 0,
+                                              f"{action}: {exc}") from exc
+                else:
+                    self._record(Stage.ANALYZE, action, "pass")
+                    return parsed
 
         points = ask_json(
             render(TemplateName.GenerateFunctionPoints, Specification=spec),
@@ -255,11 +271,11 @@ class TestbenchPipeline:
         return tuple(points), tuple(cases)
 
     def draft(self, spec: str, code: str,
-              testcases: tuple[TestCaseSpec, ...], trace=None,
-              conversation: list[Message] | None = None) -> tuple[str, int]:
-        """Generate a compiling testbench draft; returns (tb, attempts used)."""
-        if conversation is None:
-            conversation = []
+              testcases: tuple[TestCaseSpec, ...]) -> tuple[str, int]:
+        """Generate a compiling testbench draft; returns (tb, attempts used).
+
+        A draft that lacks the reporting scaffold gets one corrective
+        re-prompt per row; a second such draft terminates the row."""
         cases_json = json.dumps(
             {str(i + 1): {"Title": c.title, "Objective": c.objective,
                           "Setup": c.setup, "Coverage": c.coverage}
@@ -272,152 +288,102 @@ class TestbenchPipeline:
         )
 
         scaffold_retry_used = False
-        last_log = ""
-        for attempt in range(1, self.config.max_draft_attempts + 1):
-            response = self._ask(conversation, prompt)
-            tb = self._extract(response)
-
-            ok, missing = (False, "no code in response") if tb is None \
-                else has_scaffold(tb)
-            if not ok:
-                self._record(trace, Stage.DRAFT, "scaffold", "fail")
-                if scaffold_retry_used:
-                    raise ScaffoldMissing(missing)
-                scaffold_retry_used = True
-                response = self._ask(
-                    conversation, render_text(SCAFFOLD_FEEDBACK, ErrorLog=missing))
-                tb = self._extract(response)
-                ok, missing = (False, "no code in response") if tb is None \
-                    else has_scaffold(tb)
-                if not ok:
-                    self._record(trace, Stage.DRAFT, "scaffold", "max")
-                    raise ScaffoldMissing(missing)
+        for attempt in itertools.count(1):
+            tb, missing = self._draft_reply(prompt)
+            if missing:
+                self._record(Stage.DRAFT, "scaffold", "fail")
+                if not scaffold_retry_used:
+                    scaffold_retry_used = True
+                    tb, missing = self._draft_reply(
+                        render_text(SCAFFOLD_FEEDBACK, ErrorLog=missing))
+                    if missing:
+                        self._record(Stage.DRAFT, "scaffold", "max")
+                if missing:
+                    raise StageTerminated(TerminationStage.DRAFT_COMPILE,
+                                          self.config.max_draft_attempts,
+                                          f"scaffold missing: {missing}")
 
             error = self.simulator.compile(code, tb)
             if error is None:
-                self._record(trace, Stage.DRAFT, "compile", "pass")
+                self._record(Stage.DRAFT, "compile", "pass")
                 return tb, attempt
-            last_log = error.log
-            at_bound = attempt == self.config.max_draft_attempts
-            self._record(trace, Stage.DRAFT, "compile", "max" if at_bound else "fail")
+            self._fail(Stage.DRAFT, "compile", attempt,
+                       self.config.max_draft_attempts, error.log)
             prompt = render_text(DRAFT_COMPILE_FEEDBACK,
-                                 PreviousTestbench=tb, ErrorLog=last_log)
+                                 PreviousTestbench=tb, ErrorLog=error.log)
 
-        raise _Termination(TerminationStage.DRAFT_COMPILE,
-                           self.config.max_draft_attempts, last_log)
-
-    def improve(self, spec: str, code: str, tb: str, trace=None,
-                conversation: list[Message] | None = None) -> tuple[str, float | None, int]:
+    def improve(self, code: str, tb: str) -> tuple[str, float | None, int]:
         """Raise line coverage to the threshold; returns (tb, percent, rounds)."""
         if self.config.skip_coverage:
-            self._record(trace, Stage.IMPROVE, "skip", "pass")
+            self._record(Stage.IMPROVE, "skip", "pass")
             return tb, None, 0
-        if conversation is None:
-            conversation = []
 
+        bound = self.config.max_improve_attempts
         attempts = 0
         rounds = 0
-        current = tb
         while True:
-            report = self.simulator.coverage(code, current)
+            report = self.simulator.coverage(code, tb)
             if report.percent >= self.config.coverage_threshold:
-                self._record(trace, Stage.IMPROVE, "coverage", "pass")
-                return current, report.percent, rounds
+                self._record(Stage.IMPROVE, "coverage", "pass")
+                return tb, report.percent, rounds
             attempts += 1
-            if attempts >= self.config.max_improve_attempts:
-                self._record(trace, Stage.IMPROVE, "coverage", "max")
-                raise _Termination(TerminationStage.IMPROVE_COVERAGE, attempts,
-                                   report.text)
-            self._record(trace, Stage.IMPROVE, "coverage", "fail")
+            self._fail(Stage.IMPROVE, "coverage", attempts, bound, report.text)
 
             prompt = render(TemplateName.ImproveTestbench,
                             CoverageReport=report.text)
             while True:
-                response = self._ask(conversation, prompt)
+                candidate = extract_code_block(self._ask(self._conversation, prompt))
                 rounds += 1
-                candidate = self._extract(response)
-                if candidate is not None:
+                error_log = "no code in response"
+                if candidate:
                     error = self.simulator.compile(code, candidate)
                     if error is None:
-                        current = candidate
-                        self._record(trace, Stage.IMPROVE, "compile", "pass")
+                        tb = candidate
+                        self._record(Stage.IMPROVE, "compile", "pass")
                         break
                     error_log = error.log
-                else:
-                    error_log = "no code in response"
                 attempts += 1
-                if attempts >= self.config.max_improve_attempts:
-                    self._record(trace, Stage.IMPROVE, "compile", "max")
-                    raise _Termination(TerminationStage.IMPROVE_COVERAGE,
-                                       attempts, error_log)
-                self._record(trace, Stage.IMPROVE, "compile", "fail")
+                self._fail(Stage.IMPROVE, "compile", attempts, bound, error_log)
                 prompt = render_text(IMPROVE_COMPILE_FEEDBACK,
                                      CoverageReport=report.text,
                                      ErrorLog=error_log)
 
-    def rectify(self, spec: str, code: str, tb: str, trace=None,
-                conversation: list[Message] | None = None) -> tuple[str, Report, int]:
+    def rectify(self, code: str, tb: str) -> tuple[str, Report, int]:
         """Align testbench expectations with the code; returns
         (tb, final report, rectification loops used)."""
-        if conversation is None:
-            conversation = []
-        current = tb
-        if not has_score_epilogue(current):
-            response = self._ask(
-                conversation, render(TemplateName.RectifyTestbench, Simulation=""))
-            candidate = self._extract(response)
-            if candidate is not None:
-                current = candidate
+        if not has_score_epilogue(tb):
+            tb = extract_code_block(self._ask(
+                self._conversation,
+                render(TemplateName.RectifyTestbench, Simulation=""))) or tb
 
         iterations = 0
         while True:
-            outcome = self.simulator.run_test(code, current)
+            outcome = self.simulator.run_test(code, tb)
             if isinstance(outcome, Report) and outcome.failures == 0:
-                self._record(trace, Stage.RECTIFY, "verify", "pass")
-                return current, outcome, iterations
+                self._record(Stage.RECTIFY, "verify", "pass")
+                return tb, outcome, iterations
             log = _outcome_log(outcome)
-            if iterations >= self.config.max_rectify_iterations:
-                self._record(trace, Stage.RECTIFY, "verify", "max")
-                raise _Termination(TerminationStage.RECTIFY_VERIFY, iterations, log)
-            self._record(trace, Stage.RECTIFY, "verify", "fail")
+            self._fail(Stage.RECTIFY, "verify", iterations,
+                       self.config.max_rectify_iterations, log)
             iterations += 1
-            response = self._ask(
-                conversation, render(TemplateName.RectifyTestbench, Simulation=log))
-            candidate = self._extract(response)
-            if candidate is not None:
-                current = candidate
+            tb = extract_code_block(self._ask(
+                self._conversation,
+                render(TemplateName.RectifyTestbench, Simulation=log))) or tb
 
     # -- composition --
 
     def run(self, pair: SpecCodePair) -> PipelineResult:
-        """Run the full pipeline; tool failures surface as Terminated
-        results, never exceptions."""
-        trace: list[TraceEntry] = []
+        """Run the full pipeline on a fresh trace and conversation; a stage
+        that hits its bound ends the row as a Terminated result."""
+        self._trace = []
+        self._conversation = []
         try:
-            points, cases = self.analyze(pair.spec, trace=trace)
-        except AnalyzeFailed as exc:
-            return PipelineResult(
-                outcome=Terminated(TerminationStage.ANALYZE, 0, str(exc)),
-                trace=tuple(trace))
-
-        try:
-            conversation: list[Message] = []
-            tb, draft_attempts = self.draft(pair.spec, pair.code, cases,
-                                            trace=trace, conversation=conversation)
-            tb, coverage_percent, improve_rounds = self.improve(
-                pair.spec, pair.code, tb, trace=trace, conversation=conversation)
-            tb, final_report, rectify_iterations = self.rectify(
-                pair.spec, pair.code, tb, trace=trace, conversation=conversation)
-        except ScaffoldMissing as exc:
-            return PipelineResult(
-                outcome=Terminated(TerminationStage.DRAFT_COMPILE,
-                                   self.config.max_draft_attempts,
-                                   f"scaffold missing: {exc}"),
-                trace=tuple(trace))
-        except _Termination as exc:
-            return PipelineResult(
-                outcome=Terminated(exc.stage, exc.attempts, exc.log),
-                trace=tuple(trace))
+            points, cases = self.analyze(pair.spec)
+            tb, draft_attempts = self.draft(pair.spec, pair.code, cases)
+            tb, coverage_percent, improve_rounds = self.improve(pair.code, tb)
+            tb, final_report, rectify_iterations = self.rectify(pair.code, tb)
+        except StageTerminated as exc:
+            return PipelineResult(outcome=exc.outcome, trace=tuple(self._trace))
 
         testcase_count = final_report.total_cases
         if testcase_count < 1:
@@ -433,17 +399,4 @@ class TestbenchPipeline:
                                   improve_rounds=improve_rounds,
                                   rectify_iterations=rectify_iterations),
         )
-        return PipelineResult(outcome=Finished(record), trace=tuple(trace))
-
-    @staticmethod
-    def _extract(response: str) -> str | None:
-        try:
-            code = extract_code_block(response)
-            return code if code.strip() else None
-        except NoCodeFound:
-            return None
-
-
-def run_pipeline(pair: SpecCodePair, client, simulator: SimulatorBackend,
-                 config: PipelineConfig | None = None, **kwargs) -> PipelineResult:
-    return TestbenchPipeline(client, simulator, config, **kwargs).run(pair)
+        return PipelineResult(outcome=Finished(record), trace=tuple(self._trace))

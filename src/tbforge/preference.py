@@ -21,8 +21,6 @@ from tbforge.errors import EmptyInput, LexError, ParseError
 from tbforge.frontend import extract_dfg, lex, parse_module
 from tbforge.llm.client import ChatRequest, Message, complete
 from tbforge.llm.postprocess import extract_code_block
-from tbforge.errors import NoCodeFound
-from tbforge.pipeline import TestbenchRecord
 from tbforge.sim.backends import SimulatorBackend
 from tbforge.sim.outcomes import CompileError, RuntimeAbort, SimOutcome
 from tbforge.similarity import SimilarityScore, ast_similarity, bleu, dfg_similarity
@@ -102,10 +100,9 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None, *
                       retries: int, backoff: float,
                       on_code: Callable[[str], None] | None = None) -> list[str]:
     """Draw n independent completions for a specification and extract the
-    code. Responses with no code yield an empty-code marker; they evaluate
-    as non-compiling.
+    code. A response with no code yields ""; it evaluates as non-compiling.
 
-    ``on_code``, when given, receives each extracted code (or the marker) in
+    ``on_code``, when given, receives each extracted code (or "") in
     candidate order, before the next request goes out, so a caller can
     start on candidate k while candidate k+1 is sampled."""
     params = params or SamplingParams()
@@ -121,25 +118,21 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None, *
             top_p=params.top_p,
             top_k=params.top_k,
         )
-        response = complete(client, request, retries=retries, backoff=backoff)
-        try:
-            code = extract_code_block(response)
-        except NoCodeFound:
-            code = ""
+        code = extract_code_block(
+            complete(client, request, retries=retries, backoff=backoff))
         codes.append(code)
         if on_code is not None:
             on_code(code)
     return codes
 
 
-def evaluate_candidate(code: str, testbench: Union[str, TestbenchRecord],
+def evaluate_candidate(code: str, testbench: str,
                        simulator: SimulatorBackend) -> CandidateEval:
     """Compile and run one candidate under a pipeline-produced testbench."""
-    tb_text = testbench.testbench if isinstance(testbench, TestbenchRecord) else testbench
     if not code.strip():
         return CandidateEval(code=code, compile_ok=False, outcome=None,
                              passed=0, total=0, no_code=True)
-    outcome = simulator.run_test(code, tb_text)
+    outcome = simulator.run_test(code, testbench)
     if isinstance(outcome, CompileError):
         return CandidateEval(code=code, compile_ok=False, outcome=outcome,
                              passed=0, total=0)

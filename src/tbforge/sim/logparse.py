@@ -19,7 +19,7 @@ _CASE_INDEX = re.compile(r"Test Case (\d+)\.")
 _CASE_EXPECTED = re.compile(r"Test Case (\d+)\.\s*Expected\s?(.*)")
 _CASE_ACTUAL = re.compile(r"Test Case (\d+)\.\s*Actual\s?(.*)")
 _FAILURES = re.compile(r"^\s*Test (?:completed )?with (\d+) failures?\.?\s*$")
-_PASS_MARKER = "Your Design Passed"
+PASS_MARKER = "Your Design Passed"
 
 _COVERAGE_TOTAL = re.compile(r"^TOTAL\s+(\d+)\s+(\d+)\s+(\d+(?:\.(\d+))?)\s*$")
 _COVERAGE_MODULE = re.compile(r"^Line Coverage for Module\s*:\s*(\S+)")
@@ -29,16 +29,17 @@ _LINE_FLAG = re.compile(r"^\s*([01])/1(?!\d)")
 def parse_sim_log(stdout: str) -> Report:
     """Parse simulator stdout into a Report.
 
-    Raises UnparseableLog when neither the pass marker nor a failure-count
-    line is present.
+    The verdict is the last line, outside the test-case lines, that holds
+    the pass marker or a failure count. Raises UnparseableLog when there is
+    no such line.
     """
     failures = None
     for line in stdout.splitlines():
         m = _FAILURES.match(line)
         if m:
             failures = int(m.group(1))
-    if _PASS_MARKER in stdout:
-        failures = 0
+        elif PASS_MARKER in line and not _CASE_INDEX.search(line):
+            failures = 0
     if failures is None:
         raise UnparseableLog("no terminal pass/failure marker in simulation log")
 
@@ -76,7 +77,7 @@ def render_sim_log(report: Report) -> str:
         lines.append(f"Test Case {case.case}. Actual {case.actual}")
     lines.append("===========End===========")
     if report.failures == 0:
-        lines.append(_PASS_MARKER)
+        lines.append(PASS_MARKER)
     else:
         lines.append(f"Test with {report.failures} failures")
     return "\n".join(lines) + "\n"

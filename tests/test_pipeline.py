@@ -3,16 +3,17 @@ import json
 import pytest
 
 from tbforge.corpus import SpecCodePair
-from tbforge.errors import AnalyzeFailed, ConfigError, ScaffoldMissing
+from tbforge.errors import ConfigError
 from tbforge.llm import LlmSettings, MockChatClient
 from tbforge.pipeline import (
     PipelineConfig,
     Stage,
+    StageTerminated,
     Terminated,
     TerminationStage,
     TestbenchPipeline,
+    TraceEntry,
     has_scaffold,
-    run_pipeline,
 )
 from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort, parse_coverage
 
@@ -70,8 +71,10 @@ def test_analyze_truncates_overlong_lists():
 
 def test_analyze_prose_twice_fails():
     p = pipeline(["not json", "still not json"], ["ok"])
-    with pytest.raises(AnalyzeFailed):
+    with pytest.raises(StageTerminated) as exc:
         p.analyze(PAIR.spec)
+    assert exc.value.outcome.stage is TerminationStage.ANALYZE
+    assert exc.value.outcome.attempts == 0
     assert len(p.client.calls) == 2
 
 
@@ -99,21 +102,14 @@ def test_draft_terminates_after_max_attempts():
     p = pipeline(llm, sim, config)
     _, cases = p.analyze(PAIR.spec)
     draft_calls_before = len(p.client.calls)
-    result = run_with_stage(p, cases)
-    assert isinstance(result, Terminated)
+    with pytest.raises(StageTerminated) as exc:
+        p.draft(PAIR.spec, PAIR.code, cases)
+    result = exc.value.outcome
     assert result.stage is TerminationStage.DRAFT_COMPILE
     assert result.attempts == 3
     assert result.last_log == "e3"
     # exactly max_draft_attempts LLM draft calls
     assert len(p.client.calls) - draft_calls_before == 3
-
-
-def run_with_stage(p, cases):
-    try:
-        p.draft(PAIR.spec, PAIR.code, cases)
-    except Exception as exc:  # _Termination is internal
-        return Terminated(exc.stage, exc.attempts, exc.log)
-    return None
 
 
 def test_draft_error_log_fed_back():
@@ -132,8 +128,9 @@ def test_draft_scaffold_missing_after_one_retry():
     llm = analyze_script() + [fenced(no_finish), fenced(no_finish)]
     p = pipeline(llm, ["ok"])
     _, cases = p.analyze(PAIR.spec)
-    with pytest.raises(ScaffoldMissing):
+    with pytest.raises(StageTerminated) as exc:
         p.draft(PAIR.spec, PAIR.code, cases)
+    assert exc.value.outcome.last_log == "scaffold missing: $finish"
     assert len(p.client.calls) == 4  # 2 analyze + draft + one corrective re-prompt
 
 
@@ -155,14 +152,14 @@ def improve_pipeline(coverages, config=None):
 
 def test_improve_one_round():
     p = improve_pipeline([83.87, 92.0])
-    tb, percent, rounds = p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, percent, rounds = p.improve(PAIR.code, TESTBENCH_SKELETON)
     assert percent == 92.0
     assert rounds == 1
 
 
 def test_improve_zero_rounds():
     p = improve_pipeline([95.0])
-    tb, percent, rounds = p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, percent, rounds = p.improve(PAIR.code, TESTBENCH_SKELETON)
     assert tb == TESTBENCH_SKELETON
     assert percent == 95.0
     assert rounds == 0
@@ -170,17 +167,17 @@ def test_improve_zero_rounds():
 
 def test_improve_terminates_at_bound():
     p = improve_pipeline([50.0, 60.0, 70.0], PipelineConfig(max_improve_attempts=3))
-    with pytest.raises(Exception) as exc:
-        p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
-    assert exc.value.stage is TerminationStage.IMPROVE_COVERAGE
-    assert exc.value.attempts == 3
+    with pytest.raises(StageTerminated) as exc:
+        p.improve(PAIR.code, TESTBENCH_SKELETON)
+    assert exc.value.outcome.stage is TerminationStage.IMPROVE_COVERAGE
+    assert exc.value.outcome.attempts == 3
 
 
 def test_improve_recompile_failure_consumes_attempt():
     llm = [fenced(TESTBENCH_SKELETON), fenced(TESTBENCH_SKELETON)]
     sim = [50.0, CompileError("broken"), "ok", 95.0]
     p = pipeline(llm, sim)
-    tb, percent, rounds = p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, percent, rounds = p.improve(PAIR.code, TESTBENCH_SKELETON)
     assert percent == 95.0
     assert rounds == 2
     feedback = p.client.calls[-1].messages[-1].content
@@ -190,7 +187,7 @@ def test_improve_recompile_failure_consumes_attempt():
 def test_improve_prompt_shows_the_uncovered_source_lines():
     p = pipeline([fenced(TESTBENCH_SKELETON)],
                  [parse_coverage(COVERAGE_REPORT_SAMPLE), "ok", 95.0])
-    p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    p.improve(PAIR.code, TESTBENCH_SKELETON)
     prompt = p.client.calls[0].messages[-1].content
     uncovered = [line for line in COVERAGE_REPORT_SAMPLE.splitlines()
                  if line.startswith("0/1 ==>")]
@@ -201,7 +198,7 @@ def test_improve_prompt_shows_the_uncovered_source_lines():
 
 def test_improve_skip_coverage():
     p = pipeline(["unused"], ["ok"], PipelineConfig(skip_coverage=True))
-    tb, percent, rounds = p.improve(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, percent, rounds = p.improve(PAIR.code, TESTBENCH_SKELETON)
     assert tb == TESTBENCH_SKELETON
     assert percent is None
     assert rounds == 0
@@ -223,14 +220,14 @@ def test_rectify_passes_after_one_loop():
     llm = [fenced(TESTBENCH_SKELETON)]
     sim = ["ok", Report(5, 5), "ok", Report(5, 0)]
     p = pipeline(llm, sim)
-    tb, report, iterations = p.rectify(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, report, iterations = p.rectify(PAIR.code, TESTBENCH_SKELETON)
     assert iterations == 1
     assert report.failures == 0
 
 
 def test_rectify_zero_loops():
     p = pipeline(["unused"], ["ok", Report(5, 0)])
-    tb, report, iterations = p.rectify(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, report, iterations = p.rectify(PAIR.code, TESTBENCH_SKELETON)
     assert iterations == 0
 
 
@@ -238,10 +235,10 @@ def test_rectify_terminates_after_three_loops():
     llm = [fenced(TESTBENCH_SKELETON)] * 3
     sim = ["ok", Report(5, 5)] * 4
     p = pipeline(llm, sim)
-    with pytest.raises(Exception) as exc:
-        p.rectify(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
-    assert exc.value.stage is TerminationStage.RECTIFY_VERIFY
-    assert exc.value.attempts == 3
+    with pytest.raises(StageTerminated) as exc:
+        p.rectify(PAIR.code, TESTBENCH_SKELETON)
+    assert exc.value.outcome.stage is TerminationStage.RECTIFY_VERIFY
+    assert exc.value.outcome.attempts == 3
     assert len(p.client.calls) == 3
 
 
@@ -254,7 +251,7 @@ def test_rectify_adds_epilogue_when_missing():
     llm = [fenced(TESTBENCH_SKELETON)]
     sim = ["ok", Report(5, 0)]
     p = pipeline(llm, sim)
-    tb, report, iterations = p.rectify(PAIR.spec, PAIR.code, bare)
+    tb, report, iterations = p.rectify(PAIR.code, bare)
     assert iterations == 0
     assert "Your Design Passed" in tb
     assert len(p.client.calls) == 1
@@ -264,7 +261,7 @@ def test_rectify_abort_consumes_iteration():
     llm = [fenced(TESTBENCH_SKELETON)]
     sim = ["ok", RuntimeAbort("timeout", "hung"), "ok", Report(5, 0)]
     p = pipeline(llm, sim)
-    tb, report, iterations = p.rectify(PAIR.spec, PAIR.code, TESTBENCH_SKELETON)
+    tb, report, iterations = p.rectify(PAIR.code, TESTBENCH_SKELETON)
     assert iterations == 1
     prompt = p.client.calls[-1].messages[-1].content
     assert "timeout" in prompt
@@ -280,8 +277,7 @@ def green_scripts():
 
 def test_run_all_green():
     llm, sim = green_scripts()
-    result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), llm=NO_BACKOFF)
+    result = pipeline(llm, sim).run(PAIR)
     assert result.finished
     record = result.outcome.record
     assert record.testcase_count == 5
@@ -295,41 +291,86 @@ def test_run_all_green():
 def test_run_draft_termination_skips_later_stages():
     llm = analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3
     sim = [CompileError("x")] * 3
-    result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), llm=NO_BACKOFF)
+    result = pipeline(llm, sim).run(PAIR)
     assert isinstance(result.outcome, Terminated)
     assert result.outcome.stage is TerminationStage.DRAFT_COMPILE
     assert all(entry.stage in (Stage.ANALYZE, Stage.DRAFT) for entry in result.trace)
 
 
 def test_run_analyze_failure():
-    result = run_pipeline(PAIR, MockChatClient(["prose", "prose"]),
-                          MockSimulator(["ok"]), PipelineConfig(), llm=NO_BACKOFF)
+    result = pipeline(["prose", "prose"], ["ok"]).run(PAIR)
     assert isinstance(result.outcome, Terminated)
     assert result.outcome.stage is TerminationStage.ANALYZE
 
 
 def test_run_is_replayable():
     llm, sim = green_scripts()
-    a = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                     PipelineConfig(), llm=NO_BACKOFF)
-    b = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                     PipelineConfig(), llm=NO_BACKOFF)
+    a = pipeline(llm, sim).run(PAIR)
+    b = pipeline(llm, sim).run(PAIR)
     assert a == b
+    # one instance starts each run on a fresh trace and conversation
+    p = pipeline(llm * 2, sim * 2)
+    assert p.run(PAIR) == p.run(PAIR) == a
+    half = len(p.client.calls) // 2
+    assert p.client.calls[:half] == p.client.calls[half:]
+
+
+NO_FINISH = TESTBENCH_SKELETON.replace("$finish;", "")
+
+TERMINATIONS = {
+    "empty_spec": (
+        [POINTS_JSON], ["ok"], "",
+        TerminationStage.ANALYZE, 0, "empty specification", ()),
+    "analyze_prose_twice": (
+        ["prose", "prose"], ["ok"], PAIR.spec,
+        TerminationStage.ANALYZE, 0,
+        "function_points: no JSON object in response",
+        (TraceEntry(Stage.ANALYZE, "function_points", "max"),)),
+    "scaffold_missing_on_first_draft": (
+        analyze_script() + [fenced(NO_FINISH)] * 2, ["ok"], PAIR.spec,
+        TerminationStage.DRAFT_COMPILE, PipelineConfig().max_draft_attempts,
+        "scaffold missing: $finish",
+        (TraceEntry(Stage.DRAFT, "scaffold", "max"),)),
+    "draft_compile": (
+        analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3,
+        [CompileError("e1"), CompileError("e2"), CompileError("e3")], PAIR.spec,
+        TerminationStage.DRAFT_COMPILE, 3, "e3",
+        (TraceEntry(Stage.DRAFT, "compile", "max"),)),
+    "improve": (
+        analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3,
+        ["ok", 50.0, CompileError("c1"), CompileError("c2")], PAIR.spec,
+        TerminationStage.IMPROVE_COVERAGE, 3, "c2",
+        (TraceEntry(Stage.IMPROVE, "compile", "max"),)),
+    "rectify": (
+        analyze_script() + [fenced(TESTBENCH_SKELETON)] * 4,
+        ["ok", 95.0] + ["ok", Report(5, 5)] * 3
+        + ["ok", RuntimeAbort("timeout", "hung")],
+        PAIR.spec, TerminationStage.RECTIFY_VERIFY, 3,
+        "simulation aborted (timeout): hung",
+        (TraceEntry(Stage.RECTIFY, "verify", "max"),)),
+}
+
+
+@pytest.mark.parametrize("llm, sim, spec, stage, attempts, last_log, trace_tail",
+                         TERMINATIONS.values(), ids=TERMINATIONS.keys())
+def test_run_turns_each_stage_bound_into_terminated(llm, sim, spec, stage, attempts,
+                                                    last_log, trace_tail):
+    pair = SpecCodePair(id=PAIR.id, spec=spec, code=PAIR.code)
+    result = pipeline(llm, sim).run(pair)
+    assert result.outcome == Terminated(stage, attempts, last_log)
+    assert result.trace[-1:] == trace_tail
 
 
 def test_terminated_never_carries_record():
     llm = analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3
     sim = [CompileError("x")] * 3
-    result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), llm=NO_BACKOFF)
+    result = pipeline(llm, sim).run(PAIR)
     assert not hasattr(result.outcome, "record")
 
 
 def test_finished_implies_last_verify_passed():
     llm, sim = green_scripts()
-    result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                          PipelineConfig(), llm=NO_BACKOFF)
+    result = pipeline(llm, sim).run(PAIR)
     rectify_entries = [e for e in result.trace if e.stage is Stage.RECTIFY]
     assert rectify_entries[-1].status == "pass"
 
@@ -391,8 +432,7 @@ def test_fault_injection_schedule_counts_match():
         else:
             llm = analyze_script() + [fenced(TESTBENCH_SKELETON)] * 4
             sim = ["ok", 95.0] + ["ok", Report(5, 5)] * 4
-        result = run_pipeline(PAIR, MockChatClient(llm), MockSimulator(sim),
-                              PipelineConfig(), llm=NO_BACKOFF)
+        result = pipeline(llm, sim).run(PAIR)
         outcomes.append(result)
 
     finished = sum(1 for r in outcomes if r.finished)

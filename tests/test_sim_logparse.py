@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tbforge.errors import UnparseableLog, UnparseableReport
@@ -67,6 +67,23 @@ def test_last_failure_marker_wins():
     assert report.failures == 2
 
 
+def test_failure_line_after_pass_marker_wins():
+    report = parse_sim_log(
+        "Test Case 1. Actual x: 0\nYour Design Passed\nTest with 1 failures\n")
+    assert report.failures == 1
+
+
+def test_pass_marker_after_failure_line_wins():
+    report = parse_sim_log(
+        "Test Case 1. Actual x: 0\nTest with 1 failures\nYour Design Passed\n")
+    assert report.failures == 0
+
+
+def test_pass_marker_in_case_line_is_not_a_verdict():
+    with pytest.raises(UnparseableLog):
+        parse_sim_log("Test Case 1. Actual Your Design Passed\n")
+
+
 _case_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
     min_size=0, max_size=30,
@@ -85,6 +102,8 @@ def _reports(draw):
 
 
 @given(_reports())
+@example(Report(total_cases=1, failures=1, case_lines=(
+    CaseLine(case=1, expected="", actual="Your Design Passed"),)))
 def test_render_parse_roundtrip(report):
     parsed = parse_sim_log(render_sim_log(report))
     assert parsed == report

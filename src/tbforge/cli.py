@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import click
@@ -77,7 +78,8 @@ def cli(verbose):
               help="Output testbench JSONL.")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--jobs", default=1, show_default=True,
-              help="Bounded worker pool; also caps concurrent simulators.")
+              help="Bounded worker pool; also caps concurrent simulators "
+                   "and open chat-endpoint connections.")
 @click.option("--min-code-lines", default=0, show_default=True,
               help="Skip rows whose code has at most this many real lines.")
 @click.option("--trace-log", "trace_path", type=click.Path(), default=None,
@@ -107,7 +109,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                                      config.pipeline, llm=config.llm)
         return pipeline.run(pair)
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with closing(client_factory), ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         results = list(pool.map(run_row, pairs))
 
     trace_lines = []
@@ -153,8 +155,9 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
               help="Also write per-candidate evaluation rows.")
 @click.option("--jobs", default=1, show_default=True,
               help="Specs processed at once: at most this many chat requests "
-                   "and this many simulator calls in flight. Within a spec, "
-                   "each candidate is evaluated while the next is sampled.")
+                   "and this many simulator calls in flight, and this many "
+                   "open chat-endpoint connections. Within a spec, each "
+                   "candidate is evaluated while the next is sampled.")
 def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
@@ -204,7 +207,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with closing(client_factory), ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         per_row = list(pool.map(run_row, joined))
 
     pair_rows = []

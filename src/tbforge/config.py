@@ -157,11 +157,25 @@ def make_simulator_factory(config: Config):
     return lambda: shared
 
 
-def make_chat_client_factory(config: Config):
+class ChatClientFactory:
+    """A zero-arg callable producing a chat client, plus ``close()``, which
+    closes the connections the clients it made opened."""
+
+    def __init__(self, make, close=lambda: None):
+        self._make = make
+        self.close = close
+
+    def __call__(self):
+        return self._make()
+
+
+def make_chat_client_factory(config: Config) -> ChatClientFactory:
+    """Mock clients are fresh per call, like mock simulators; every call
+    shares one HTTP client, which keeps one connection per thread."""
     if config.llm.backend == "mock":
         script = _load_llm_script(config.llm.mock_script)
-        return lambda: MockChatClient(list(script))
+        return ChatClientFactory(lambda: MockChatClient(list(script)))
     if not config.llm.endpoint:
         raise ConfigError("llm backend http needs an endpoint URL")
     shared = HttpChatClient(config.llm)
-    return lambda: shared
+    return ChatClientFactory(lambda: shared, shared.close)

@@ -62,6 +62,11 @@ class RateLimited(TransportError):
     pass
 
 
+class RequestRejected(TransportError):
+    """The endpoint refused the request itself (a 4xx other than 408 and
+    429); sending it again gets the same answer."""
+
+
 class MalformedJson(TbforgeError):
     pass
 

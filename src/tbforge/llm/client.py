@@ -8,15 +8,25 @@ environment variable named in the [llm] settings, never from files.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import os
+import ssl
 import threading
 import time
+import urllib.request
 from dataclasses import dataclass
 from typing import Sequence, Union
+from urllib.parse import unquote, urlsplit
 
-import requests
-
-from tbforge.errors import ConfigError, RateLimited, ScriptExhausted, TransportError
+from tbforge.errors import (
+    ConfigError,
+    RateLimited,
+    RequestRejected,
+    ScriptExhausted,
+    TransportError,
+)
 
 _ROLES = ("system", "user", "assistant")
 
@@ -71,9 +81,84 @@ class LlmSettings:
 
 
 class HttpChatClient:
+    """Posts chat requests over one keep-alive connection per calling thread.
+
+    A batch of N workers therefore holds at most N connections. Proxies come
+    from the ``HTTP(S)_PROXY``/``NO_PROXY`` environment and certificates
+    from the system store (or ``SSL_CERT_FILE``/``SSL_CERT_DIR``).
+    """
+
     def __init__(self, settings: LlmSettings):
         self.settings = settings
-        self._session = requests.Session()
+        url = urlsplit(settings.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(
+                f"llm endpoint must be an http(s) URL, got {settings.endpoint!r}")
+        self._context = ssl.create_default_context() if url.scheme == "https" else None
+        self._address = (url.hostname, url.port)
+        self._tunnel = None
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", "User-Agent": "tbforge"}
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_headers = {}
+            if proxy.username:
+                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                proxy_headers["Proxy-Authorization"] = \
+                    "Basic " + base64.b64encode(credentials.encode()).decode()
+            if self._context:
+                # TLS to the endpoint runs inside a CONNECT tunnel.
+                self._tunnel = (url.hostname, url.port, proxy_headers)
+            else:
+                self._path = settings.endpoint
+                self._headers.update(proxy_headers)
+            self._address = (proxy.hostname, proxy.port)
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    def _open(self) -> http.client.HTTPConnection:
+        timeout = self.settings.request_timeout
+        if self._context is None:
+            return http.client.HTTPConnection(*self._address, timeout=timeout)
+        conn = http.client.HTTPSConnection(*self._address, timeout=timeout,
+                                           context=self._context)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def _connection(self) -> http.client.HTTPConnection:
+        thread = threading.current_thread()
+        conn = self._connections.get(thread)
+        if conn is None:
+            with self._lock:
+                # A thread that has ended leaves its connection behind.
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                conn = self._connections[thread] = self._open()
+        return conn
+
+    def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._path, body, headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            # The server may close an idle keep-alive connection at any
+            # time; that costs one resend on a fresh connection, not a retry.
+            if reused and isinstance(exc, ConnectionError):
+                return self._post(body, headers)
+            raise TransportError(f"chat endpoint unreachable: {exc}") from exc
+
+    def close(self) -> None:
+        """Close every connection this client opened."""
+        with self._lock:
+            for conn in self._connections.values():
+                conn.close()
+            self._connections.clear()
 
     def complete_once(self, request: ChatRequest) -> str:
         payload = {
@@ -88,30 +173,23 @@ class HttpChatClient:
         if request.top_k is not None:
             payload["top_k"] = request.top_k
 
-        headers = {"Content-Type": "application/json"}
+        headers = dict(self._headers)
         api_key = os.environ.get(self.settings.api_key_env, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        try:
-            response = self._session.post(
-                self.settings.endpoint, json=payload, headers=headers,
-                timeout=self.settings.request_timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"chat endpoint unreachable: {exc}") from exc
-
-        if response.status_code == 429:
+        status, body = self._post(json.dumps(payload).encode("utf-8"), headers)
+        if status == 429:
             raise RateLimited("chat endpoint rate limited")
-        if response.status_code >= 500:
-            raise TransportError(f"chat endpoint error {response.status_code}")
-        if response.status_code != 200:
-            raise TransportError(
-                f"chat endpoint rejected request ({response.status_code}): "
-                f"{response.text[:200]}")
+        if status >= 500:
+            raise TransportError(f"chat endpoint error {status}")
+        if status != 200:
+            error = RequestRejected if 400 <= status < 500 and status != 408 \
+                else TransportError
+            raise error(f"chat endpoint rejected request ({status}): "
+                        f"{body.decode('utf-8', 'replace')[:200]}")
         try:
-            body = response.json()
-            return body["choices"][0]["message"]["content"]
+            return json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {exc}") from exc
 
@@ -150,14 +228,15 @@ def complete(client, request: ChatRequest, retries: int, backoff: float) -> str:
     """Issue a chat completion, retrying transient transport failures.
 
     Rate limiting is surfaced distinctly and never retried here; the caller
-    may defer and resubmit.
+    may defer and resubmit. A rejected request (a 4xx other than 408 and
+    429) would get the same answer again, so it is not retried either.
     """
     attempts = max(1, retries)
     last: TransportError | None = None
     for attempt in range(attempts):
         try:
             return client.complete_once(request)
-        except RateLimited:
+        except (RateLimited, RequestRejected):
             raise
         except TransportError as exc:
             last = exc

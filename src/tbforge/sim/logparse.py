@@ -15,9 +15,9 @@ from fractions import Fraction
 from tbforge.errors import UnparseableLog, UnparseableReport
 from tbforge.sim.outcomes import CaseLine, CoverageReport, Report
 
-_CASE_INDEX = re.compile(r"Test Case (\d+)\.")
-_CASE_EXPECTED = re.compile(r"Test Case (\d+)\.\s*Expected\s?(.*)")
-_CASE_ACTUAL = re.compile(r"Test Case (\d+)\.\s*Actual\s?(.*)")
+# The first "Test Case N." on a line decides its case and, by the word that
+# follows, its kind; later text on the line is the case's value.
+_CASE_LINE = re.compile(r"Test Case (\d+)\.(?:\s*(Expected|Actual)\s?(.*))?")
 _FAILURES = re.compile(r"^\s*Test (?:completed )?with (\d+) failures?\.?\s*$")
 PASS_MARKER = "Your Design Passed"
 
@@ -34,26 +34,23 @@ def parse_sim_log(stdout: str) -> Report:
     no such line.
     """
     failures = None
+    indices: set[int] = set()
+    values: dict[str, dict[int, str]] = {"Expected": {}, "Actual": {}}
     for line in stdout.splitlines():
+        case = _CASE_LINE.search(line)
+        if case:
+            index = int(case.group(1))
+            indices.add(index)
+            if case.group(2):
+                values[case.group(2)].setdefault(index, case.group(3).rstrip())
+            continue
         m = _FAILURES.match(line)
         if m:
             failures = int(m.group(1))
-        elif PASS_MARKER in line and not _CASE_INDEX.search(line):
+        elif PASS_MARKER in line:
             failures = 0
     if failures is None:
         raise UnparseableLog("no terminal pass/failure marker in simulation log")
-
-    indices = {int(m.group(1)) for m in _CASE_INDEX.finditer(stdout)}
-    expected: dict[int, str] = {}
-    actual: dict[int, str] = {}
-    for line in stdout.splitlines():
-        m = _CASE_EXPECTED.search(line)
-        if m:
-            expected.setdefault(int(m.group(1)), m.group(2).rstrip())
-            continue
-        m = _CASE_ACTUAL.search(line)
-        if m:
-            actual.setdefault(int(m.group(1)), m.group(2).rstrip())
 
     total = max(indices) if indices else 0
     inconsistent = False
@@ -62,7 +59,8 @@ def parse_sim_log(stdout: str) -> Report:
         inconsistent = True
 
     case_lines = tuple(
-        CaseLine(case=i, expected=expected.get(i, ""), actual=actual.get(i, ""))
+        CaseLine(case=i, expected=values["Expected"].get(i, ""),
+                 actual=values["Actual"].get(i, ""))
         for i in sorted(indices)
     )
     return Report(total_cases=total, failures=failures, case_lines=case_lines,

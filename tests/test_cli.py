@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tbforge import cli
+from tbforge.config import ChatClientFactory
 from tbforge.corpus import read_jsonl
 from tbforge.llm import MockChatClient
 
@@ -133,7 +134,8 @@ def test_gen_testbench_without_coverage_fails_before_any_chat_call(
         "compile_command = true {out} {dut} {tb}\nrun_command = true {out}\n\n"
         "[pipeline]\nskip_coverage = false\n", encoding="utf-8")
     client = MockChatClient(json.loads(llm_script.read_text(encoding="utf-8")))
-    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: lambda: client)
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
     out = tmp_path / "tb.jsonl"
     code = cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
                      "--config", str(config), "--jobs", "2"])
@@ -497,11 +499,14 @@ def test_simulate_tool_missing_exit_3(tmp_path):
     assert "backend unavailable" in proc.stderr
 
 
-def test_cli_import_does_not_load_numpy():
-    probe = "import sys, tbforge.cli; print('numpy' in sys.modules)"
+def test_cli_import_loads_no_heavy_dependencies():
+    # Start-up time: the chat client is built on the standard library, and
+    # numpy loads only inside the dpo functions that use it.
+    heavy = ["requests", "urllib3", "charset_normalizer", "idna", "numpy"]
+    probe = f"import sys, tbforge.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_usage_error_exit_1():

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from tbforge import cli
+from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError
 from tbforge.sim import Report
 
@@ -39,7 +40,8 @@ def collect(monkeypatch, tmp_path, chat_factory, sim_factory, specs=1, n=2,
             jobs=1):
     """Run collect-pairs over ``specs`` rows through the given factories and
     return the exit code."""
-    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: chat_factory)
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(chat_factory))
     monkeypatch.setattr(cli, "make_simulator_factory", lambda config: sim_factory)
     llm_script, sim_script = write_collect_scripts(tmp_path)
     config = tmp_path / "config.ini"

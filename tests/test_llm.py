@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tbforge.errors import (
     MalformedJson,
     RateLimited,
+    RequestRejected,
     ScriptExhausted,
     TemplateError,
     TransportError,
@@ -54,6 +55,15 @@ def test_rate_limited_not_retried():
     with pytest.raises(RateLimited):
         complete(client, _req(), retries=5, backoff=0)
     assert len(client.calls) == 1
+
+
+def test_rejected_request_not_retried():
+    client = MockChatClient([RequestRejected("400"), "never reached"])
+    with pytest.raises(RequestRejected):
+        complete(client, _req(), retries=5, backoff=0)
+    assert len(client.calls) == 1
+    # The CLI maps TransportError to exit code 3; a rejection keeps it.
+    assert issubclass(RequestRejected, TransportError)
 
 
 def test_mock_script_exhaustion():

@@ -104,6 +104,10 @@ def _reports(draw):
 @given(_reports())
 @example(Report(total_cases=1, failures=1, case_lines=(
     CaseLine(case=1, expected="", actual="Your Design Passed"),)))
+@example(Report(total_cases=1, failures=0, case_lines=(
+    CaseLine(case=1, expected="Test Case 2.", actual="x"),)))
+@example(Report(total_cases=1, failures=1, case_lines=(
+    CaseLine(case=1, expected="a", actual="Test Case 1. Expected b"),)))
 def test_render_parse_roundtrip(report):
     parsed = parse_sim_log(render_sim_log(report))
     assert parsed == report

@@ -7,7 +7,10 @@ byte-identical files.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Per-row pipeline terminations are reported in the summary, never as a
-nonzero exit.
+nonzero exit. A row that raises any other toolkit error is errored: it is
+left out of the outputs and counted in the summary, the other rows are still
+written, and the run exits with the first errored row's code. The errors in
+``_BATCH_FATAL`` end the batch at once, with no output.
 """
 
 from __future__ import annotations
@@ -27,12 +30,8 @@ from tbforge.config import load_config, make_chat_client_factory, \
     make_simulator_factory
 from tbforge.errors import (
     ConfigError,
-    EmptyInput,
-    KExceedsN,
-    LexError,
     NonPositiveBeta,
-    ParseError,
-    RateLimited,
+    RequestRejected,
     TbforgeError,
     ToolMissing,
     TransportError,
@@ -60,6 +59,27 @@ EXIT_IO = 2
 EXIT_BACKEND = 3
 
 METHOD_CHOICES = [m.value for m in PairMethod]
+
+# Errors that would fail every row the same way end the batch at once; any
+# other toolkit error ends only the row that raised it.
+_BATCH_FATAL = (ConfigError, ToolMissing, RequestRejected)
+
+
+def _run_rows(items, work, jobs, client_factory):
+    """Yield ``(item, work(item))`` in input order from ``jobs`` threads, with
+    a row's toolkit error outside ``_BATCH_FATAL`` as its result; any other
+    exception ends the batch and cancels the rows not yet started. Closes
+    ``client_factory``."""
+    def guarded(item):
+        try:
+            return work(item)
+        except _BATCH_FATAL:
+            raise
+        except TbforgeError as exc:
+            return exc
+
+    with closing(client_factory), ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        yield from zip(items, pool.map(guarded, items))
 
 
 @click.group()
@@ -109,13 +129,16 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                                      config.pipeline, llm=config.llm)
         return pipeline.run(pair)
 
-    with closing(client_factory), ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(run_row, pairs))
-
     trace_lines = []
     rows = []
     termination_counts: dict[str, int] = {}
-    for pair, result in zip(pairs, results):
+    errors = []
+    for pair, result in _run_rows(pairs, run_row, jobs, client_factory):
+        if isinstance(result, TbforgeError):
+            errors.append(result)
+            log.error("[error] %s: %s: %s", pair.id, type(result).__name__, result)
+            trace_lines.append(f"{pair.id} [error] {type(result).__name__}")
+            continue
         for entry in result.trace:
             trace_lines.append(
                 f"{pair.id} [{entry.stage.value}] {entry.action} {entry.status}")
@@ -135,10 +158,12 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
         Path(trace_path).write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
 
     click.echo(f"rows: {len(pairs)}  finished: {len(rows)}  "
-               f"terminated: {sum(termination_counts.values())}  "
+               f"terminated: {sum(termination_counts.values())}  errored: {len(errors)}  "
                f"skipped_input_lines: {len(skipped_rows)}")
     for stage in sorted(termination_counts):
         click.echo(f"  terminated at {stage}: {termination_counts[stage]}")
+    if errors:
+        raise errors[0]
 
 
 # ---- collect-pairs ----
@@ -207,13 +232,16 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
 
-    with closing(client_factory), ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        per_row = list(pool.map(run_row, joined))
-
     pair_rows = []
     eval_rows = []
     discard_counts: dict[str, int] = {}
-    for (spec, _), (evals, outcomes) in zip(joined, per_row):
+    errors = []
+    for (spec, _), result in _run_rows(joined, run_row, jobs, client_factory):
+        if isinstance(result, TbforgeError):
+            errors.append(result)
+            log.error("[error] %s: %s: %s", spec.id, type(result).__name__, result)
+            continue
+        evals, outcomes = result
         for idx, evaluation in enumerate(evals):
             eval_rows.append(corpus.eval_row(spec.id, idx, evaluation))
         emitted_for_spec = 0
@@ -231,9 +259,12 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
         corpus.write_jsonl(evals_path, eval_rows)
 
     click.echo(f"specs: {len(joined)}  pairs: {len(pair_rows)}  "
-               f"discards: {sum(discard_counts.values())}  method: {method}")
+               f"discards: {sum(discard_counts.values())}  errored: {len(errors)}  "
+               f"method: {method}")
     for reason in sorted(discard_counts):
         click.echo(f"  discarded ({reason}): {discard_counts[reason]}")
+    if errors:
+        raise errors[0]
 
 
 # ---- passk ----
@@ -364,11 +395,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, NonPositiveBeta, KExceedsN, EmptyInput,
-            ParseError, LexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ToolMissing, TransportError, RateLimited) as exc:
+    except (ToolMissing, TransportError) as exc:
         print(f"backend unavailable: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except corpus.JsonlError as exc:

@@ -225,18 +225,17 @@ class MockChatClient:
 
 
 def complete(client, request: ChatRequest, retries: int, backoff: float) -> str:
-    """Issue a chat completion, retrying transient transport failures.
-
-    Rate limiting is surfaced distinctly and never retried here; the caller
-    may defer and resubmit. A rejected request (a 4xx other than 408 and
-    429) would get the same answer again, so it is not retried either.
+    """Issue a chat completion, retrying transport failures, rate limiting
+    (429) included, with bounded exponential backoff; this is the one layer
+    that retries. A rejected request (a 4xx other than 408 and 429) would get
+    the same answer again, so it is re-raised at once.
     """
     attempts = max(1, retries)
     last: TransportError | None = None
     for attempt in range(attempts):
         try:
             return client.complete_once(request)
-        except (RateLimited, RequestRejected):
+        except RequestRejected:
             raise
         except TransportError as exc:
             last = exc

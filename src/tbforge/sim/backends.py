@@ -70,7 +70,9 @@ class CommandSimulator:
     @contextmanager
     def _workdir(self, dut: str, tb: str) -> Iterator[dict[str, str]]:
         """Yield the template placeholders of a fresh ``sim-*`` directory
-        holding dut.v and tb.v; the directory is removed on exit."""
+        holding dut.v and tb.v; the directory is removed on exit. Commands
+        run in that directory, so file names are relative to it: a tool's
+        log then names the same files on every call."""
         root = self.config.workdir_root
         if root:
             Path(root).mkdir(parents=True, exist_ok=True)
@@ -78,8 +80,8 @@ class CommandSimulator:
         try:
             (workdir / "dut.v").write_text(dut, encoding="utf-8")
             (workdir / "tb.v").write_text(tb, encoding="utf-8")
-            yield {"dut": str(workdir / "dut.v"), "tb": str(workdir / "tb.v"),
-                   "out": str(workdir / "sim.out"), "workdir": str(workdir)}
+            yield {"dut": "dut.v", "tb": "tb.v", "out": "sim.out",
+                   "workdir": str(workdir)}
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 

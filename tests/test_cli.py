@@ -8,6 +8,7 @@ import pytest
 from tbforge import cli
 from tbforge.config import ChatClientFactory
 from tbforge.corpus import read_jsonl
+from tbforge.errors import ConfigError, RequestRejected, ToolMissing, TransportError
 from tbforge.llm import MockChatClient
 
 from cli_fixtures import (
@@ -144,6 +145,49 @@ def test_gen_testbench_without_coverage_fails_before_any_chat_call(
     assert not out.exists()
 
 
+class FailingRowChat(MockChatClient):
+    """Replays ``script``, except that every request of the row whose spec
+    contains ``marker`` fails in transport."""
+
+    def __init__(self, script, marker):
+        super().__init__(script)
+        self.marker = marker
+
+    def complete_once(self, request):
+        if any(self.marker in m.content for m in request.messages):
+            raise TransportError("endpoint gone")
+        return super().complete_once(request)
+
+
+def test_gen_testbench_transport_error_ends_only_its_row(pipeline_workspace,
+                                                       monkeypatch, capsys):
+    tmp_path, specs, config = pipeline_workspace
+    config.write_text(config.read_text().replace(
+        "[llm]\n", "[llm]\nretries = 1\nbackoff_seconds = 0\n"), encoding="utf-8")
+    llm_script, _ = write_pipeline_scripts(tmp_path)
+    script = json.loads(llm_script.read_text(encoding="utf-8"))
+    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: ChatClientFactory(
+        lambda: FailingRowChat(script, "variant 1.")))
+    out = tmp_path / "tb.jsonl"
+    trace = tmp_path / "trace.log"
+    code = cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
+                     "--config", str(config), "--jobs", "2", "--trace-log", str(trace)])
+    assert code == cli.EXIT_BACKEND
+    captured = capsys.readouterr()
+    assert "backend unavailable: chat completion failed" in captured.err
+    assert "rows: 4  finished: 3  terminated: 0  errored: 1" in captured.out
+    assert [row["id"] for row in read_jsonl(out)] == \
+        ["design000", "design002", "design003"]
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("design001 ")] == \
+        ["design001 [error] TransportError"]
+    assert "design002 [finish] ok" in lines
+
+
+def test_batch_fatal_errors_are_the_ones_every_row_would_hit():
+    assert set(cli._BATCH_FATAL) == {ConfigError, RequestRejected, ToolMissing}
+
+
 # ---- collect-pairs ----
 
 @pytest.fixture
@@ -249,6 +293,33 @@ def test_collect_pairs_id_counts_emitted_pairs_only(collected):
     assert [row["id"] for row in read_jsonl(pairs_out)] == \
         ["design000#0", "design001#0", "design002#0"]
     assert "discarded (aborted): 6" in proc.stdout
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_collect_pairs_blank_spec_ends_only_its_row(collected, jobs):
+    tmp_path, specs, tb_out, config = collected
+    rows = read_jsonl(specs)
+    others = tmp_path / "others.jsonl"
+    others.write_text("".join(json.dumps(r) + "\n" for r in (rows[0], rows[2])),
+                      encoding="utf-8")
+    rows[1]["spec"] = "  "
+    specs.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    runs = []
+    for name, spec_path in (("all", specs), ("others", others)):
+        pairs_out = tmp_path / f"{name}.pairs.jsonl"
+        evals_out = tmp_path / f"{name}.evals.jsonl"
+        proc = run_cli("collect-pairs", "--specs", str(spec_path),
+                       "--testbenches", str(tb_out), "--out", str(pairs_out),
+                       "--method", "testbench", "--config", str(config),
+                       "--evals-out", str(evals_out), "--jobs", str(jobs))
+        runs.append((proc, pairs_out.read_bytes(), evals_out.read_bytes()))
+    (blank, *blank_outputs), (clean, *clean_outputs) = runs
+    assert clean.returncode == 0, clean.stderr
+    assert blank.returncode == 1
+    assert "error: empty specification" in blank.stderr
+    assert "specs: 3  pairs: 2  discards: 0  errored: 1" in blank.stdout
+    assert blank_outputs == clean_outputs
+    assert len(read_jsonl(tmp_path / "all.pairs.jsonl")) == 2
 
 
 def test_collect_pairs_all_ties_all_discarded(tmp_path):

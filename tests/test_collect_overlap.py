@@ -50,7 +50,8 @@ def collect(monkeypatch, tmp_path, chat_factory, sim_factory, specs=1, n=2,
     spec_path = tmp_path / "specs.jsonl"
     rows = write_spec_rows(spec_path, specs)
     tb_path = tmp_path / "tb.jsonl"
-    tb_path.write_text("".join(json.dumps({"id": row["id"], "tb": "module tb; endmodule"})
+    tb_path.write_text("".join(json.dumps({"id": row["id"],
+                                           "tb": f"module tb; // {row['id']}\nendmodule"})
                                + "\n" for row in rows), encoding="utf-8")
     return cli.main(["collect-pairs", "--specs", str(spec_path),
                      "--testbenches", str(tb_path),
@@ -171,3 +172,28 @@ def test_sampling_error_cancels_queued_evaluations(monkeypatch, tmp_path, capsys
     assert runs == {"started": 1, "finished": 1}
     time.sleep(0.1)
     assert runs == {"started": 1, "finished": 1}
+
+
+def test_batch_fatal_error_leaves_later_rows_unstarted(monkeypatch, tmp_path, capsys):
+    started = []
+
+    class RowSim(Sim):
+        """No simulator for the first spec; the others take a while."""
+
+        def run_test(self, dut, tb):
+            if "design000" in tb:
+                raise ToolMissing("simulator not found")
+            time.sleep(0.2)
+            return super().run_test(dut, tb)
+
+    def chat():
+        started.append(True)
+        return Chat()
+
+    code = collect(monkeypatch, tmp_path, chat, RowSim, specs=6, jobs=2)
+    assert code == cli.EXIT_BACKEND
+    assert "backend unavailable: simulator not found" in capsys.readouterr().err
+    # Row 1 may start beside row 0, and the worker that row 0 frees may take
+    # row 2 before the batch ends, but rows 3 to 5 never start.
+    assert 1 <= len(started) <= 3
+    assert not (tmp_path / "pairs.jsonl").exists()

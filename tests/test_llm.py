@@ -50,11 +50,17 @@ def test_transport_error_after_retries():
         complete(client, _req(), retries=3, backoff=0)
 
 
-def test_rate_limited_not_retried():
-    client = MockChatClient([RateLimited("slow down"), "never reached"])
-    with pytest.raises(RateLimited):
-        complete(client, _req(), retries=5, backoff=0)
-    assert len(client.calls) == 1
+def test_rate_limited_then_success_is_retried():
+    client = MockChatClient([RateLimited("slow down"), "ok"])
+    assert complete(client, _req(), retries=5, backoff=0) == "ok"
+    assert len(client.calls) == 2
+
+
+def test_rate_limited_on_every_attempt_ends_in_transport_error():
+    client = MockChatClient([RateLimited("slow down")] * 4)
+    with pytest.raises(TransportError, match="after 3 attempts"):
+        complete(client, _req(), retries=3, backoff=0)
+    assert len(client.calls) == 3
 
 
 def test_rejected_request_not_retried():

@@ -219,6 +219,19 @@ def test_fresh_isolated_directories(fake_tools, tmp_path):
     assert _workdirs_left(tmp_path) == []
 
 
+def test_compile_log_is_the_same_on_every_call(fake_tools, tmp_path):
+    # Commands get file names relative to their work dir, so a compiler that
+    # names the testbench in its error logs the same bytes on every call.
+    failing = fake_tools / "failcomp"
+    failing.write_text('#!/bin/sh\necho "$3:7: syntax error" >&2\nexit 1\n')
+    failing.chmod(failing.stat().st_mode | stat.S_IEXEC)
+    sim = CommandSimulator(_config(fake_tools, tmp_path, compile="failcomp"))
+    logs = [sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON).log for _ in range(2)]
+    assert logs[0] == logs[1]
+    assert "tb.v:7: syntax error" in logs[0]
+    assert str(tmp_path) not in logs[0]
+
+
 def test_backends_satisfy_the_protocol(fake_tools, tmp_path):
     assert isinstance(CommandSimulator(_config(fake_tools, tmp_path)), SimulatorBackend)
     assert isinstance(MockSimulator(["ok"]), SimulatorBackend)

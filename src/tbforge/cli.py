@@ -1,9 +1,13 @@
 """Command-line entry points tying the toolkit into batch workflows.
 
 Outputs are JSONL (streamable, append-safe, diff-friendly); logs are
-line-oriented with stage tags. Batch commands run a bounded worker pool
-over input rows and write results in input order, so repeat runs produce
-byte-identical files.
+line-oriented with stage tags. Batch commands write results in input
+order, so repeat runs produce byte-identical files. Their ``--jobs N``
+bounds the backends, not the rows: at most N chat calls, and so N
+chat-endpoint connections, and N simulator calls are in flight at once.
+``gen-testbench`` runs 2N rows, so one row's simulator step overlaps
+another row's chat call; ``collect-pairs`` runs N rows, each of which
+already keeps a chat call and a simulator call going.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Per-row pipeline terminations are reported in the summary, never as a
@@ -19,6 +23,8 @@ import dataclasses
 import json
 import logging
 import sys
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from pathlib import Path
@@ -26,8 +32,8 @@ from pathlib import Path
 import click
 
 from tbforge import corpus
-from tbforge.config import load_config, make_chat_client_factory, \
-    make_simulator_factory
+from tbforge.config import ChatClientFactory, load_config, \
+    make_chat_client_factory, make_simulator_factory
 from tbforge.errors import (
     ConfigError,
     NonPositiveBeta,
@@ -65,11 +71,89 @@ METHOD_CHOICES = [m.value for m in PairMethod]
 _BATCH_FATAL = (ConfigError, ToolMissing, RequestRejected)
 
 
-def _run_rows(items, work, jobs, client_factory):
-    """Yield ``(item, work(item))`` in input order from ``jobs`` threads, with
-    a row's toolkit error outside ``_BATCH_FATAL`` as its result; any other
-    exception ends the batch and cancels the rows not yet started. Closes
-    ``client_factory``."""
+class _Slots:
+    """At most ``count`` holders at once, served in the order they asked: a
+    freed slot goes to the longest waiter, so a row that frees a slot and
+    asks again at once cannot keep it from rows already waiting."""
+
+    def __init__(self, count: int):
+        self._lock = threading.Lock()
+        self._free = count
+        self._waiting: deque[threading.Event] = deque()
+
+    def __enter__(self):
+        with self._lock:
+            if self._free and not self._waiting:
+                self._free -= 1
+                return
+            turn = threading.Event()
+            self._waiting.append(turn)
+        turn.wait()
+
+    def __exit__(self, *exc):
+        with self._lock:
+            if self._waiting:
+                self._waiting.popleft().set()
+            else:
+                self._free += 1
+
+
+class _SlottedChat:
+    """A chat client whose every call holds one of the run's chat slots.
+    ``complete()`` sleeps its retry backoff between calls, so a row waiting
+    to retry holds no slot."""
+
+    def __init__(self, client, slots: _Slots):
+        self._client = client
+        self._slots = slots
+
+    def complete_once(self, request):
+        with self._slots:
+            return self._client.complete_once(request)
+
+
+class _SlottedSimulator:
+    """A simulator whose every call holds one of the run's simulator slots."""
+
+    def __init__(self, simulator, slots: _Slots):
+        self._simulator = simulator
+        self._slots = slots
+
+    @property
+    def supports_coverage(self) -> bool:
+        return self._simulator.supports_coverage
+
+    def compile(self, dut, tb):
+        with self._slots:
+            return self._simulator.compile(dut, tb)
+
+    def run_test(self, dut, tb):
+        with self._slots:
+            return self._simulator.run_test(dut, tb)
+
+    def coverage(self, dut, tb):
+        with self._slots:
+            return self._simulator.coverage(dut, tb)
+
+
+def _slotted_backends(config, jobs):
+    """The config's chat-client and simulator factories, with every chat call
+    holding one of ``jobs`` chat slots and every simulator call one of
+    ``jobs`` simulator slots, each set shared by all rows of the run."""
+    make_client = make_chat_client_factory(config)
+    make_simulator = make_simulator_factory(config)
+    chat_slots = _Slots(jobs)
+    sim_slots = _Slots(jobs)
+    return (ChatClientFactory(lambda: _SlottedChat(make_client(), chat_slots),
+                              make_client.close),
+            lambda: _SlottedSimulator(make_simulator(), sim_slots))
+
+
+def _run_rows(items, work, workers, client_factory):
+    """Yield ``(item, work(item))`` in input order from ``workers`` threads,
+    with a row's toolkit error outside ``_BATCH_FATAL`` as its result; any
+    other exception ends the batch and cancels the rows not yet started.
+    Closes ``client_factory``."""
     def guarded(item):
         try:
             return work(item)
@@ -78,7 +162,7 @@ def _run_rows(items, work, jobs, client_factory):
         except TbforgeError as exc:
             return exc
 
-    with closing(client_factory), ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+    with closing(client_factory), ThreadPoolExecutor(max_workers=workers) as pool:
         yield from zip(items, pool.map(guarded, items))
 
 
@@ -97,9 +181,11 @@ def cli(verbose):
 @click.option("--out", "out_path", required=True, type=click.Path(),
               help="Output testbench JSONL.")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--jobs", default=1, show_default=True,
-              help="Bounded worker pool; also caps concurrent simulators "
-                   "and open chat-endpoint connections.")
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
+              help="At most this many chat requests, open chat-endpoint "
+                   "connections and simulator calls at once. Twice this many "
+                   "rows run, so one row simulates while another waits on "
+                   "the endpoint.")
 @click.option("--min-code-lines", default=0, show_default=True,
               help="Skip rows whose code has at most this many real lines.")
 @click.option("--trace-log", "trace_path", type=click.Path(), default=None,
@@ -108,8 +194,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                       trace_path):
     """Run the testbench pipeline over a spec/code corpus."""
     config = load_config(config_path)
-    client_factory = make_chat_client_factory(config)
-    simulator_factory = make_simulator_factory(config)
+    client_factory, simulator_factory = _slotted_backends(config, jobs)
 
     skipped_rows = []
     pairs = corpus.load_spec_code_pairs(
@@ -133,7 +218,9 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
     rows = []
     termination_counts: dict[str, int] = {}
     errors = []
-    for pair, result in _run_rows(pairs, run_row, jobs, client_factory):
+    # Each row waits on the endpoint and the simulator in turn; with twice
+    # as many rows as slots of either kind, both stay busy.
+    for pair, result in _run_rows(pairs, run_row, 2 * jobs, client_factory):
         if isinstance(result, TbforgeError):
             errors.append(result)
             log.error("[error] %s: %s: %s", pair.id, type(result).__name__, result)
@@ -178,17 +265,16 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--evals-out", "evals_path", type=click.Path(), default=None,
               help="Also write per-candidate evaluation rows.")
-@click.option("--jobs", default=1, show_default=True,
-              help="Specs processed at once: at most this many chat requests "
-                   "and this many simulator calls in flight, and this many "
-                   "open chat-endpoint connections. Within a spec, each "
-                   "candidate is evaluated while the next is sampled.")
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
+              help="Specs processed at once, and at most this many chat "
+                   "requests, open chat-endpoint connections and simulator "
+                   "calls at once. Within a spec, each candidate is "
+                   "evaluated while the next is sampled.")
 def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
     config = load_config(config_path)
-    client_factory = make_chat_client_factory(config)
-    simulator_factory = make_simulator_factory(config)
+    client_factory, simulator_factory = _slotted_backends(config, jobs)
     pair_method = PairMethod(method)
 
     specs = corpus.load_spec_code_pairs(

@@ -171,7 +171,7 @@ class ChatClientFactory:
 
 def make_chat_client_factory(config: Config) -> ChatClientFactory:
     """Mock clients are fresh per call, like mock simulators; every call
-    shares one HTTP client, which keeps one connection per thread."""
+    shares one HTTP client and its pool of idle connections."""
     if config.llm.backend == "mock":
         script = _load_llm_script(config.llm.mock_script)
         return ChatClientFactory(lambda: MockChatClient(list(script)))

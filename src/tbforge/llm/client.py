@@ -81,11 +81,13 @@ class LlmSettings:
 
 
 class HttpChatClient:
-    """Posts chat requests over one keep-alive connection per calling thread.
+    """Posts chat requests over a pool of idle keep-alive connections.
 
-    A batch of N workers therefore holds at most N connections. Proxies come
-    from the ``HTTP(S)_PROXY``/``NO_PROXY`` environment and certificates
-    from the system store (or ``SSL_CERT_FILE``/``SSL_CERT_DIR``).
+    A call takes the most recently returned idle connection, or opens one
+    when none is idle, and returns it after the reply, so a run never holds
+    more connections than it has calls in flight. Proxies come from the
+    ``HTTP(S)_PROXY``/``NO_PROXY`` environment and certificates from the
+    system store (or ``SSL_CERT_FILE``/``SSL_CERT_DIR``).
     """
 
     def __init__(self, settings: LlmSettings):
@@ -115,7 +117,7 @@ class HttpChatClient:
                 self._headers.update(proxy_headers)
             self._address = (proxy.hostname, proxy.port)
         self._lock = threading.Lock()
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._idle: list[http.client.HTTPConnection] = []
 
     def _open(self) -> http.client.HTTPConnection:
         timeout = self.settings.request_timeout
@@ -127,38 +129,39 @@ class HttpChatClient:
             conn.set_tunnel(*self._tunnel)
         return conn
 
-    def _connection(self) -> http.client.HTTPConnection:
-        thread = threading.current_thread()
-        conn = self._connections.get(thread)
-        if conn is None:
-            with self._lock:
-                # A thread that has ended leaves its connection behind.
-                for ended in [t for t in self._connections if not t.is_alive()]:
-                    self._connections.pop(ended).close()
-                conn = self._connections[thread] = self._open()
-        return conn
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._open()
 
     def _post(self, body: bytes, headers: dict) -> tuple[int, bytes]:
-        conn = self._connection()
+        conn = self._checkout()
         reused = conn.sock is not None
         try:
             conn.request("POST", self._path, body, headers)
             response = conn.getresponse()
-            return response.status, response.read()
+            reply = response.status, response.read()
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             # The server may close an idle keep-alive connection at any
-            # time; that costs one resend on a fresh connection, not a retry.
+            # time; that costs one resend on another connection, not a retry.
             if reused and isinstance(exc, ConnectionError):
                 return self._post(body, headers)
             raise TransportError(f"chat endpoint unreachable: {exc}") from exc
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            self._idle.append(conn)
+        return reply
 
     def close(self) -> None:
-        """Close every connection this client opened."""
+        """Close every idle connection; call it once no call is in flight."""
         with self._lock:
-            for conn in self._connections.values():
+            for conn in self._idle:
                 conn.close()
-            self._connections.clear()
+            self._idle.clear()
 
     def complete_once(self, request: ChatRequest) -> str:
         payload = {

@@ -290,18 +290,16 @@ class TestbenchPipeline:
         scaffold_retry_used = False
         for attempt in itertools.count(1):
             tb, missing = self._draft_reply(prompt)
-            if missing:
+            if missing and not scaffold_retry_used:
                 self._record(Stage.DRAFT, "scaffold", "fail")
-                if not scaffold_retry_used:
-                    scaffold_retry_used = True
-                    tb, missing = self._draft_reply(
-                        render_text(SCAFFOLD_FEEDBACK, ErrorLog=missing))
-                    if missing:
-                        self._record(Stage.DRAFT, "scaffold", "max")
-                if missing:
-                    raise StageTerminated(TerminationStage.DRAFT_COMPILE,
-                                          self.config.max_draft_attempts,
-                                          f"scaffold missing: {missing}")
+                scaffold_retry_used = True
+                tb, missing = self._draft_reply(
+                    render_text(SCAFFOLD_FEEDBACK, ErrorLog=missing))
+            if missing:
+                self._record(Stage.DRAFT, "scaffold", "max")
+                raise StageTerminated(TerminationStage.DRAFT_COMPILE,
+                                      self.config.max_draft_attempts,
+                                      f"scaffold missing: {missing}")
 
             error = self.simulator.compile(code, tb)
             if error is None:

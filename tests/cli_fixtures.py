@@ -3,6 +3,8 @@ scripts, and config files."""
 
 import json
 import sys
+import threading
+import time
 
 from fixture_data import AUDIO_ENCODER_DUT, TESTBENCH_SKELETON
 
@@ -105,3 +107,22 @@ def write_config(tmp_path, llm_script, sim_script, name="config.ini"):
 
 def cli_argv(*args):
     return [sys.executable, "-m", "tbforge", *args]
+
+
+class InFlight:
+    """Counts calls in flight per kind across threads, keeping the peak."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = {"chat": 0, "sim": 0}
+        self.peak = {"chat": 0, "sim": 0}
+
+    def hold(self, kind, seconds=0.005):
+        with self._lock:
+            self.now[kind] += 1
+            self.peak[kind] = max(self.peak[kind], self.now[kind])
+        try:
+            time.sleep(seconds)
+        finally:
+            with self._lock:
+                self.now[kind] -= 1

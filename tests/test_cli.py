@@ -145,6 +145,26 @@ def test_gen_testbench_without_coverage_fails_before_any_chat_call(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["gen-testbench", "collect-pairs"])
+def test_jobs_below_one_is_a_usage_error(pipeline_workspace, monkeypatch, capsys,
+                                         command, jobs):
+    tmp_path, specs, config = pipeline_workspace
+    client = MockChatClient(["unused"])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    out = tmp_path / "out.jsonl"
+    inputs = (["--input", str(specs)] if command == "gen-testbench" else
+              ["--specs", str(specs), "--testbenches", str(specs),
+               "--method", "testbench"])
+    code = cli.main([command, *inputs, "--out", str(out), "--config", str(config),
+                     "--jobs", jobs])
+    assert code == cli.EXIT_USAGE
+    assert "Invalid value for '--jobs'" in capsys.readouterr().err
+    assert client.calls == []
+    assert not out.exists()
+
+
 class FailingRowChat(MockChatClient):
     """Replays ``script``, except that every request of the row whose spec
     contains ``marker`` fails in transport."""

@@ -16,7 +16,7 @@ from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError
 from tbforge.sim import Report
 
-from cli_fixtures import CANDIDATE_A, write_collect_scripts, write_spec_rows
+from cli_fixtures import CANDIDATE_A, InFlight, write_collect_scripts, write_spec_rows
 
 CONFIG = """\
 [llm]
@@ -102,25 +102,6 @@ def test_candidate_is_evaluated_while_next_is_sampled(monkeypatch, tmp_path):
                    lambda: Sim(first_run.set))
     assert code == cli.EXIT_OK
     assert waits == [True]
-
-
-class InFlight:
-    """Counts calls in flight per kind across threads, keeping the peak."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.now = {"chat": 0, "sim": 0}
-        self.peak = {"chat": 0, "sim": 0}
-
-    def hold(self, kind):
-        with self._lock:
-            self.now[kind] += 1
-            self.peak[kind] = max(self.peak[kind], self.now[kind])
-        try:
-            time.sleep(0.005)
-        finally:
-            with self._lock:
-                self.now[kind] -= 1
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -18,7 +18,14 @@ from tbforge import cli
 from tbforge.errors import ConfigError, RateLimited, RequestRejected, TransportError
 from tbforge.llm import ChatRequest, HttpChatClient, LlmSettings, Message, complete
 
-from cli_fixtures import CANDIDATE_A, write_spec_rows
+from cli_fixtures import (
+    CANDIDATE_A,
+    CASES_JSON,
+    POINTS_JSON,
+    write_pipeline_scripts,
+    write_spec_rows,
+)
+from fixture_data import TESTBENCH_SKELETON
 
 WAIT_S = 5.0
 
@@ -218,14 +225,21 @@ def test_sequential_calls_reuse_one_connection(serve):
     assert server.connections == 1
 
 
-def test_each_thread_gets_its_own_connection(serve):
+def test_concurrent_calls_open_one_connection_each_and_reuse_them(serve):
     threads, calls = 4, 10
-    server, client = serve()
-    barrier = threading.Barrier(threads)
+    first_calls = threading.Barrier(threads)
+
+    def together(handler, payload):
+        # Every thread's first call is answered only once all of them have
+        # arrived, so those calls are in flight at once.
+        if payload["messages"][0]["content"].endswith(" call 0"):
+            first_calls.wait(WAIT_S)
+        return echo(handler, payload)
+
+    server, client = serve(together)
     results = {}
 
     def worker(t):
-        barrier.wait(WAIT_S)
         results[t] = [client.complete_once(_req(f"thread {t} call {i}"))
                       for i in range(calls)]
 
@@ -237,24 +251,10 @@ def test_each_thread_gets_its_own_connection(serve):
         assert not thread.is_alive()
     assert results == {t: [f"thread {t} call {i}" for i in range(calls)]
                        for t in range(threads)}
+    # One connection per call in flight, and no more once they are idle.
     assert server.connections == threads
-    by_port = {}
-    for request in server.requests:
-        by_port.setdefault(request["port"], set()).add(
-            request["payload"]["messages"][0]["content"].split(" call")[0])
-    assert len(by_port) == threads
-    assert all(len(senders) == 1 for senders in by_port.values())
-
-
-def test_ended_thread_connection_is_closed_on_next_connect(serve):
-    server, client = serve()
-    for _ in range(3):
-        thread = threading.Thread(target=client.complete_once, args=(_req(),))
-        thread.start()
-        thread.join(WAIT_S)
-        assert not thread.is_alive()
-    assert server.connections == 3
-    assert server.wait_open(1)
+    assert len(set(server.ports())) == threads
+    assert server.wait_open(threads)
 
 
 def test_server_closed_idle_connection_is_replaced(serve):
@@ -291,17 +291,26 @@ def test_request_timeout_bounds_a_silent_server(serve):
 
 
 def test_close_closes_every_connection(serve):
-    server, client = serve()
-    client.complete_once(_req())
-    thread = threading.Thread(target=client.complete_once, args=(_req(),))
-    thread.start()
-    thread.join(WAIT_S)
-    assert not thread.is_alive()
-    # The ended thread's connection stays open until the client closes it.
+    both_arrived = threading.Barrier(2)
+
+    def together(handler, payload):
+        both_arrived.wait(WAIT_S)
+        return echo(handler, payload)
+
+    server, client = serve(together)
+    pool = [threading.Thread(target=client.complete_once, args=(_req(),))
+            for _ in range(2)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join(WAIT_S)
+        assert not thread.is_alive()
+    # Both connections wait idle in the pool until the client closes them.
     assert server.wait_open(2)
     client.close()
     assert server.wait_open(0)
     # A closed client opens a fresh connection on its next call.
+    server.reply = echo
     assert client.complete_once(_req("later")) == "later"
     assert server.connections == 3
 
@@ -363,6 +372,36 @@ def test_cli_jobs_bounds_connections_and_closes_them(serve, tmp_path):
         200, {"choices": [{"message": {"content": CANDIDATE_A}}]}))
     assert _collect_pairs(tmp_path, server.url, specs=6, jobs=2) == cli.EXIT_OK
     assert len(server.requests) == 18
+    assert server.connections <= 2
+    assert server.wait_open(0)
+
+
+def pipeline_reply(handler, payload):
+    """Answer the testbench pipeline: function points, then test cases, then
+    a testbench for every request of the Draft conversation."""
+    messages = payload["messages"]
+    if messages[0]["content"].startswith("Design specification"):
+        content = f"```verilog\n{TESTBENCH_SKELETON}```"
+    else:
+        content = POINTS_JSON if len(messages) == 1 else CASES_JSON
+    return 200, {"choices": [{"message": {"content": content}}]}
+
+
+def test_gen_testbench_jobs_bounds_connections_and_closes_them(serve, tmp_path):
+    server, _ = serve(pipeline_reply)
+    _, sim_script = write_pipeline_scripts(tmp_path)
+    config = tmp_path / "config.ini"
+    config.write_text(
+        f"[llm]\nendpoint = {server.url}\nbackoff_seconds = 0\n\n"
+        f"[simulator]\nbackend = mock\nmock_script = {sim_script}\n", encoding="utf-8")
+    write_spec_rows(tmp_path / "specs.jsonl", 6)
+    out = tmp_path / "tb.jsonl"
+    assert cli.main(["gen-testbench", "--input", str(tmp_path / "specs.jsonl"),
+                     "--out", str(out), "--config", str(config),
+                     "--jobs", "2"]) == cli.EXIT_OK
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 6
+    assert len(server.requests) == 18
+    # Four rows run, but only two chat calls are ever in flight.
     assert server.connections <= 2
     assert server.wait_open(0)
 

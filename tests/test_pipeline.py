@@ -331,6 +331,15 @@ TERMINATIONS = {
         TerminationStage.DRAFT_COMPILE, PipelineConfig().max_draft_attempts,
         "scaffold missing: $finish",
         (TraceEntry(Stage.DRAFT, "scaffold", "max"),)),
+    # A later draft without the scaffold, once the re-prompt is spent, ends
+    # the row at the bound; attempts still reports the bound, not the drafts.
+    "scaffold_missing_after_reprompt_spent": (
+        analyze_script() + [fenced(NO_FINISH), fenced(TESTBENCH_SKELETON),
+                            fenced(NO_FINISH)],
+        [CompileError("e1")], PAIR.spec,
+        TerminationStage.DRAFT_COMPILE, PipelineConfig().max_draft_attempts,
+        "scaffold missing: $finish",
+        (TraceEntry(Stage.DRAFT, "scaffold", "max"),)),
     "draft_compile": (
         analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3,
         [CompileError("e1"), CompileError("e2"), CompileError("e3")], PAIR.spec,

@@ -5,9 +5,8 @@ line-oriented with stage tags. Batch commands write results in input
 order, so repeat runs produce byte-identical files. Their ``--jobs N``
 bounds the backends, not the rows: at most N chat calls, and so N
 chat-endpoint connections, and N simulator calls are in flight at once.
-``gen-testbench`` runs 2N rows, so one row's simulator step overlaps
-another row's chat call; ``collect-pairs`` runs N rows, each of which
-already keeps a chat call and a simulator call going.
+Both run 2N rows, each making one backend call at a time, so one row's
+simulator call overlaps another row's chat call.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Per-row pipeline terminations are reported in the summary, never as a
@@ -149,11 +148,12 @@ def _slotted_backends(config, jobs):
             lambda: _SlottedSimulator(make_simulator(), sim_slots))
 
 
-def _run_rows(items, work, workers, client_factory):
-    """Yield ``(item, work(item))`` in input order from ``workers`` threads,
-    with a row's toolkit error outside ``_BATCH_FATAL`` as its result; any
-    other exception ends the batch and cancels the rows not yet started.
-    Closes ``client_factory``."""
+def _run_rows(items, work, jobs, client_factory):
+    """Yield ``(item, work(item))`` in input order from ``2 * jobs`` threads,
+    twice the slots of either backend, so one row simulates while another
+    waits on the endpoint. A row's toolkit error outside ``_BATCH_FATAL`` is
+    its result; any other exception ends the batch and cancels the rows not
+    yet started. Closes ``client_factory``."""
     def guarded(item):
         try:
             return work(item)
@@ -162,7 +162,7 @@ def _run_rows(items, work, workers, client_factory):
         except TbforgeError as exc:
             return exc
 
-    with closing(client_factory), ThreadPoolExecutor(max_workers=workers) as pool:
+    with closing(client_factory), ThreadPoolExecutor(max_workers=2 * jobs) as pool:
         yield from zip(items, pool.map(guarded, items))
 
 
@@ -218,9 +218,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
     rows = []
     termination_counts: dict[str, int] = {}
     errors = []
-    # Each row waits on the endpoint and the simulator in turn; with twice
-    # as many rows as slots of either kind, both stay busy.
-    for pair, result in _run_rows(pairs, run_row, 2 * jobs, client_factory):
+    for pair, result in _run_rows(pairs, run_row, jobs, client_factory):
         if isinstance(result, TbforgeError):
             errors.append(result)
             log.error("[error] %s: %s: %s", pair.id, type(result).__name__, result)
@@ -266,10 +264,10 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 @click.option("--evals-out", "evals_path", type=click.Path(), default=None,
               help="Also write per-candidate evaluation rows.")
 @click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1),
-              help="Specs processed at once, and at most this many chat "
-                   "requests, open chat-endpoint connections and simulator "
-                   "calls at once. Within a spec, each candidate is "
-                   "evaluated while the next is sampled.")
+              help="At most this many chat requests, open chat-endpoint "
+                   "connections and simulator calls at once. Twice this many "
+                   "specs run, so one spec simulates while another waits on "
+                   "the endpoint.")
 def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
@@ -293,27 +291,15 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
 
     def run_row(item):
         spec, tb_row = item
-        client = client_factory()
         simulator = simulator_factory()
-        # One evaluation lane per row: candidate k is simulated while k+1 is
-        # sampled, in candidate order, so a row never has more than one chat
-        # call and one simulator call in flight.
-        with ThreadPoolExecutor(max_workers=1) as lane:
-            pending = []
-
-            def on_code(code):
-                pending.append(lane.submit(evaluate_candidate, code,
-                                           tb_row["tb"], simulator))
-
-            try:
-                sample_candidates(client, spec.spec, sampling,
-                                  retries=config.llm.retries,
-                                  backoff=config.llm.backoff_seconds,
-                                  on_code=on_code)
-            except BaseException:
-                lane.shutdown(cancel_futures=True)
-                raise
-            evals = [future.result() for future in pending]
+        evals = []
+        # Candidate k is evaluated before k+1 is requested, so the row makes
+        # one backend call at a time and ends at its first failing one.
+        sample_candidates(client_factory(), spec.spec, sampling,
+                          retries=config.llm.retries,
+                          backoff=config.llm.backoff_seconds,
+                          on_code=lambda code: evals.append(
+                              evaluate_candidate(code, tb_row["tb"], simulator)))
         outcomes = build_pairs(spec.spec, spec.code, evals, pair_method,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
@@ -375,14 +361,9 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
     if not ks:
         raise ConfigError("empty --k list")
 
-    tasks = []
-    for row in corpus.read_jsonl(results_path):
-        tasks.append(TaskResults(
-            task=str(row["task"]),
-            n=int(row.get("n", default_n)),
-            c_syntax=int(row["c_syntax"]),
-            c_function=int(row["c_function"]),
-        ))
+    tasks = [TaskResults(**row) for row in corpus.read_fields(
+        results_path, {"task": str, "n": int, "c_syntax": int, "c_function": int},
+        defaults={"n": default_n})]
 
     summary = {"mode": mode, "tasks": len(tasks), "results": {}}
     for k in ks:
@@ -428,14 +409,8 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
 
     report = {"beta": beta}
     if pairs_path is not None:
-        batch = []
-        for row in corpus.read_jsonl(pairs_path):
-            batch.append(PairLogProbs(
-                policy_chosen=float(row["policy_chosen"]),
-                ref_chosen=float(row["ref_chosen"]),
-                policy_rejected=float(row["policy_rejected"]),
-                ref_rejected=float(row["ref_rejected"]),
-            ))
+        fields = {field.name: float for field in dataclasses.fields(PairLogProbs)}
+        batch = [PairLogProbs(**row) for row in corpus.read_fields(pairs_path, fields)]
         report["pairs"] = len(batch)
         report["mean_loss"] = dpo_loss(batch, beta=beta)
 
@@ -484,10 +459,7 @@ def main(argv=None) -> int:
     except (ToolMissing, TransportError) as exc:
         print(f"backend unavailable: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except corpus.JsonlError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (corpus.JsonlError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TbforgeError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,36 @@ def iter_jsonl(path, on_error=None) -> Iterator[tuple[int, dict]]:
 
 def read_jsonl(path) -> list[dict]:
     return [obj for _, obj in iter_jsonl(path)]
+
+
+def read_fields(path, casts: dict[str, Callable], defaults: dict | None = None,
+                on_error=None) -> list[dict]:
+    """Each row as ``{field: cast(row[field])}`` for the fields of ``casts``,
+    a missing field taking its value from ``defaults``. A malformed line, a
+    row missing a field with no default, or a value its cast rejects raises
+    JsonlError, or, when on_error is given, is reported as
+    on_error(lineno, message) and skipped, as in ``iter_jsonl``."""
+    defaults = defaults or {}
+    rows = []
+    for lineno, obj in iter_jsonl(path, on_error):
+        row, problem = {}, None
+        for field, cast in casts.items():
+            if field not in obj and field not in defaults:
+                problem = f"row missing field {field!r}"
+                break
+            value = obj.get(field, defaults.get(field))
+            try:
+                row[field] = cast(value)
+            except (TypeError, ValueError, OverflowError):
+                problem = f"bad value for field {field!r}: {value!r}"
+                break
+        if problem is None:
+            rows.append(row)
+        elif on_error is None:
+            raise JsonlError(path, lineno, problem)
+        else:
+            on_error(lineno, problem)
+    return rows
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:
@@ -165,18 +195,8 @@ def outcome_json(outcome) -> dict:
 
 
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
-    """Spec/code rows with ids as strings. A malformed line or a row missing
-    a field raises JsonlError, or, when on_error is given, is reported as
-    on_error(lineno, message) and skipped, as in ``iter_jsonl``."""
-    pairs = []
-    for lineno, obj in iter_jsonl(path, on_error):
-        try:
-            pairs.append(SpecCodePair(id=str(obj["id"]), spec=str(obj["spec"]),
-                                      code=str(obj["code"])))
-        except KeyError as exc:
-            problem = f"row missing field {exc}"
-            if on_error is None:
-                raise JsonlError(path, lineno, problem) from None
-            on_error(lineno, problem)
+    """Spec/code rows with ids as strings, read as in ``read_fields``."""
+    pairs = [SpecCodePair(**row) for row in read_fields(
+        path, dict.fromkeys(("id", "spec", "code"), str), on_error=on_error)]
     check_unique_ids([{"id": p.id} for p in pairs])
     return pairs

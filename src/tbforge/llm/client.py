@@ -78,6 +78,13 @@ class LlmSettings:
             raise ConfigError(f"llm backend must be http or mock, got {self.backend!r}")
         if self.backend == "mock" and not self.mock_script:
             raise ConfigError("llm backend mock needs mock_script")
+        for key, ok, rule in (("retries", self.retries >= 1, ">= 1"),
+                              ("request_timeout", self.request_timeout > 0, "> 0"),
+                              ("backoff_seconds", self.backoff_seconds >= 0, ">= 0"),
+                              ("max_tokens", self.max_tokens >= 1, ">= 1"),
+                              ("temperature", self.temperature >= 0, ">= 0")):
+            if not ok:
+                raise ConfigError(f"llm {key} must be {rule}")
 
 
 class HttpChatClient:
@@ -228,20 +235,19 @@ class MockChatClient:
 
 
 def complete(client, request: ChatRequest, retries: int, backoff: float) -> str:
-    """Issue a chat completion, retrying transport failures, rate limiting
-    (429) included, with bounded exponential backoff; this is the one layer
-    that retries. A rejected request (a 4xx other than 408 and 429) would get
-    the same answer again, so it is re-raised at once.
-    """
-    attempts = max(1, retries)
+    """Issue a chat completion in at most ``retries`` attempts, retrying
+    transport failures, rate limiting (429) included, with bounded
+    exponential backoff; this is the one layer that retries. A rejected
+    request (a 4xx other than 408 and 429) would get the same answer again,
+    so it is re-raised at once."""
     last: TransportError | None = None
-    for attempt in range(attempts):
+    for attempt in range(retries):
         try:
             return client.complete_once(request)
         except RequestRejected:
             raise
         except TransportError as exc:
             last = exc
-            if attempt + 1 < attempts and backoff > 0:
+            if attempt + 1 < retries and backoff > 0:
                 time.sleep(backoff * (2 ** attempt))
-    raise TransportError(f"chat completion failed after {attempts} attempts: {last}")
+    raise TransportError(f"chat completion failed after {retries} attempts: {last}")

@@ -104,7 +104,8 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None, *
 
     ``on_code``, when given, receives each extracted code (or "") in
     candidate order, before the next request goes out, so a caller can
-    start on candidate k while candidate k+1 is sampled."""
+    evaluate candidate k before k+1 is requested; an error it raises ends
+    the sampling."""
     params = params or SamplingParams()
     if not spec.strip():
         raise EmptyInput("empty specification")

@@ -500,6 +500,15 @@ def test_passk_multi_k_ordering_stable(tmp_path):
     assert list(summary["results"]) == ["pass@5", "pass@1", "pass@2"]
 
 
+def test_passk_row_missing_a_field_is_an_io_error(tmp_path):
+    results = tmp_path / "results.jsonl"
+    write_task_results(results, [{"task": "t", "n": 5, "c_syntax": 3, "c_function": 1},
+                                 {"task": "u", "n": 5, "c_syntax": 3}])
+    proc = run_cli("passk", "--results", str(results), "--k", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: {results}:2: row missing field 'c_function'\n"
+
+
 # ---- similarity ----
 
 def test_similarity_identical_files(tmp_path):
@@ -535,6 +544,20 @@ def test_dpo_zero_margin_file(tmp_path):
     report = json.loads(proc.stdout)
     assert report["pairs"] == 3
     assert report["mean_loss"] == pytest.approx(math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("row,problem", [
+    ({"policy_chosen": -5.0, "policy_rejected": -7.0, "ref_rejected": -7.0},
+     "row missing field 'ref_chosen'"),
+    ({"policy_chosen": -5.0, "ref_chosen": "low", "policy_rejected": -7.0,
+      "ref_rejected": -7.0}, "bad value for field 'ref_chosen': 'low'"),
+])
+def test_dpo_bad_row_is_an_io_error(tmp_path, row, problem):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    proc = run_cli("dpo", "--pairs", str(pairs))
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: {pairs}:1: {problem}\n"
 
 
 def test_dpo_gradcheck(tmp_path):

@@ -172,6 +172,15 @@ def test_mock_backend_requires_script(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("retries", "0"), ("request_timeout", "0"), ("backoff_seconds", "-1"),
+    ("max_tokens", "0"), ("temperature", "-0.5")])
+def test_llm_value_out_of_range_rejected(tmp_path, key, value):
+    path = write_config(tmp_path, f"[llm]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"llm {key} must be"):
+        load_config(path)
+
+
 def test_sim_script_parses_to_domain_objects(tmp_path, scripts):
     llm_script, sim_script = scripts
     path = write_config(tmp_path, GOOD_CONFIG.format(

@@ -6,12 +6,15 @@ and operator symbols (``label``) never leak into structure comparisons.
 ``qualifier`` carries secondary syntax that is not a child node: port
 direction, net type, always-block sensitivity, case flavor, part-select
 flavor, instance name.
+
+Nodes are named tuples: immutable, hashable, equal when all four fields
+are, and cheap to build, since one source makes hundreds of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class NodeKind(Enum):
@@ -40,11 +43,10 @@ class NodeKind(Enum):
     NumberLit = "number_lit"
 
 
-@dataclass(frozen=True)
-class AstNode:
+class AstNode(NamedTuple):
     kind: NodeKind
     label: str = ""
-    children: tuple["AstNode", ...] = field(default=())
+    children: tuple[AstNode, ...] = ()
     qualifier: str = ""
 
     def walk(self):

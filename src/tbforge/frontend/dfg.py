@@ -39,16 +39,17 @@ def _ident_names(expr: AstNode) -> set[str]:
 
 
 def _lvalue_bases(lhs: AstNode) -> set[str]:
-    if lhs.kind is NodeKind.IdentRef:
-        return {lhs.label}
-    if lhs.kind in (NodeKind.BitSelect, NodeKind.PartSelect):
-        return _lvalue_bases(lhs.children[0])
-    if lhs.kind is NodeKind.Concat:
-        bases: set[str] = set()
-        for part in lhs.children:
-            bases |= _lvalue_bases(part)
-        return bases
-    return set()
+    bases: set[str] = set()
+    stack = [lhs]
+    while stack:
+        node = stack.pop()
+        if node.kind is NodeKind.IdentRef:
+            bases.add(node.label)
+        elif node.kind in (NodeKind.BitSelect, NodeKind.PartSelect):
+            stack.append(node.children[0])
+        elif node.kind is NodeKind.Concat:
+            stack.extend(node.children)
+    return bases
 
 
 def extract_dfg(ast: AstNode) -> Dfg:
@@ -65,7 +66,12 @@ def extract_dfg(ast: AstNode) -> Dfg:
     edges: set[tuple[str, str]] = set()
     assigned: set[str] = set()
 
-    def visit(node: AstNode, conds: frozenset[str]) -> None:
+    # (statement, signals of the conditions that enclose it); a work list,
+    # not recursion, so no nesting depth is too deep.
+    work = [(child, frozenset()) for child in ast.children
+            if child.kind in (NodeKind.ContAssign, NodeKind.AlwaysBlock)]
+    while work:
+        node, conds = work.pop()
         kind = node.kind
         if kind in _ASSIGN_KINDS:
             targets = _lvalue_bases(node.children[0])
@@ -74,29 +80,18 @@ def extract_dfg(ast: AstNode) -> Dfg:
             for t in targets:
                 for s in sources:
                     edges.add((s, t))
-            return
-        if kind is NodeKind.IfStmt:
+        elif kind is NodeKind.IfStmt:
             cond_sigs = conds | _ident_names(node.children[0])
-            visit(node.children[1], cond_sigs)
-            if len(node.children) == 3:
-                visit(node.children[2], cond_sigs)
-            return
-        if kind is NodeKind.CaseStmt:
+            work.extend((branch, cond_sigs) for branch in node.children[1:])
+        elif kind is NodeKind.CaseStmt:
             subject_sigs = conds | _ident_names(node.children[0])
             for item in node.children[1:]:
                 label_sigs = frozenset()
                 for label_expr in item.children[:-1]:
                     label_sigs |= _ident_names(label_expr)
-                visit(item.children[-1], subject_sigs | label_sigs)
-            return
-        if kind in (NodeKind.SeqBlock, NodeKind.AlwaysBlock):
-            for child in node.children:
-                visit(child, conds)
-            return
-
-    for child in ast.children:
-        if child.kind in (NodeKind.ContAssign, NodeKind.AlwaysBlock):
-            visit(child, frozenset())
+                work.append((item.children[-1], subject_sigs | label_sigs))
+        elif kind in (NodeKind.SeqBlock, NodeKind.AlwaysBlock):
+            work.extend((child, conds) for child in node.children)
 
     for child in ast.children:
         if child.kind is NodeKind.Instance:

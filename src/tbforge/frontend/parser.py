@@ -14,10 +14,21 @@ Supported constructs:
     replication, bit select, part select (: +: -:), sized and
     unsized literals
 
+Binary operators are parsed by precedence climbing over the tiers of
+IEEE 1364-2005 Table 5-4: one call per operand, not one per tier. All of
+them associate left to right, ``**`` included; only ``?:`` associates right
+to left (§5.1.2). Unary operators bind tighter than any binary one, so
+``-a ** b`` is ``(-a) ** b``.
+
 Anything outside the subset (generate, functions, tasks, initial blocks,
 system tasks, delays, loops, compiler directives, ...) raises
 ParseUnsupported with the offending line. Testbenches are never parsed
 here; they go straight to the external simulator.
+
+Errors carry the line of the token where parsing stopped; at the end of
+input, the line of the last token. Nesting that exhausts Python's
+recursion limit (about 240 levels of parentheses at the default limit)
+raises ParseError "nested too deeply", never RecursionError.
 """
 
 from __future__ import annotations
@@ -68,32 +79,30 @@ _BINARY_TIERS = [
     ["**"],
 ]
 
-_EOF = Token(TokenKind.Punctuation, "<eof>", 0)
+# Binary operator -> its tier in _BINARY_TIERS.
+_BINARY_TIER = {op: tier for tier, ops in enumerate(_BINARY_TIERS) for op in ops}
 
 
 class _Parser:
+    __slots__ = ("tokens", "pos", "eof")
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # What the cursor reads past the last token; on that token's line,
+        # so an error at the end of input names the line where it ends.
+        self.eof = Token(TokenKind.Punctuation, "<eof>", tokens[-1].line)
 
     # -- token navigation --
 
     def cur(self) -> Token:
-        if self.pos < len(self.tokens):
+        try:
             return self.tokens[self.pos]
-        return _EOF
-
-    def peek(self, offset: int = 1) -> Token:
-        p = self.pos + offset
-        if p < len(self.tokens):
-            return self.tokens[p]
-        return _EOF
+        except IndexError:
+            return self.eof
 
     def at(self, text: str) -> bool:
         return self.cur().text == text
-
-    def at_kind(self, kind: TokenKind) -> bool:
-        return self.cur().kind is kind
 
     def take(self) -> Token:
         tok = self.cur()
@@ -104,7 +113,8 @@ class _Parser:
         tok = self.cur()
         if tok.text != text:
             raise ParseError(f"expected {text!r}, got {tok.text!r}", tok.line)
-        return self.take()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> Token:
         tok = self.cur()
@@ -114,11 +124,11 @@ class _Parser:
             raise ParseUnsupported(f"system or macro identifier {tok.text!r}", tok.line)
         return self.take()
 
-    def reject_unsupported(self, directives: bool = True) -> None:
+    def reject_unsupported(self) -> None:
         tok = self.cur()
         if tok.kind is TokenKind.Keyword and tok.text in _UNSUPPORTED_KEYWORDS:
             raise ParseUnsupported(_UNSUPPORTED_KEYWORDS[tok.text], tok.line)
-        if directives and tok.text.startswith("`"):
+        if tok.text.startswith("`"):
             raise ParseUnsupported(f"compiler directive {tok.text!r}", tok.line)
 
     # -- module --
@@ -144,11 +154,11 @@ class _Parser:
         self.expect(";")
 
         while not self.at("endmodule"):
-            if self.cur() is _EOF:
-                raise ParseError("missing endmodule", self.tokens[-1].line if self.tokens else 1)
+            if self.cur() is self.eof:
+                raise ParseError("missing endmodule", self.eof.line)
             children.extend(self._module_item())
         self.expect("endmodule")
-        if self.cur() is not _EOF:
+        if self.cur() is not self.eof:
             raise ParseError(f"trailing input after endmodule: {self.cur().text!r}", self.cur().line)
         return AstNode(NodeKind.Module, label=name, children=tuple(children))
 
@@ -177,8 +187,8 @@ class _Parser:
         depth = 1
         while depth:
             tok = self.take()
-            if tok is _EOF:
-                raise ParseError("unterminated range", self.tokens[-1].line)
+            if tok is self.eof:
+                raise ParseError("unterminated range", self.eof.line)
             if tok.text == "[":
                 depth += 1
             elif tok.text == "]":
@@ -349,8 +359,8 @@ class _Parser:
         parts: list[str] = []
         while not self.at(")"):
             tok = self.take()
-            if tok is _EOF:
-                raise ParseError("unterminated event control", self.tokens[-1].line)
+            if tok is self.eof:
+                raise ParseError("unterminated event control", self.eof.line)
             parts.append(tok.text)
         self.expect(")")
         text = " ".join(parts)
@@ -387,8 +397,8 @@ class _Parser:
             label = self.expect_ident().text
         stmts = []
         while not self.at("end"):
-            if self.cur() is _EOF:
-                raise ParseError("unterminated begin/end block", self.tokens[-1].line)
+            if self.cur() is self.eof:
+                raise ParseError("unterminated begin/end block", self.eof.line)
             stmt = self._statement()
             if stmt is not None:
                 stmts.append(stmt)
@@ -415,8 +425,8 @@ class _Parser:
         self.expect(")")
         items = []
         while not self.at("endcase"):
-            if self.cur() is _EOF:
-                raise ParseError("unterminated case statement", self.tokens[-1].line)
+            if self.cur() is self.eof:
+                raise ParseError("unterminated case statement", self.eof.line)
             items.append(self._case_item())
         self.expect("endcase")
         return AstNode(NodeKind.CaseStmt, children=(subject, *items), qualifier=flavor)
@@ -530,66 +540,62 @@ class _Parser:
     # -- expressions --
 
     def _expr(self) -> AstNode:
-        return self._ternary()
-
-    def _ternary(self) -> AstNode:
         cond = self._binary(0)
-        if self.at("?"):
-            self.take()
-            then = self._expr()
-            self.expect(":")
-            otherwise = self._expr()
-            return AstNode(NodeKind.TernaryOp, label="?:",
-                           children=(cond, then, otherwise))
-        return cond
+        if not self.at("?"):
+            return cond
+        self.pos += 1
+        then = self._expr()
+        self.expect(":")
+        return AstNode(NodeKind.TernaryOp, "?:", (cond, then, self._expr()))
 
-    def _binary(self, tier: int) -> AstNode:
-        if tier >= len(_BINARY_TIERS):
-            return self._unary()
-        ops = _BINARY_TIERS[tier]
-        node = self._binary(tier + 1)
-        while self.cur().text in ops:
-            op = self.take().text
-            rhs = self._binary(tier + 1)
-            node = AstNode(NodeKind.BinaryOp, label=op, children=(node, rhs))
-        return node
+    def _binary(self, min_tier: int) -> AstNode:
+        """Precedence climbing: an operand, then every operator of tier
+        min_tier or above with its right operand, which takes only
+        operators of a higher tier, so equal tiers group to the left."""
+        node = self._unary()
+        while True:
+            op = self.cur().text
+            tier = _BINARY_TIER.get(op)
+            if tier is None or tier < min_tier:
+                return node
+            self.pos += 1
+            node = AstNode(NodeKind.BinaryOp, op, (node, self._binary(tier + 1)))
 
     def _unary(self) -> AstNode:
         tok = self.cur()
-        if tok.kind is TokenKind.Operator and tok.text in _UNARY_OPS:
-            self.take()
-            operand = self._unary()
-            return AstNode(NodeKind.UnaryOp, label=tok.text, children=(operand,))
+        if tok.text in _UNARY_OPS and tok.kind is TokenKind.Operator:
+            self.pos += 1
+            return AstNode(NodeKind.UnaryOp, tok.text, (self._unary(),))
         return self._primary()
 
     def _primary(self) -> AstNode:
-        # Macro usages (`NAME) are opaque identifier references here, so
-        # macro-parameterized widths degrade to symbolic instead of failing.
-        self.reject_unsupported(directives=False)
         tok = self.cur()
+        kind = tok.kind
 
-        if tok.kind is TokenKind.Number:
-            self.take()
-            node = AstNode(NodeKind.NumberLit, label=tok.text)
+        if kind is TokenKind.Identifier:
+            # Macro usages (`NAME) are opaque identifier references here, so
+            # macro-parameterized widths degrade to symbolic instead of failing.
+            if tok.text.startswith("$"):
+                raise ParseUnsupported(f"system function {tok.text!r}", tok.line)
+            self.pos += 1
+            nxt = self.cur().text
+            if nxt == "(":
+                raise ParseUnsupported(f"function call {tok.text!r}", tok.line)
+            node = AstNode(NodeKind.IdentRef, tok.text)
+            return self._select_suffix(node) if nxt == "[" else node
+
+        if kind is TokenKind.Number:
+            self.pos += 1
             # "4 'b0101": a sized literal split by whitespace re-joins here.
             nxt = self.cur()
             if (nxt.kind is TokenKind.Number and nxt.text.startswith("'")
-                    and not tok.text.startswith("'") and "'" not in tok.text):
-                self.take()
-                node = AstNode(NodeKind.NumberLit, label=tok.text + nxt.text)
-            return node
-
-        if tok.kind is TokenKind.Identifier:
-            if tok.text.startswith("$"):
-                raise ParseUnsupported(f"system function {tok.text!r}", tok.line)
-            self.take()
-            if self.at("("):
-                raise ParseUnsupported(f"function call {tok.text!r}", tok.line)
-            node = AstNode(NodeKind.IdentRef, label=tok.text)
-            return self._select_suffix(node)
+                    and "'" not in tok.text):
+                self.pos += 1
+                return AstNode(NodeKind.NumberLit, tok.text + nxt.text)
+            return AstNode(NodeKind.NumberLit, tok.text)
 
         if tok.text == "(":
-            self.take()
+            self.pos += 1
             node = self._expr()
             self.expect(")")
             return node
@@ -597,7 +603,8 @@ class _Parser:
         if tok.text == "{":
             return self._concat_or_replicate()
 
-        if tok.kind is TokenKind.StringLiteral:
+        self.reject_unsupported()
+        if kind is TokenKind.StringLiteral:
             raise ParseUnsupported("string literal in expression", tok.line)
         raise ParseError(f"unexpected {tok.text!r} in expression", tok.line)
 
@@ -635,7 +642,11 @@ def parse_module(tokens: list[Token]) -> AstNode:
     """Parse a token stream holding exactly one module into a Module root."""
     if not tokens:
         raise ParseError("empty input", 1)
-    return _Parser(tokens).parse_module()
+    parser = _Parser(tokens)
+    try:
+        return parser.parse_module()
+    except RecursionError:
+        raise ParseError("nested too deeply", parser.cur().line) from None
 
 
 def parse_source(source: str) -> AstNode:

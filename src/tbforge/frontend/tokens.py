@@ -10,8 +10,9 @@ without internal whitespace.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import NamedTuple
 
 from tbforge.errors import LexError
 
@@ -25,8 +26,11 @@ class TokenKind(Enum):
     StringLiteral = "string"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexed token. A named tuple, so it is immutable and hashable, and
+    cheap to build: a source holds hundreds of them. Two tokens are equal
+    when all three fields are."""
+
     kind: TokenKind
     text: str
     line: int
@@ -110,17 +114,19 @@ def lex(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     append = tokens.append
+    # Token((kind, text, line)) without the Python-level Token.__new__.
+    make = partial(tuple.__new__, Token)
     line = 1
     line_start = 0
     for m in _SCANNER.finditer(source):
         group = m.lastgroup
         kind = _TOKEN_KINDS.get(group)
         if kind is not None:
-            append(Token(kind, m.group(), line))
+            append(make((kind, m.group(), line)))
         elif group == "word":
             text = m.group()
-            append(Token(TokenKind.Keyword if text in KEYWORDS else TokenKind.Identifier,
-                         text, line))
+            append(make((TokenKind.Keyword if text in KEYWORDS else TokenKind.Identifier,
+                         text, line)))
         elif group == "newline":
             line += 1
             line_start = m.end()
@@ -129,7 +135,7 @@ def lex(source: str) -> list[Token]:
         elif group in _MULTILINE:
             text = m.group()
             if group == "string":
-                append(Token(TokenKind.StringLiteral, text, line))
+                append(make((TokenKind.StringLiteral, text, line)))
             count = text.count("\n")
             if count:
                 line += count

@@ -1,4 +1,4 @@
-"""Unbiased pass@k, perplexity, and the PPL-vs-correctness alignment rate."""
+"""Unbiased pass@k and sequence perplexity."""
 
 from __future__ import annotations
 
@@ -72,20 +72,3 @@ def perplexity(seq: SequenceLogProb) -> float:
     log-probabilities."""
     return math.exp(-sum(seq.token_logprobs) / seq.length)
 
-
-def ppl_alignment_rate(
-        pairs: Sequence[tuple[float, int, float, int]]) -> float:
-    """Fraction of (ppl, passed) pairs where the higher-passing code has
-    strictly lower perplexity. Equal perplexities count as misaligned; the
-    claim under test is that lower PPL tracks correctness, and an exact tie
-    supports nothing."""
-    if not pairs:
-        raise EmptyInput("no pairs")
-    aligned = 0
-    for ppl_a, passed_a, ppl_b, passed_b in pairs:
-        if passed_a == passed_b:
-            raise ValueError("pairs must differ in pass counts")
-        winner_ppl, loser_ppl = (ppl_a, ppl_b) if passed_a > passed_b else (ppl_b, ppl_a)
-        if winner_ppl < loser_ppl:
-            aligned += 1
-    return aligned / len(pairs)

@@ -306,14 +306,6 @@ def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],
     return outcomes
 
 
-def ppo_reward(candidate: CandidateEval) -> float:
-    """Reward in [0, 1]: the proportion of testcases passed; compile
-    failures and aborts earn 0."""
-    if not candidate.compile_ok or candidate.aborted or candidate.total == 0:
-        return 0.0
-    return candidate.passed / candidate.total
-
-
 _COMMENT_ONLY = re.compile(r"^\s*(//.*)?$")
 
 

@@ -370,6 +370,40 @@ def test_collect_pairs_all_ties_all_discarded(tmp_path):
     assert "discarded (tie): 2" in proc.stdout
 
 
+@pytest.mark.parametrize("depth,summary", [
+    (3, "discarded (tie): 1"),
+    (300, "discarded (parse): 1"),
+])
+def test_collect_pairs_dfg_deeply_nested_candidate_is_a_parse_discard(tmp_path, depth,
+                                                                     summary):
+    # The second candidate is the first with its right-hand side wrapped in
+    # `depth` parentheses: the same dataflow, so a tie, until the nesting is
+    # too deep to parse.
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 1)
+    llm_p, sim_p = write_pipeline_scripts(tmp_path)
+    config_p = write_config(tmp_path, llm_p, sim_p, name="pipeline.ini")
+    tb_out = tmp_path / "tb.jsonl"
+    run_cli("gen-testbench", "--input", str(specs), "--out", str(tb_out),
+            "--config", str(config_p))
+
+    nested = CANDIDATE_A.replace("audio_in[0]", "(" * depth + "audio_in[0]" + ")" * depth)
+    llm_c = tmp_path / "llm_nested.json"
+    llm_c.write_text(json.dumps([CANDIDATE_A, nested]), encoding="utf-8")
+    sim_c = tmp_path / "sim_nested.json"
+    sim_c.write_text(json.dumps([
+        {"kind": "compile", "ok": True},
+        {"kind": "run", "total": 5, "failures": 0},
+    ] * 2), encoding="utf-8")
+    config_c = write_config(tmp_path, llm_c, sim_c, name="collect.ini")
+    proc = run_cli("collect-pairs", "--specs", str(specs),
+                   "--testbenches", str(tb_out), "--out", str(tmp_path / "pairs.jsonl"),
+                   "--method", "dfg", "--config", str(config_c))
+    assert proc.returncode == 0, proc.stderr
+    assert "specs: 1  pairs: 0  discards: 1  errored: 0" in proc.stdout
+    assert summary in proc.stdout
+
+
 def test_collect_pairs_with_fails_method(tmp_path):
     specs = tmp_path / "specs.jsonl"
     write_spec_rows(specs, 1)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbforge.frontend import extract_dfg, parse_source
+from tbforge.frontend import AstNode, NodeKind, extract_dfg, parse_source
 
 from fixture_data import AUDIO_ENCODER_DUT
 
@@ -163,3 +163,21 @@ def test_set_semantics_no_duplicates(pairs):
     except Exception:
         return
     assert len(dfg.edges) == len(set(dfg.edges))
+
+
+def test_nesting_deeper_than_the_recursion_limit():
+    # if (c) if (c) ... {{...{y}...}} = a; built by hand, since the parser
+    # stops far sooner.
+    def ident(name):
+        return AstNode(NodeKind.IdentRef, name)
+
+    lhs = ident("y")
+    for _ in range(5000):
+        lhs = AstNode(NodeKind.Concat, children=(lhs,))
+    stmt = AstNode(NodeKind.BlockingAssign, children=(lhs, ident("a")))
+    for _ in range(5000):
+        stmt = AstNode(NodeKind.IfStmt, children=(ident("c"), stmt))
+    ports = [AstNode(NodeKind.PortDecl, name) for name in "acy"]
+    always = AstNode(NodeKind.AlwaysBlock, children=(stmt,), qualifier="*")
+    dfg = extract_dfg(AstNode(NodeKind.Module, "m", (*ports, always)))
+    assert dfg.edges == {("a", "y"), ("c", "y")}

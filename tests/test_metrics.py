@@ -14,7 +14,6 @@ from tbforge.metrics import (
     pass_at_k,
     pass_at_single,
     perplexity,
-    ppl_alignment_rate,
 )
 
 
@@ -150,25 +149,3 @@ def test_sequence_logprob_validation():
     with pytest.raises(ValueError):
         SequenceLogProb(token_logprobs=(-1.0,), length=5)
 
-
-# ---- alignment rate ----
-
-def test_all_aligned():
-    pairs = [(1.5, 5, 2.5, 2), (1.1, 4, 9.0, 1)]
-    assert ppl_alignment_rate(pairs) == 1.0
-
-
-def test_all_anti_aligned():
-    pairs = [(2.5, 5, 1.5, 2), (9.0, 4, 1.1, 1)]
-    assert ppl_alignment_rate(pairs) == 0.0
-
-
-def test_equal_ppl_counts_misaligned():
-    assert ppl_alignment_rate([(2.0, 5, 2.0, 1)]) == 0.0
-
-
-def test_alignment_validation():
-    with pytest.raises(EmptyInput):
-        ppl_alignment_rate([])
-    with pytest.raises(ValueError):
-        ppl_alignment_rate([(1.0, 3, 2.0, 3)])

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tbforge.errors import ParseError, ParseUnsupported
-from tbforge.frontend import AstNode, NodeKind, parse_module, parse_source
+from tbforge.frontend import AstNode, NodeKind, Token, TokenKind, parse_module, parse_source
 
 from fixture_data import AUDIO_ENCODER_DUT
 
@@ -220,3 +222,190 @@ def test_split_sized_literal_joins():
     lit = next(n for n in root.walk()
                if n.kind is NodeKind.NumberLit and "'" in n.label)
     assert lit.label == "4'b0101"
+
+
+def test_tokens_and_nodes_are_immutable_records():
+    tok = Token(TokenKind.Identifier, "a", 1)
+    node = AstNode(NodeKind.BitSelect, children=(AstNode(NodeKind.IdentRef, "a"),))
+    assert repr(tok) == "Token(kind=<TokenKind.Identifier: 'identifier'>, text='a', line=1)"
+    assert repr(node) == (
+        "AstNode(kind=<NodeKind.BitSelect: 'bit_select'>, label='', children="
+        "(AstNode(kind=<NodeKind.IdentRef: 'ident_ref'>, label='a', children=(), "
+        "qualifier=''),), qualifier='')")
+    assert tok == Token(TokenKind.Identifier, "a", 1)
+    assert hash(tok) == hash(Token(TokenKind.Identifier, "a", 1))
+    assert tok != Token(TokenKind.Identifier, "a", 2)
+    assert node == AstNode(NodeKind.BitSelect, "", (AstNode(NodeKind.IdentRef, "a"),), "")
+    assert node != node._replace(qualifier="x")
+    assert len({node, AstNode(NodeKind.BitSelect, children=node.children)}) == 1
+    with pytest.raises(AttributeError):
+        tok.line = 2
+    with pytest.raises(AttributeError):
+        node.label = "b"
+
+
+# ---- expressions ----
+
+def rhs_of(expr_text):
+    root = parse_source(f"module m; assign y = {expr_text}; endmodule")
+    return root.children[0].children[1]
+
+
+def ident(name):
+    return AstNode(NodeKind.IdentRef, name)
+
+
+def binop(op, lhs, rhs):
+    return AstNode(NodeKind.BinaryOp, op, (lhs, rhs))
+
+
+def unop(op, operand):
+    return AstNode(NodeKind.UnaryOp, op, (operand,))
+
+
+a, b, c, d, e = (ident(name) for name in "abcde")
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("a - b - c", binop("-", binop("-", a, b), c)),
+    ("a ** b ** c", binop("**", binop("**", a, b), c)),
+    ("a ? b : c ? d : e",
+     AstNode(NodeKind.TernaryOp, "?:",
+             (a, b, AstNode(NodeKind.TernaryOp, "?:", (c, d, e))))),
+    ("-a ** b", binop("**", unop("-", a), b)),
+    ("&a | ~^b", binop("|", unop("&", a), unop("~^", b))),
+    ("a + 4 'b0101 * b",
+     binop("+", a, binop("*", AstNode(NodeKind.NumberLit, "4'b0101"), b))),
+])
+def test_expression_grouping(text, tree):
+    assert rhs_of(text) == tree
+
+
+# IEEE 1364-2005 Table 5-4: binary operators from the loosest binding to the
+# tightest. All of them group to the left; unary operators bind tighter
+# still, and ?: looser, grouping to the right.
+BINARY_LEVELS = [
+    ["||"], ["&&"], ["|"], ["^", "~^", "^~"], ["&"], ["==", "!=", "===", "!=="],
+    ["<", "<=", ">", ">="], ["<<", ">>", "<<<", ">>>"], ["+", "-"],
+    ["*", "/", "%"], ["**"],
+]
+LEVEL_OF = {op: 1 + i for i, ops in enumerate(BINARY_LEVELS) for op in ops}
+UNARY_LEVEL = len(BINARY_LEVELS) + 1
+UNARY_OPS = ["+", "-", "!", "~", "&", "~&", "|", "~|", "^", "~^", "^~"]
+
+
+def level(node):
+    if node.kind is NodeKind.TernaryOp:
+        return 0
+    if node.kind is NodeKind.BinaryOp:
+        return LEVEL_OF[node.label]
+    if node.kind is NodeKind.UnaryOp:
+        return UNARY_LEVEL
+    return UNARY_LEVEL + 1
+
+
+def render(node, full):
+    """Verilog text for an expression tree, with only the parentheses its
+    grouping needs or, if full, around every operand a parser could
+    otherwise regroup. Tokens are space-separated so that no two operators
+    lex as one."""
+    def sub(child, min_level=0):
+        text = render(child, full)
+        return f"( {text} )" if full or level(child) < min_level else text
+
+    kind, ch = node.kind, node.children
+    if kind in (NodeKind.IdentRef, NodeKind.NumberLit):
+        return node.label
+    if kind is NodeKind.UnaryOp:
+        return f"{node.label} {sub(ch[0], UNARY_LEVEL)}"
+    if kind is NodeKind.BinaryOp:
+        return f"{sub(ch[0], level(node))} {node.label} {sub(ch[1], level(node) + 1)}"
+    if kind is NodeKind.TernaryOp:
+        return f"{sub(ch[0], 1)} ? {sub(ch[1])} : {sub(ch[2])}"
+    # A select's base is an identifier or a select, never parenthesised.
+    if kind is NodeKind.BitSelect:
+        return f"{render(ch[0], full)} [ {sub(ch[1])} ]"
+    if kind is NodeKind.PartSelect:
+        return f"{render(ch[0], full)} [ {sub(ch[1])} {node.qualifier} {sub(ch[2])} ]"
+    if kind is NodeKind.Concat:
+        return "{ " + " , ".join(sub(part) for part in ch) + " }"
+    assert kind is NodeKind.Replicate
+    return "{ " + sub(ch[0]) + " " + render(ch[1], full) + " }"
+
+
+_leaves = st.one_of(
+    st.sampled_from("abcde").map(ident),
+    st.sampled_from(["0", "7", "4'b0101", "8'hff"]).map(
+        lambda text: AstNode(NodeKind.NumberLit, text)),
+)
+
+
+def _compound(operands):
+    bases = st.one_of(
+        st.sampled_from("abcde").map(ident),
+        st.tuples(st.sampled_from("abcde"), operands).map(
+            lambda t: AstNode(NodeKind.BitSelect, children=(ident(t[0]), t[1]))),
+    )
+    concats = st.lists(operands, min_size=1, max_size=3).map(
+        lambda parts: AstNode(NodeKind.Concat, children=tuple(parts)))
+    # A tier first, then one of its operators, so that every pair of tiers
+    # meets often; and half of the inner nodes binary.
+    binaries = st.tuples(st.sampled_from(BINARY_LEVELS).flatmap(st.sampled_from),
+                         operands, operands).map(lambda t: binop(*t))
+    return binaries | st.one_of(
+        st.tuples(st.sampled_from(UNARY_OPS), operands).map(lambda t: unop(*t)),
+        st.tuples(operands, operands, operands).map(
+            lambda t: AstNode(NodeKind.TernaryOp, "?:", t)),
+        st.tuples(bases, operands).map(
+            lambda t: AstNode(NodeKind.BitSelect, children=t)),
+        st.tuples(bases, operands, operands, st.sampled_from([":", "+:", "-:"])).map(
+            lambda t: AstNode(NodeKind.PartSelect, children=t[:3], qualifier=t[3])),
+        concats,
+        st.tuples(operands, concats).map(
+            lambda t: AstNode(NodeKind.Replicate, children=t)),
+    )
+
+
+expression_trees = st.recursive(_leaves, _compound, max_leaves=16)
+
+
+def test_every_pair_of_binary_operators_groups_by_level():
+    ops = sorted(LEVEL_OF)
+    for outer in ops:
+        for inner in ops:
+            for tree in (binop(outer, a, binop(inner, b, c)),
+                         binop(outer, binop(inner, a, b), c)):
+                text = render(tree, full=False)
+                assert rhs_of(text) == tree, text
+
+
+@settings(max_examples=300)
+@given(expression_trees)
+def test_expression_trees_round_trip(tree):
+    assert rhs_of(render(tree, full=False)) == tree
+    assert rhs_of(render(tree, full=True)) == tree
+
+
+# ---- errors at the end of input and past the nesting limit ----
+
+@pytest.mark.parametrize("tail,message", [
+    ("assign y = a &", "L2: unexpected '<eof>' in expression"),
+    ("assign y = (a", "L2: expected ')', got '<eof>'"),
+])
+def test_error_at_end_of_input_names_the_last_line(tail, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(f"module m(input a, output y);\n{tail}")
+    assert str(exc.value) == message
+    assert exc.value.line == 2
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_source("module m(input a, output y);\nassign y =\n"
+                     + "(" * 300 + "a" + ")" * 300 + ";\nendmodule")
+    assert str(exc.value) == "L3: nested too deeply"
+    assert not isinstance(exc.value, ParseUnsupported)
+
+
+def test_nesting_within_the_limit_parses():
+    assert rhs_of("(" * 50 + "a" + ")" * 50) == a

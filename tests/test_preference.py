@@ -22,7 +22,6 @@ from tbforge.preference import (
     build_pairs,
     code_line_count,
     evaluate_candidate,
-    ppo_reward,
     sample_candidates,
 )
 from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort
@@ -398,15 +397,6 @@ def test_with_fails_aborting_compiler_still_wins():
     pair = build_pair_with_fails("s", ev(0, aborted=True), ev(0, compile_ok=False))
     assert isinstance(pair, PreferencePair)
     assert pair.method is PairMethod.TestbenchWithFails
-
-
-# ---- rewards ----
-
-def test_ppo_reward_values():
-    assert ppo_reward(ev(3, total=5)) == pytest.approx(0.6)
-    assert ppo_reward(ev(0, compile_ok=False)) == 0.0
-    assert ppo_reward(ev(5, total=5)) == 1.0
-    assert ppo_reward(ev(0, aborted=True)) == 0.0
 
 
 # ---- randomized property suite ----

@@ -109,13 +109,15 @@ def check_unique_ids(rows: list[dict], key: str = "id") -> None:
 def load_testbench_rows(path) -> dict:
     """Testbench rows keyed by ``str(id)``, the form spec ids take in
     ``load_spec_code_pairs``, so ``5`` and ``"5"`` name the same row. A row
-    without an id or a tb, or a repeated id, is an input error
-    (ValueError)."""
+    without an id or a tb, a tb that is not a string, or a repeated id, is
+    an input error (ValueError)."""
     rows = []
     for lineno, row in iter_jsonl(path):
         for field in ("id", "tb"):
             if field not in row:
                 raise ValueError(f"{path}:{lineno}: testbench row missing field {field!r}")
+        if not isinstance(row["tb"], str):
+            raise ValueError(f"{path}:{lineno}: bad value for field 'tb': {row['tb']!r}")
         rows.append(row)
     check_unique_ids([{"id": str(row["id"])} for row in rows])
     return {str(row["id"]): row for row in rows}
@@ -194,9 +196,18 @@ def outcome_json(outcome) -> dict:
     raise TypeError(f"not a simulation outcome: {outcome!r}")
 
 
+def _string(value) -> str:
+    """A JSON string as is; any other value is rejected, not stringified."""
+    if not isinstance(value, str):
+        raise TypeError(f"not a string: {value!r}")
+    return value
+
+
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
-    """Spec/code rows with ids as strings, read as in ``read_fields``."""
+    """Spec/code rows, read as in ``read_fields``: ids as strings (integer
+    ids are valid), while a spec or code that is not a string is a bad
+    value."""
     pairs = [SpecCodePair(**row) for row in read_fields(
-        path, dict.fromkeys(("id", "spec", "code"), str), on_error=on_error)]
+        path, {"id": str, "spec": _string, "code": _string}, on_error=on_error)]
     check_unique_ids([{"id": p.id} for p in pairs])
     return pairs

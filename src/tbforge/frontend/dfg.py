@@ -35,7 +35,14 @@ class Dfg:
 
 
 def _ident_names(expr: AstNode) -> set[str]:
-    return {n.label for n in expr.walk() if n.kind is NodeKind.IdentRef}
+    names: set[str] = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node.kind is NodeKind.IdentRef:
+            names.add(node.label)
+        stack.extend(node.children)
+    return names
 
 
 def _lvalue_bases(lhs: AstNode) -> set[str]:

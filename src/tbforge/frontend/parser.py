@@ -33,6 +33,8 @@ raises ParseError "nested too deeply", never RecursionError.
 
 from __future__ import annotations
 
+from functools import partial
+
 from tbforge.errors import ParseError, ParseUnsupported
 from tbforge.frontend.ast_nodes import AstNode, NodeKind
 from tbforge.frontend.tokens import Token, TokenKind, lex
@@ -81,6 +83,10 @@ _BINARY_TIERS = [
 
 # Binary operator -> its tier in _BINARY_TIERS.
 _BINARY_TIER = {op: tier for tier, ops in enumerate(_BINARY_TIERS) for op in ops}
+
+# AstNode((kind, label, children, qualifier)) without the Python-level
+# AstNode.__new__, for the node kinds built once per operand or operator.
+_node = partial(tuple.__new__, AstNode)
 
 
 class _Parser:
@@ -363,8 +369,7 @@ class _Parser:
                 raise ParseError("unterminated event control", self.eof.line)
             parts.append(tok.text)
         self.expect(")")
-        text = " ".join(parts)
-        return "*" if text == "*" else text
+        return " ".join(parts)
 
     # -- statements --
 
@@ -553,19 +558,23 @@ class _Parser:
         min_tier or above with its right operand, which takes only
         operators of a higher tier, so equal tiers group to the left."""
         node = self._unary()
+        tokens = self.tokens
         while True:
-            op = self.cur().text
+            try:
+                op = tokens[self.pos].text
+            except IndexError:
+                return node
             tier = _BINARY_TIER.get(op)
             if tier is None or tier < min_tier:
                 return node
             self.pos += 1
-            node = AstNode(NodeKind.BinaryOp, op, (node, self._binary(tier + 1)))
+            node = _node((NodeKind.BinaryOp, op, (node, self._binary(tier + 1)), ""))
 
     def _unary(self) -> AstNode:
         tok = self.cur()
         if tok.text in _UNARY_OPS and tok.kind is TokenKind.Operator:
             self.pos += 1
-            return AstNode(NodeKind.UnaryOp, tok.text, (self._unary(),))
+            return _node((NodeKind.UnaryOp, tok.text, (self._unary(),), ""))
         return self._primary()
 
     def _primary(self) -> AstNode:
@@ -581,7 +590,7 @@ class _Parser:
             nxt = self.cur().text
             if nxt == "(":
                 raise ParseUnsupported(f"function call {tok.text!r}", tok.line)
-            node = AstNode(NodeKind.IdentRef, tok.text)
+            node = _node((NodeKind.IdentRef, tok.text, (), ""))
             return self._select_suffix(node) if nxt == "[" else node
 
         if kind is TokenKind.Number:
@@ -591,8 +600,8 @@ class _Parser:
             if (nxt.kind is TokenKind.Number and nxt.text.startswith("'")
                     and "'" not in tok.text):
                 self.pos += 1
-                return AstNode(NodeKind.NumberLit, tok.text + nxt.text)
-            return AstNode(NodeKind.NumberLit, tok.text)
+                return _node((NodeKind.NumberLit, tok.text + nxt.text, (), ""))
+            return _node((NodeKind.NumberLit, tok.text, (), ""))
 
         if tok.text == "(":
             self.pos += 1

@@ -487,6 +487,16 @@ def test_collect_pairs_testbench_row_without_id_exit_1(tmp_path):
     assert not pairs_out.exists()
 
 
+def test_collect_pairs_testbench_that_is_not_a_string_exit_1(tmp_path):
+    proc, pairs_out = _collect_with_testbench_rows(
+        tmp_path, [{"id": "design000", "tb": None}])
+    assert proc.returncode == 1
+    assert "error: " in proc.stderr
+    assert "tb.jsonl:1: bad value for field 'tb': None" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not pairs_out.exists()
+
+
 # ---- passk ----
 
 def write_task_results(path, rows):

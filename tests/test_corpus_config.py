@@ -14,6 +14,7 @@ from tbforge.config import (
 )
 from tbforge.corpus import (
     JsonlError,
+    SpecCodePair,
     check_unique_ids,
     iter_jsonl,
     load_spec_code_pairs,
@@ -70,6 +71,20 @@ def test_tolerant_loader_skips_and_reports(tmp_path):
     assert [n for n, _ in errors] == [2, 4]
     assert errors[0][1].startswith("bad JSON: ")
     assert errors[1][1] == "row missing field 'code'"
+
+
+def test_spec_loader_rejects_spec_or_code_that_is_not_a_string(tmp_path):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(
+        '{"id": 1, "spec": null, "code": "c"}\n'
+        '{"id": 2, "spec": "s", "code": ["x"]}\n'
+        '{"id": 3, "spec": "s", "code": "c"}\n',
+        encoding="utf-8")
+    errors = []
+    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append((n, m)))
+    assert pairs == [SpecCodePair(id="3", spec="s", code="c")]
+    assert errors == [(1, "bad value for field 'spec': None"),
+                      (2, "bad value for field 'code': ['x']")]
 
 
 @pytest.mark.parametrize("bad_line", ["...garbage...", '{"id": "b", "spec": "s"}'])

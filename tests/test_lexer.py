@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from tbforge.errors import LexError
 from tbforge.frontend import Token, TokenKind, lex
-from tbforge.frontend.tokens import render_tokens
 
 import cli_fixtures
 import fixture_data
@@ -131,6 +130,11 @@ def test_system_identifier_single_token():
     assert tokens[0].kind is TokenKind.Identifier
 
 
+def render_tokens(tokens):
+    """Join token texts with single spaces; re-lexing reproduces kinds+texts."""
+    return " ".join(t.text for t in tokens)
+
+
 def _roundtrip(source):
     tokens = lex(source)
     relexed = lex(render_tokens(tokens))
@@ -199,6 +203,11 @@ EDGE_SOURCES = [
     "a<<<b>>>c===d!==e**f<<g>>h<=i>=j==k!=l&&m||n~&o~|p~^q^~r[s+:t][u-:v]",
     "8'hFF 'sb1 4'b1x?z 16'hDEAD_BEEF 1.5 1_000 2 'd3 8 'o7",
     "\\escaped$id wire \\x[0] $display `define",
+    # "\d" matches any Unicode decimal digit, not only 0-9.
+    "x = \u0663 + 1;",
+    " \t\r\n\f \n",
+    "// only a comment, with no final newline",
+    "assign y = a;   ",
 ]
 
 
@@ -216,6 +225,14 @@ LEX_ERRORS = [
     ("wire w \x01;", "illegal character '\\x01'", 1, 8),
     ("/* two\nlines */ x = 8';", "illegal character \"'\"", 2, 15),
     ('s = "a\\\nb"; $', "illegal character '$'", 2, 5),
+    # Alone, these start no token, though longer texts that start with them do.
+    ("a = $ b;", "illegal character '$'", 1, 5),
+    ("a = ` b;", "illegal character '`'", 1, 5),
+    ("a = ' b;", "illegal character \"'\"", 1, 5),
+    # The space rule is [ \t\r\f], not \s.
+    ("a\n \vb", "illegal character '\\x0b'", 2, 2),
+    ("x /* two\n lines */ y \x01", "illegal character '\\x01'", 2, 13),
+    ("(* two\n lines *) wire w; \\", "stray backslash", 2, 19),
 ]
 
 

@@ -166,6 +166,15 @@ def _run_rows(items, work, jobs, client_factory):
         yield from zip(items, pool.map(guarded, items))
 
 
+def _make_output_dirs(*paths) -> None:
+    """Create the parent directory of each output path given. Commands call
+    it before their work, so a path whose directory cannot be made fails at
+    once, not after the batch; the files themselves are written at the end."""
+    for path in paths:
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 @click.group()
 @click.option("--verbose", is_flag=True, help="Log at debug level.")
 def cli(verbose):
@@ -214,6 +223,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                                      config.pipeline, llm=config.llm)
         return pipeline.run(pair)
 
+    _make_output_dirs(out_path, trace_path)
     trace_lines = []
     rows = []
     termination_counts: dict[str, int] = {}
@@ -304,6 +314,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
 
+    _make_output_dirs(out_path, evals_path)
     pair_rows = []
     eval_rows = []
     discard_counts: dict[str, int] = {}
@@ -360,6 +371,7 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
         raise ConfigError(f"bad --k list: {k_list!r}")
     if not ks:
         raise ConfigError("empty --k list")
+    _make_output_dirs(out_path)
 
     tasks = [TaskResults(**row) for row in corpus.read_fields(
         results_path, {"task": str, "n": int, "c_syntax": int, "c_function": int},
@@ -406,6 +418,7 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
         raise NonPositiveBeta(f"--beta must be > 0, got {beta}")
     if pairs_path is None and gradcheck_seeds is None:
         raise ConfigError("nothing to do: pass --pairs and/or --gradcheck")
+    _make_output_dirs(out_path)
 
     report = {"beta": beta}
     if pairs_path is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 
@@ -86,9 +85,6 @@ def write_jsonl(path, rows: Iterable[dict]) -> int:
     """Write rows as JSONL; returns the row count. Field order is preserved,
     so identical inputs produce byte-identical files."""
     count = 0
-    path = Path(path)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(json.dumps(row, ensure_ascii=False))
@@ -109,15 +105,19 @@ def check_unique_ids(rows: list[dict], key: str = "id") -> None:
 def load_testbench_rows(path) -> dict:
     """Testbench rows keyed by ``str(id)``, the form spec ids take in
     ``load_spec_code_pairs``, so ``5`` and ``"5"`` name the same row. A row
-    without an id or a tb, a tb that is not a string, or a repeated id, is
-    an input error (ValueError)."""
+    without an id or a tb, an id that is not a string or an integer, a tb
+    that is not a string, or a repeated id, is an input error (ValueError)."""
     rows = []
     for lineno, row in iter_jsonl(path):
         for field in ("id", "tb"):
             if field not in row:
                 raise ValueError(f"{path}:{lineno}: testbench row missing field {field!r}")
-        if not isinstance(row["tb"], str):
-            raise ValueError(f"{path}:{lineno}: bad value for field 'tb': {row['tb']!r}")
+        for field, check in (("id", _id), ("tb", _string)):
+            try:
+                check(row[field])
+            except TypeError:
+                raise ValueError(f"{path}:{lineno}: bad value for field {field!r}: "
+                                 f"{row[field]!r}") from None
         rows.append(row)
     check_unique_ids([{"id": str(row["id"])} for row in rows])
     return {str(row["id"]): row for row in rows}
@@ -203,11 +203,20 @@ def _string(value) -> str:
     return value
 
 
+def _id(value) -> str:
+    """A string or integer id as a string. Any other value, ``true``
+    included, is rejected: its text would join or collide with a string
+    id, as ``null`` would with ``"None"``."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(f"not a string or integer: {value!r}")
+    return str(value)
+
+
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
     """Spec/code rows, read as in ``read_fields``: ids as strings (integer
-    ids are valid), while a spec or code that is not a string is a bad
-    value."""
+    ids are valid), while an id that is neither, or a spec or code that is
+    not a string, is a bad value."""
     pairs = [SpecCodePair(**row) for row in read_fields(
-        path, {"id": str, "spec": _string, "code": _string}, on_error=on_error)]
+        path, {"id": _id, "spec": _string, "code": _string}, on_error=on_error)]
     check_unique_ids([{"id": p.id} for p in pairs])
     return pairs

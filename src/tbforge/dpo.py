@@ -159,17 +159,24 @@ def _seq_logprob_grad(policy: TabularPolicy, context_ids: Sequence[int],
     return grad
 
 
-def dpo_policy_grad(policy: TabularPolicy, ref: TabularPolicy,
-                    chosen: tuple[Sequence[int], Sequence[int]],
-                    rejected: tuple[Sequence[int], Sequence[int]],
-                    beta: float = DEFAULT_BETA) -> np.ndarray:
-    """Analytic gradient of the pair loss w.r.t. every policy logit."""
-    pair = PairLogProbs(
+def _pair_logprobs(policy: TabularPolicy, ref: TabularPolicy, chosen,
+                   rejected) -> PairLogProbs:
+    """The chosen and rejected sequences' log-probabilities under the policy
+    and the reference."""
+    return PairLogProbs(
         policy_chosen=sequence_logprob(policy, *chosen),
         ref_chosen=sequence_logprob(ref, *chosen),
         policy_rejected=sequence_logprob(policy, *rejected),
         ref_rejected=sequence_logprob(ref, *rejected),
     )
+
+
+def dpo_policy_grad(policy: TabularPolicy, ref: TabularPolicy,
+                    chosen: tuple[Sequence[int], Sequence[int]],
+                    rejected: tuple[Sequence[int], Sequence[int]],
+                    beta: float = DEFAULT_BETA) -> np.ndarray:
+    """Analytic gradient of the pair loss w.r.t. every policy logit."""
+    pair = _pair_logprobs(policy, ref, chosen, rejected)
     coeff_chosen, coeff_rejected = dpo_grad(pair, beta)
     return (coeff_chosen * _seq_logprob_grad(policy, *chosen)
             + coeff_rejected * _seq_logprob_grad(policy, *rejected))
@@ -177,13 +184,7 @@ def dpo_policy_grad(policy: TabularPolicy, ref: TabularPolicy,
 
 def _pair_loss_at(policy_logits: np.ndarray, ref: TabularPolicy, chosen, rejected,
                   beta: float) -> float:
-    policy = TabularPolicy(logits=policy_logits)
-    pair = PairLogProbs(
-        policy_chosen=sequence_logprob(policy, *chosen),
-        ref_chosen=sequence_logprob(ref, *chosen),
-        policy_rejected=sequence_logprob(policy, *rejected),
-        ref_rejected=sequence_logprob(ref, *rejected),
-    )
+    pair = _pair_logprobs(TabularPolicy(logits=policy_logits), ref, chosen, rejected)
     return dpo_loss([pair], beta)
 
 

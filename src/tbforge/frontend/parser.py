@@ -110,6 +110,13 @@ class _Parser:
     def at(self, text: str) -> bool:
         return self.cur().text == text
 
+    def accept(self, text: str) -> bool:
+        """Take the current token if its text is ``text``."""
+        if self.cur().text != text:
+            return False
+        self.pos += 1
+        return True
+
     def take(self) -> Token:
         tok = self.cur()
         self.pos += 1
@@ -146,14 +153,12 @@ class _Parser:
         name = self.expect_ident().text
         children: list[AstNode] = []
 
-        if self.at("#"):
-            self.take()
+        if self.accept("#"):
             self.expect("(")
             children.extend(self._header_params())
             self.expect(")")
 
-        if self.at("("):
-            self.take()
+        if self.accept("("):
             children.extend(self._port_list())
             self.expect(")")
 
@@ -171,21 +176,16 @@ class _Parser:
     def _header_params(self) -> list[AstNode]:
         params: list[AstNode] = []
         while not self.at(")"):
-            if self.at("parameter") or self.at("localparam"):
-                self.take()
-            if self.at("signed"):
-                self.take()
+            if not self.accept("parameter"):
+                self.accept("localparam")
+            self.accept("signed")
             if self.at("["):
                 self._skip_range()
             name = self.expect_ident().text
-            default: tuple[AstNode, ...] = ()
-            if self.at("="):
-                self.take()
-                default = (self._expr(),)
+            default = (self._expr(),) if self.accept("=") else ()
             params.append(AstNode(NodeKind.ParamDecl, label=name, children=default,
                                   qualifier="parameter"))
-            if self.at(","):
-                self.take()
+            self.accept(",")
         return params
 
     def _skip_range(self) -> None:
@@ -204,38 +204,30 @@ class _Parser:
         ports: list[AstNode] = []
         if self.at(")"):
             return ports
-        if self.cur().text in ("input", "output", "inout"):
-            direction = ""
-            rng: tuple[AstNode, ...] = ()
-            while True:
-                if self.cur().text in ("input", "output", "inout"):
-                    direction = self.take().text
-                    if self.cur().text in ("wire", "reg", "logic"):
-                        self.take()
-                    if self.at("signed"):
-                        self.take()
-                    rng = self._opt_range()
-                name = self.expect_ident().text
-                ports.append(AstNode(NodeKind.PortDecl, label=name, children=rng,
-                                     qualifier=direction))
-                if self.at(","):
-                    self.take()
-                    continue
-                break
-        else:
-            while True:
-                name = self.expect_ident().text
-                ports.append(AstNode(NodeKind.PortDecl, label=name))
-                if self.at(","):
-                    self.take()
-                    continue
-                break
-        return ports
+        direction = ""
+        rng: tuple[AstNode, ...] = ()
+        while True:
+            # A port without a direction carries over the previous port's;
+            # a list whose first port has none (non-ANSI) takes none later.
+            if self.cur().text in ("input", "output", "inout") and (direction or not ports):
+                direction, rng = self._port_header()
+            name = self.expect_ident().text
+            ports.append(AstNode(NodeKind.PortDecl, label=name, children=rng,
+                                 qualifier=direction))
+            if not self.accept(","):
+                return ports
+
+    def _port_header(self) -> tuple[str, tuple[AstNode, ...]]:
+        """A direction, an optional net type and ``signed``, and a range."""
+        direction = self.take().text
+        if self.cur().text in ("wire", "reg", "logic"):
+            self.take()
+        self.accept("signed")
+        return direction, self._opt_range()
 
     def _opt_range(self) -> tuple[AstNode, ...]:
-        if not self.at("["):
+        if not self.accept("["):
             return ()
-        self.take()
         msb = self._expr()
         self.expect(":")
         lsb = self._expr()
@@ -268,8 +260,7 @@ class _Parser:
 
     def _param_decls(self) -> list[AstNode]:
         flavor = self.take().text
-        if self.at("signed"):
-            self.take()
+        self.accept("signed")
         if self.at("["):
             self._skip_range()
         decls = []
@@ -279,53 +270,40 @@ class _Parser:
             value = self._expr()
             decls.append(AstNode(NodeKind.ParamDecl, label=name, children=(value,),
                                  qualifier=flavor))
-            if self.at(","):
-                self.take()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect(";")
         return decls
 
     def _port_decls(self) -> list[AstNode]:
-        direction = self.take().text
-        if self.cur().text in ("wire", "reg", "logic"):
-            self.take()
-        if self.at("signed"):
-            self.take()
-        rng = self._opt_range()
+        direction, rng = self._port_header()
         decls = []
         while True:
             name = self.expect_ident().text
             decls.append(AstNode(NodeKind.PortDecl, label=name, children=rng,
                                  qualifier=direction))
-            if self.at(","):
-                self.take()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect(";")
         return decls
 
     def _net_decls(self) -> list[AstNode]:
         net_type = self.take().text
-        if self.at("signed"):
-            self.take()
+        self.accept("signed")
         rng = self._opt_range()
         decls: list[AstNode] = []
         while True:
             name_tok = self.expect_ident()
             decls.append(AstNode(NodeKind.NetDecl, label=name_tok.text, children=rng,
                                  qualifier=net_type))
-            if self.at("="):
+            if self.accept("="):
                 if net_type != "wire":
                     raise ParseUnsupported("reg initializer", name_tok.line)
-                self.take()
                 rhs = self._expr()
                 lhs = AstNode(NodeKind.IdentRef, label=name_tok.text)
                 decls.append(AstNode(NodeKind.ContAssign, children=(lhs, rhs)))
-            if self.at(","):
-                self.take()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect(";")
         return decls
 
@@ -339,18 +317,15 @@ class _Parser:
             self.expect("=")
             rhs = self._expr()
             assigns.append(AstNode(NodeKind.ContAssign, children=(lhs, rhs)))
-            if self.at(","):
-                self.take()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect(";")
         return assigns
 
     def _always_block(self) -> AstNode:
         tok = self.expect("always")
-        if not self.at("@"):
+        if not self.accept("@"):
             raise ParseUnsupported("always block without event control", tok.line)
-        self.take()
         sensitivity = self._event_control()
         body = self._statement()
         if body is None:
@@ -358,8 +333,7 @@ class _Parser:
         return AstNode(NodeKind.AlwaysBlock, children=(body,), qualifier=sensitivity)
 
     def _event_control(self) -> str:
-        if self.at("*"):
-            self.take()
+        if self.accept("*"):
             return "*"
         self.expect("(")
         parts: list[str] = []
@@ -397,8 +371,7 @@ class _Parser:
     def _seq_block(self) -> AstNode:
         self.expect("begin")
         label = ""
-        if self.at(":"):
-            self.take()
+        if self.accept(":"):
             label = self.expect_ident().text
         stmts = []
         while not self.at("end"):
@@ -417,8 +390,7 @@ class _Parser:
         self.expect(")")
         then = self._statement() or AstNode(NodeKind.SeqBlock)
         children = [cond, then]
-        if self.at("else"):
-            self.take()
+        if self.accept("else"):
             otherwise = self._statement() or AstNode(NodeKind.SeqBlock)
             children.append(otherwise)
         return AstNode(NodeKind.IfStmt, children=tuple(children))
@@ -437,15 +409,12 @@ class _Parser:
         return AstNode(NodeKind.CaseStmt, children=(subject, *items), qualifier=flavor)
 
     def _case_item(self) -> AstNode:
-        if self.at("default"):
-            self.take()
-            if self.at(":"):
-                self.take()
+        if self.accept("default"):
+            self.accept(":")
             body = self._statement() or AstNode(NodeKind.SeqBlock)
             return AstNode(NodeKind.CaseItem, label="default", children=(body,))
         labels = [self._expr()]
-        while self.at(","):
-            self.take()
+        while self.accept(","):
             labels.append(self._expr())
         self.expect(":")
         body = self._statement() or AstNode(NodeKind.SeqBlock)
@@ -468,11 +437,9 @@ class _Parser:
         return AstNode(kind, children=(lhs, rhs))
 
     def _lvalue(self) -> AstNode:
-        if self.at("{"):
-            self.take()
+        if self.accept("{"):
             parts = [self._lvalue()]
-            while self.at(","):
-                self.take()
+            while self.accept(","):
                 parts.append(self._lvalue())
             self.expect("}")
             return AstNode(NodeKind.Concat, children=tuple(parts))
@@ -485,8 +452,7 @@ class _Parser:
     def _instance(self) -> AstNode:
         module_name = self.expect_ident().text
         params: list[AstNode] = []
-        if self.at("#"):
-            self.take()
+        if self.accept("#"):
             self.expect("(")
             params = self._override_list()
             self.expect(")")
@@ -503,21 +469,8 @@ class _Parser:
     def _override_list(self) -> list[AstNode]:
         overrides = []
         while not self.at(")"):
-            if self.at("."):
-                self.take()
-                name = self.expect_ident().text
-                self.expect("(")
-                value: tuple[AstNode, ...] = ()
-                if not self.at(")"):
-                    value = (self._expr(),)
-                self.expect(")")
-                overrides.append(AstNode(NodeKind.ParamDecl, label=name, children=value,
-                                         qualifier="override"))
-            else:
-                overrides.append(AstNode(NodeKind.ParamDecl, children=(self._expr(),),
-                                         qualifier="override"))
-            if self.at(","):
-                self.take()
+            overrides.append(self._binding(NodeKind.ParamDecl, "override"))
+            self.accept(",")
         return overrides
 
     def _connection_list(self) -> list[AstNode]:
@@ -525,22 +478,20 @@ class _Parser:
         if self.at(")"):
             return conns
         while True:
-            if self.at("."):
-                self.take()
-                name = self.expect_ident().text
-                self.expect("(")
-                expr: tuple[AstNode, ...] = ()
-                if not self.at(")"):
-                    expr = (self._expr(),)
-                self.expect(")")
-                conns.append(AstNode(NodeKind.PortConn, label=name, children=expr))
-            else:
-                conns.append(AstNode(NodeKind.PortConn, children=(self._expr(),)))
-            if self.at(","):
-                self.take()
-                continue
-            break
-        return conns
+            conns.append(self._binding(NodeKind.PortConn, ""))
+            if not self.accept(","):
+                return conns
+
+    def _binding(self, kind: NodeKind, qualifier: str) -> AstNode:
+        """A named ``.name(expr)``, whose expression may be empty, or a
+        positional ``expr``."""
+        if not self.accept("."):
+            return AstNode(kind, children=(self._expr(),), qualifier=qualifier)
+        name = self.expect_ident().text
+        self.expect("(")
+        value = () if self.at(")") else (self._expr(),)
+        self.expect(")")
+        return AstNode(kind, label=name, children=value, qualifier=qualifier)
 
     # -- expressions --
 
@@ -625,15 +576,13 @@ class _Parser:
             self.expect("}")
             return AstNode(NodeKind.Replicate, children=(first, inner))
         parts = [first]
-        while self.at(","):
-            self.take()
+        while self.accept(","):
             parts.append(self._expr())
         self.expect("}")
         return AstNode(NodeKind.Concat, children=tuple(parts))
 
     def _select_suffix(self, node: AstNode) -> AstNode:
-        while self.at("["):
-            self.take()
+        while self.accept("["):
             first = self._expr()
             if self.cur().text in (":", "+:", "-:"):
                 sep = self.take().text

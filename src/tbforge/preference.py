@@ -7,6 +7,13 @@ learning signal. Candidates that abort at runtime are discarded wherever a
 pass count or similarity is compared; the compile-status rule
 (tb-with-fails) looks at compile status alone, so a compiling-but-aborting
 candidate still beats one with syntax errors.
+
+Similarity rules score a spec's candidates in one pass before any pair is
+built: the reference code is brought to the method's form once, and each
+candidate that compiles and does not abort is scored against it once, when
+at least two such candidates exist. A candidate or reference that the
+frontend rejects has no score, and every pair that needs it is discarded as
+"parse".
 """
 
 from __future__ import annotations
@@ -201,43 +208,28 @@ def form_similarity(method: PairMethod, candidate, reference) -> SimilarityScore
     raise ValueError(f"not a similarity method: {method}")
 
 
-class _ReferenceScores:
-    """Similarity of each candidate of one spec to the spec's reference
-    code, indexed like the candidates. Each score is computed on first use
-    and at most once; so is the reference's form. None marks a candidate
-    that has no score because it or the reference is unscorable."""
-
-    def __init__(self, method: PairMethod, reference_code: str,
-                 evals: Sequence[CandidateEval]):
-        self._method = method
-        self._reference_code = reference_code
-        self._evals = evals
-        self._reference = None
-        self._reference_failed = False
-        self._scores: dict[int, float | None] = {}
-
-    def __getitem__(self, index: int) -> float | None:
-        if index not in self._scores:
-            self._scores[index] = self._score(self._evals[index].code)
-        return self._scores[index]
-
-    def _score(self, code: str) -> float | None:
-        if self._reference_failed:
-            return None
+def _reference_scores(method: PairMethod, reference_code: str,
+                      evals: Sequence[CandidateEval]) -> list[float | None]:
+    """Each candidate's similarity to the reference code, indexed like the
+    candidates. None marks a candidate that no pair compares, because it
+    failed to compile or aborted, and one that has no score, because it or
+    the reference is unscorable. The reference is formed once, and only when
+    at least two candidates can be compared."""
+    scores: list[float | None] = [None] * len(evals)
+    comparable = [i for i, e in enumerate(evals) if e.compile_ok and not e.aborted]
+    if len(comparable) < 2:
+        return scores
+    try:
+        reference = similarity_form(method, reference_code)
+    except _UNSCORABLE:
+        return scores
+    for i in comparable:
         try:
-            candidate = similarity_form(self._method, code)
+            candidate = similarity_form(method, evals[i].code)
+            scores[i] = form_similarity(method, candidate, reference).value
         except _UNSCORABLE:
-            return None
-        if self._reference is None:
-            try:
-                self._reference = similarity_form(self._method, self._reference_code)
-            except _UNSCORABLE:
-                self._reference_failed = True
-                return None
-        try:
-            return form_similarity(self._method, candidate, self._reference).value
-        except _UNSCORABLE:
-            return None
+            pass
+    return scores
 
 
 def build_pair_similarity(spec: str, a: CandidateEval, b: CandidateEval,
@@ -282,10 +274,11 @@ def build_pair_with_fails(spec: str, a: CandidateEval, b: CandidateEval) -> Pair
 def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],
                 method: PairMethod, cap: int = DEFAULT_PAIR_CAP) -> list[PairOutcome]:
     """All strict pairs over the candidate set, capped per spec. Under a
-    similarity method each candidate, and the reference, is scored at most
-    once, and only when a pair that passes the compile and abort checks
-    needs it."""
-    scores = _ReferenceScores(method, reference_code, evals)
+    similarity method, scoring is one pass before any pair is built: the
+    reference is formed once, and then each candidate that compiles and does
+    not abort is scored once, provided at least two such candidates exist."""
+    scores = (_reference_scores(method, reference_code, evals)
+              if method in SIMILARITY_METHODS else [])
     outcomes: list[PairOutcome] = []
     emitted = 0
     for (i, a), (j, b) in itertools.combinations(enumerate(evals), 2):
@@ -294,10 +287,7 @@ def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],
         elif method is PairMethod.TestbenchWithFails:
             outcome = build_pair_with_fails(spec, a, b)
         else:
-            outcome = _status_discard(a, b)
-            if outcome is None:
-                outcome = build_pair_similarity(spec, a, b, scores[i], scores[j],
-                                                method)
+            outcome = build_pair_similarity(spec, a, b, scores[i], scores[j], method)
         if isinstance(outcome, PreferencePair):
             if emitted >= cap:
                 continue

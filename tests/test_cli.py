@@ -114,6 +114,44 @@ def test_gen_testbench_trace_log(pipeline_workspace):
     assert "design000 [finish] ok" in content
 
 
+def test_gen_testbench_trace_log_in_a_new_directory(pipeline_workspace):
+    tmp_path, specs, config = pipeline_workspace
+    trace = tmp_path / "logs" / "trace.log"
+    proc = run_cli("gen-testbench", "--input", str(specs),
+                   "--out", str(tmp_path / "tb.jsonl"), "--config", str(config),
+                   "--trace-log", str(trace))
+    assert proc.returncode == 0, proc.stderr
+    assert "rows: 4  finished: 4" in proc.stdout
+    assert "design003 [finish] ok" in trace.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,option", [
+    ("gen-testbench", "--out"), ("gen-testbench", "--trace-log"),
+    ("collect-pairs", "--out"), ("collect-pairs", "--evals-out")])
+def test_output_under_a_regular_file_fails_before_any_chat_call(
+        pipeline_workspace, monkeypatch, capsys, command, option):
+    tmp_path, specs, config = pipeline_workspace
+    client = MockChatClient(["unused"])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    testbenches = tmp_path / "testbenches.jsonl"
+    testbenches.write_text("".join(json.dumps({"id": f"design{i:03d}", "tb": "t"}) + "\n"
+                                   for i in range(4)), encoding="utf-8")
+    inputs = (["--input", str(specs)] if command == "gen-testbench" else
+              ["--specs", str(specs), "--testbenches", str(testbenches),
+               "--method", "testbench"])
+    out = tmp_path / "out.jsonl"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    outputs = {"--out": str(out), option: str(blocker / "out.jsonl")}
+    code = cli.main([command, *inputs, "--config", str(config),
+                     *(arg for item in outputs.items() for arg in item)])
+    assert code == cli.EXIT_IO
+    assert "io error: " in capsys.readouterr().err
+    assert client.calls == []
+    assert not out.exists()
+
+
 def test_gen_testbench_bad_config_exit_1(pipeline_workspace):
     tmp_path, specs, config = pipeline_workspace
     config.write_text(config.read_text() + "\n[bogus]\nx = 1\n", encoding="utf-8")
@@ -497,6 +535,17 @@ def test_collect_pairs_testbench_that_is_not_a_string_exit_1(tmp_path):
     assert not pairs_out.exists()
 
 
+@pytest.mark.parametrize("bad_id", [None, {"a": 1}, True])
+def test_collect_pairs_testbench_id_that_is_not_a_string_or_integer_exit_1(tmp_path,
+                                                                        bad_id):
+    proc, pairs_out = _collect_with_testbench_rows(
+        tmp_path, [{"id": "design000", "tb": "t"}, {"id": bad_id, "tb": "t"}])
+    assert proc.returncode == 1
+    assert f"tb.jsonl:2: bad value for field 'id': {bad_id!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not pairs_out.exists()
+
+
 # ---- passk ----
 
 def write_task_results(path, rows):
@@ -610,6 +659,18 @@ def test_dpo_gradcheck(tmp_path):
     report = json.loads(proc.stdout)
     assert report["gradcheck"]["pass"] is True
     assert report["gradcheck"]["max_rel_error"] < 1e-5
+
+
+@pytest.mark.parametrize("command", ["passk", "dpo"])
+def test_report_out_in_a_new_directory(tmp_path, command):
+    results = tmp_path / "results.jsonl"
+    write_task_results(results, [{"task": "t", "c_syntax": 10, "c_function": 5}])
+    out = tmp_path / "reports" / "out.json"
+    args = (["passk", "--results", str(results), "--k", "1"] if command == "passk"
+            else ["dpo", "--gradcheck", "1"])
+    assert cli.main([*args, "--out", str(out)]) == cli.EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert ("results" if command == "passk" else "gradcheck") in report
 
 
 def test_dpo_nonpositive_beta_exit_1(tmp_path):

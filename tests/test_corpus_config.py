@@ -87,6 +87,22 @@ def test_spec_loader_rejects_spec_or_code_that_is_not_a_string(tmp_path):
                       (2, "bad value for field 'code': ['x']")]
 
 
+def test_spec_loader_rejects_an_id_that_is_not_a_string_or_integer(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    ids = [None, [1], True, 1.5, {"a": 1}, 7, "None"]
+    path.write_text("".join(json.dumps({"id": i, "spec": "s", "code": "c"}) + "\n"
+                            for i in ids), encoding="utf-8")
+    errors = []
+    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append((n, m)))
+    assert pairs == [SpecCodePair(id="7", spec="s", code="c"),
+                     SpecCodePair(id="None", spec="s", code="c")]
+    assert errors == [(1, "bad value for field 'id': None"),
+                      (2, "bad value for field 'id': [1]"),
+                      (3, "bad value for field 'id': True"),
+                      (4, "bad value for field 'id': 1.5"),
+                      (5, "bad value for field 'id': {'a': 1}")]
+
+
 @pytest.mark.parametrize("bad_line", ["...garbage...", '{"id": "b", "spec": "s"}'])
 def test_spec_loader_without_callback_raises(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"

@@ -409,3 +409,67 @@ def test_nesting_past_the_limit_is_a_parse_error():
 
 def test_nesting_within_the_limit_parses():
     assert rhs_of("(" * 50 + "a" + ")" * 50) == a
+
+
+# ---- list grammar: override, connection, port and header parameter lists ----
+
+def _instance(*children):
+    return AstNode(NodeKind.Module, label="m", children=(
+        AstNode(NodeKind.Instance, label="sub", children=children, qualifier="u"),))
+
+
+def _override(name, *value):
+    return AstNode(NodeKind.ParamDecl, label=name, children=value, qualifier="override")
+
+
+def _conn(name, *expr):
+    return AstNode(NodeKind.PortConn, label=name, children=expr)
+
+
+def _port(name, direction=""):
+    return AstNode(NodeKind.PortDecl, label=name, qualifier=direction)
+
+
+_x = AstNode(NodeKind.IdentRef, label="x")
+_four = AstNode(NodeKind.NumberLit, label="4")
+
+LIST_TREES = {
+    "module m;\nsub #() u (x);\nendmodule": _instance(_conn("", _x)),
+    "module m;\nsub #(4, ) u (x);\nendmodule": _instance(_override("", _four),
+                                                          _conn("", _x)),
+    "module m;\nsub #(.W(4) .D()) u (x);\nendmodule": _instance(
+        _override("W", _four), _override("D"), _conn("", _x)),
+    "module m;\nsub u ();\nendmodule": _instance(),
+    "module m;\nsub u (.a(x), .b());\nendmodule": _instance(_conn("a", _x), _conn("b")),
+    "module m(input a, b, output c);\nendmodule": AstNode(
+        NodeKind.Module, label="m",
+        children=(_port("a", "input"), _port("b", "input"), _port("c", "output"))),
+    "module m #(parameter W) ();\nendmodule": AstNode(
+        NodeKind.Module, label="m",
+        children=(AstNode(NodeKind.ParamDecl, label="W", qualifier="parameter"),)),
+    "module m #(parameter W = 4,\n  ) (a);\nendmodule": AstNode(
+        NodeKind.Module, label="m",
+        children=(AstNode(NodeKind.ParamDecl, label="W", children=(_four,),
+                          qualifier="parameter"), _port("a"))),
+}
+
+
+@pytest.mark.parametrize("source", LIST_TREES)
+def test_list_grammar_trees(source):
+    assert parse_source(source) == LIST_TREES[source]
+
+
+@pytest.mark.parametrize("source,message", [
+    # Connection lists take no trailing comma and need one between items.
+    ("module m;\nsub u (a, );\nendmodule", "L2: unexpected ')' in expression"),
+    ("module m;\nsub u (a b);\nendmodule", "L2: expected ')', got 'b'"),
+    # A non-ANSI port list takes no direction after its first port.
+    ("module m(a,\n  input b);\nendmodule", "L2: expected identifier, got 'input'"),
+    ("module m(input a,\n  );\nendmodule", "L2: expected identifier, got ')'"),
+])
+def test_list_grammar_errors(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(source)
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == message
+    assert exc.value.line == 2

@@ -9,6 +9,10 @@ Both run 2N rows, each making one backend call at a time, so one row's
 simulator call overlaps another row's chat call.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
+Outside input is checked where it enters: a bad row of ``--testbenches``,
+``passk --results`` or ``dpo --pairs`` is an IO error at its path and line,
+a bad spec row is logged and skipped, and a bad setting or flag is a config
+error before any chat call. A ValueError that reaches ``main`` is a bug.
 Per-row pipeline terminations are reported in the summary, never as a
 nonzero exit. A row that raises any other toolkit error is errored: it is
 left out of the outputs and counted in the summary, the other rows are still
@@ -288,19 +292,19 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
     specs = corpus.load_spec_code_pairs(
         specs_path, on_error=lambda lineno, msg: log.error(
             "[specs] line %s skipped: %s", lineno, msg))
-    tb_rows = corpus.load_testbench_rows(tb_path)
+    testbenches = corpus.load_testbench_rows(tb_path)
 
     sampling = config.sampling
     if n_candidates is not None:
         sampling = dataclasses.replace(sampling, n=n_candidates)
 
-    joined = [(spec, tb_rows[spec.id]) for spec in specs if spec.id in tb_rows]
+    joined = [(spec, testbenches[spec.id]) for spec in specs if spec.id in testbenches]
     missing = len(specs) - len(joined)
     if missing:
         log.info("[join] %d specs have no testbench and are skipped", missing)
 
     def run_row(item):
-        spec, tb_row = item
+        spec, tb = item
         simulator = simulator_factory()
         evals = []
         # Candidate k is evaluated before k+1 is requested, so the row makes
@@ -309,7 +313,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                           retries=config.llm.retries,
                           backoff=config.llm.backoff_seconds,
                           on_code=lambda code: evals.append(
-                              evaluate_candidate(code, tb_row["tb"], simulator)))
+                              evaluate_candidate(code, tb, simulator)))
         outcomes = build_pairs(spec.spec, spec.code, evals, pair_method,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
@@ -365,17 +369,17 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
               help="Write the metrics JSON here instead of stdout.")
 def cmd_passk(results_path, k_list, default_n, mode, out_path):
     """Unbiased pass@k over per-task outcome counts."""
-    try:
-        ks = [int(part) for part in k_list.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"bad --k list: {k_list!r}")
-    if not ks:
+    parts = [part.strip() for part in k_list.split(",") if part.strip()]
+    if not parts:
         raise ConfigError("empty --k list")
+    if not all(part.isdecimal() and int(part) >= 1 for part in parts):
+        raise ConfigError(f"bad --k list: {k_list!r}")
+    ks = [int(part) for part in parts]
     _make_output_dirs(out_path)
 
-    tasks = [TaskResults(**row) for row in corpus.read_fields(
+    tasks = corpus.read_fields(
         results_path, {"task": str, "n": int, "c_syntax": int, "c_function": int},
-        defaults={"n": default_n})]
+        make=TaskResults, defaults={"n": default_n})
 
     summary = {"mode": mode, "tasks": len(tasks), "results": {}}
     for k in ks:
@@ -414,8 +418,8 @@ def cmd_similarity(method, file_a, file_b):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
     """Preference-loss report and optional gradient check."""
-    if beta <= 0:
-        raise NonPositiveBeta(f"--beta must be > 0, got {beta}")
+    if not 0 < beta < float("inf"):
+        raise NonPositiveBeta(f"--beta must be > 0 and finite, got {beta}")
     if pairs_path is None and gradcheck_seeds is None:
         raise ConfigError("nothing to do: pass --pairs and/or --gradcheck")
     _make_output_dirs(out_path)
@@ -423,7 +427,7 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
     report = {"beta": beta}
     if pairs_path is not None:
         fields = {field.name: float for field in dataclasses.fields(PairLogProbs)}
-        batch = [PairLogProbs(**row) for row in corpus.read_fields(pairs_path, fields)]
+        batch = corpus.read_fields(pairs_path, fields, make=PairLogProbs)
         report["pairs"] = len(batch)
         report["mean_loss"] = dpo_loss(batch, beta=beta)
 
@@ -472,14 +476,10 @@ def main(argv=None) -> int:
     except (ToolMissing, TransportError) as exc:
         print(f"backend unavailable: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (corpus.JsonlError, OSError) as exc:
+    except (corpus.JsonlError, OSError, UnicodeDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TbforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        # e.g. duplicate ids or schema violations in input corpora
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
+from tbforge.corpus import json_string
 from tbforge.errors import ConfigError
 from tbforge.llm.client import HttpChatClient, LlmSettings, MockChatClient
 from tbforge.pipeline import PipelineConfig
@@ -57,12 +58,9 @@ def _typed(key: str, raw: str, hint):
     """Cast one non-empty INI value to its field's type."""
     if isinstance(hint, types.UnionType):  # ``T | None``: the value is a T
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    if hint == tuple[float, ...]:  # comma-separated sampling temperatures
-        try:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad sampling temperatures: {raw!r}") from exc
     try:
+        if hint == tuple[float, ...]:  # comma-separated sampling temperatures
+            return tuple(float(part) for part in raw.split(",") if part.strip())
         if hint is bool:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -77,11 +75,11 @@ def _typed(key: str, raw: str, hint):
 
 def load_config(path) -> Config:
     """Parse and validate the INI config; unknown sections/keys reject."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ConfigError(f"bad config file: {exc}") from exc
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -111,39 +109,36 @@ def load_config(path) -> Config:
 
 # -- backend factories --
 
-def _load_sim_script(path) -> list:
+def _load_script(path, backend: str, read_entry) -> list:
+    """A mock script: a nonempty JSON list, each entry read by ``read_entry``.
+    Any fault, a bad entry included, is a ConfigError that names the file."""
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad simulator mock script {path}: {exc}") from exc
-    script = []
-    for entry in entries:
-        kind = entry.get("kind")
-        if kind == "compile":
-            script.append("ok" if entry.get("ok", True)
-                          else CompileError(log=entry.get("log", "compile failed")))
-        elif kind == "run":
-            if "abort" in entry:
-                script.append(RuntimeAbort(reason=entry["abort"],
-                                           log=entry.get("log", "")))
-            else:
-                script.append(Report(total_cases=int(entry["total"]),
-                                     failures=int(entry["failures"])))
-        elif kind == "coverage":
-            script.append(float(entry["percent"]))
-        else:
-            raise ConfigError(f"unknown mock simulator entry kind {kind!r}")
-    return script
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("not a nonempty JSON list")
+        return [read_entry(entry) for entry in entries]
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        problem = f"entry lacks {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"bad {backend} mock script {path}: {problem}") from exc
 
 
-def _load_llm_script(path) -> list[str]:
-    try:
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"bad llm mock script {path}: {exc}") from exc
-    if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
-        raise ConfigError("llm mock script must be a JSON list of strings")
-    return entries
+def _sim_entry(entry):
+    if not isinstance(entry, dict):
+        raise TypeError(f"entry is not an object: {entry!r}")
+    kind = entry.get("kind")
+    if kind == "compile":
+        return "ok" if entry.get("ok", True) \
+            else CompileError(log=entry.get("log", "compile failed"))
+    if kind == "run":
+        if "abort" in entry:
+            return RuntimeAbort(reason=entry["abort"], log=entry.get("log", ""))
+        return Report(total_cases=int(entry["total"]), failures=int(entry["failures"]))
+    if kind == "coverage":
+        percent = float(entry["percent"])
+        if not 0 <= percent <= 100:
+            raise ValueError(f"coverage percent out of range: {percent}")
+        return percent
+    raise ValueError(f"unknown entry kind {kind!r}")
 
 
 def make_simulator_factory(config: Config):
@@ -151,7 +146,7 @@ def make_simulator_factory(config: Config):
     backends are fresh per call so each pipeline row replays the script
     from the top."""
     if config.simulator.backend == "mock":
-        script = _load_sim_script(config.simulator.mock_script)
+        script = _load_script(config.simulator.mock_script, "simulator", _sim_entry)
         return lambda: MockSimulator(list(script))
     shared = CommandSimulator(config.simulator)
     return lambda: shared
@@ -173,7 +168,7 @@ def make_chat_client_factory(config: Config) -> ChatClientFactory:
     """Mock clients are fresh per call, like mock simulators; every call
     shares one HTTP client and its pool of idle connections."""
     if config.llm.backend == "mock":
-        script = _load_llm_script(config.llm.mock_script)
+        script = _load_script(config.llm.mock_script, "llm", json_string)
         return ChatClientFactory(lambda: MockChatClient(list(script)))
     if not config.llm.endpoint:
         raise ConfigError("llm backend http needs an endpoint URL")

@@ -2,7 +2,8 @@
 
 Every dataset is a JSONL file: one UTF-8 JSON object per line, unique ids
 per file. JSONL keeps long batch runs streamable and append-safe, and
-fixture diffs readable.
+fixture diffs readable. ``read_fields`` reads every row file, and reports a
+bad row, a repeated id included, at its line.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ class JsonlError(ValueError):
 
 
 def iter_jsonl(path, on_error=None) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, object) pairs. A malformed line raises JsonlError, or,
-    when on_error is given, is reported as on_error(lineno, message) and
-    skipped."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Yield (lineno, object) pairs. A malformed line, one that is not UTF-8
+    included, raises JsonlError, or, when on_error is given, is reported as
+    on_error(lineno, message) and skipped."""
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line.decode("utf-8"))
             except ValueError as exc:
                 problem = f"bad JSON: {exc}"
             else:
@@ -51,34 +52,43 @@ def read_jsonl(path) -> list[dict]:
     return [obj for _, obj in iter_jsonl(path)]
 
 
-def read_fields(path, casts: dict[str, Callable], defaults: dict | None = None,
-                on_error=None) -> list[dict]:
-    """Each row as ``{field: cast(row[field])}`` for the fields of ``casts``,
-    a missing field taking its value from ``defaults``. A malformed line, a
-    row missing a field with no default, or a value its cast rejects raises
-    JsonlError, or, when on_error is given, is reported as
-    on_error(lineno, message) and skipped, as in ``iter_jsonl``."""
+def read_fields(path, casts: dict[str, Callable], make: Callable = dict,
+                defaults: dict | None = None, on_error=None) -> list:
+    """Each row as ``make(**{field: cast(row[field])})`` for the fields of
+    ``casts``, a missing field taking its value from ``defaults``; an ``id``
+    field is the row's key, compared after its cast. A malformed line, a
+    missing field with no default, a value its cast rejects, a ValueError
+    from ``make`` or a repeated id raises JsonlError, or, when on_error is
+    given, is reported as on_error(lineno, message) and skipped."""
     defaults = defaults or {}
-    rows = []
-    for lineno, obj in iter_jsonl(path, on_error):
-        row, problem = {}, None
+    records, ids = [], set()
+
+    def accept(obj) -> str | None:  # the problem that keeps obj's record out
+        row = {}
         for field, cast in casts.items():
             if field not in obj and field not in defaults:
-                problem = f"row missing field {field!r}"
-                break
+                return f"row missing field {field!r}"
             value = obj.get(field, defaults.get(field))
             try:
                 row[field] = cast(value)
             except (TypeError, ValueError, OverflowError):
-                problem = f"bad value for field {field!r}: {value!r}"
-                break
+                return f"bad value for field {field!r}: {value!r}"
+        if "id" in row and row["id"] in ids:
+            return f"duplicate id {row['id']!r}"
+        try:
+            records.append(make(**row))
+        except ValueError as exc:
+            return f"bad row: {exc}"
+        ids.add(row.get("id"))
+
+    for lineno, obj in iter_jsonl(path, on_error):
+        problem = accept(obj)
         if problem is None:
-            rows.append(row)
-        elif on_error is None:
+            continue
+        if on_error is None:
             raise JsonlError(path, lineno, problem)
-        else:
-            on_error(lineno, problem)
-    return rows
+        on_error(lineno, problem)
+    return records
 
 
 def write_jsonl(path, rows: Iterable[dict]) -> int:
@@ -93,34 +103,11 @@ def write_jsonl(path, rows: Iterable[dict]) -> int:
     return count
 
 
-def check_unique_ids(rows: list[dict], key: str = "id") -> None:
-    seen = set()
-    for row in rows:
-        value = row.get(key)
-        if value in seen:
-            raise ValueError(f"duplicate {key} in corpus: {value!r}")
-        seen.add(value)
-
-
-def load_testbench_rows(path) -> dict:
-    """Testbench rows keyed by ``str(id)``, the form spec ids take in
-    ``load_spec_code_pairs``, so ``5`` and ``"5"`` name the same row. A row
-    without an id or a tb, an id that is not a string or an integer, a tb
-    that is not a string, or a repeated id, is an input error (ValueError)."""
-    rows = []
-    for lineno, row in iter_jsonl(path):
-        for field in ("id", "tb"):
-            if field not in row:
-                raise ValueError(f"{path}:{lineno}: testbench row missing field {field!r}")
-        for field, check in (("id", _id), ("tb", _string)):
-            try:
-                check(row[field])
-            except TypeError:
-                raise ValueError(f"{path}:{lineno}: bad value for field {field!r}: "
-                                 f"{row[field]!r}") from None
-        rows.append(row)
-    check_unique_ids([{"id": str(row["id"])} for row in rows])
-    return {str(row["id"]): row for row in rows}
+def load_testbench_rows(path) -> dict[str, str]:
+    """Each row's tb keyed by its id, a string as in ``load_spec_code_pairs``
+    (``5`` and ``"5"`` are one id); any bad row raises, as in ``read_fields``."""
+    return {row["id"]: row["tb"]
+            for row in read_fields(path, {"id": _id, "tb": json_string})}
 
 
 def testbench_row(pair_id: str, record) -> dict:
@@ -196,10 +183,12 @@ def outcome_json(outcome) -> dict:
     raise TypeError(f"not a simulation outcome: {outcome!r}")
 
 
-def _string(value) -> str:
-    """A JSON string as is; any other value is rejected, not stringified."""
+def json_string(value) -> str:
+    """A JSON string as is; any other value is rejected, not stringified, as
+    is a string with a lone surrogate escape, which no output could hold."""
     if not isinstance(value, str):
         raise TypeError(f"not a string: {value!r}")
+    value.encode("utf-8")  # UnicodeEncodeError, a ValueError, for a surrogate
     return value
 
 
@@ -209,14 +198,12 @@ def _id(value) -> str:
     id, as ``null`` would with ``"None"``."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"not a string or integer: {value!r}")
-    return str(value)
+    return json_string(str(value))
 
 
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
     """Spec/code rows, read as in ``read_fields``: ids as strings (integer
     ids are valid), while an id that is neither, or a spec or code that is
-    not a string, is a bad value."""
-    pairs = [SpecCodePair(**row) for row in read_fields(
-        path, {"id": _id, "spec": _string, "code": _string}, on_error=on_error)]
-    check_unique_ids([{"id": p.id} for p in pairs])
-    return pairs
+    not a string, is a bad value, and a repeated id a bad row."""
+    return read_fields(path, {"id": _id, "spec": json_string, "code": json_string},
+                       make=SpecCodePair, on_error=on_error)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 from urllib.parse import unquote, urlsplit
 
+from tbforge.corpus import json_string
 from tbforge.errors import (
     ConfigError,
     RateLimited,
@@ -99,30 +100,33 @@ class HttpChatClient:
 
     def __init__(self, settings: LlmSettings):
         self.settings = settings
-        url = urlsplit(settings.endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise ConfigError(
-                f"llm endpoint must be an http(s) URL, got {settings.endpoint!r}")
-        self._context = ssl.create_default_context() if url.scheme == "https" else None
-        self._address = (url.hostname, url.port)
-        self._tunnel = None
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._headers = {"Content-Type": "application/json", "User-Agent": "tbforge"}
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
-            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            proxy_headers = {}
-            if proxy.username:
-                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
-                proxy_headers["Proxy-Authorization"] = \
-                    "Basic " + base64.b64encode(credentials.encode()).decode()
-            if self._context:
-                # TLS to the endpoint runs inside a CONNECT tunnel.
-                self._tunnel = (url.hostname, url.port, proxy_headers)
-            else:
-                self._path = settings.endpoint
-                self._headers.update(proxy_headers)
-            self._address = (proxy.hostname, proxy.port)
+        try:  # a malformed port or IPv6 host, in the endpoint or a proxy URL
+            url = urlsplit(settings.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigError(
+                    f"llm endpoint must be an http(s) URL, got {settings.endpoint!r}")
+            self._context = ssl.create_default_context() if url.scheme == "https" else None
+            self._address = (url.hostname, url.port)
+            self._tunnel = None
+            self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+            self._headers = {"Content-Type": "application/json", "User-Agent": "tbforge"}
+            proxy = urllib.request.getproxies().get(url.scheme)
+            if proxy and not urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+                proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                proxy_headers = {}
+                if proxy.username:
+                    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                    proxy_headers["Proxy-Authorization"] = \
+                        "Basic " + base64.b64encode(credentials.encode()).decode()
+                if self._context:
+                    # TLS to the endpoint runs inside a CONNECT tunnel.
+                    self._tunnel = (url.hostname, url.port, proxy_headers)
+                else:
+                    self._path = settings.endpoint
+                    self._headers.update(proxy_headers)
+                self._address = (proxy.hostname, proxy.port)
+        except ValueError as exc:
+            raise ConfigError(f"bad llm endpoint or proxy URL: {exc}") from None
         self._lock = threading.Lock()
         self._idle: list[http.client.HTTPConnection] = []
 
@@ -186,6 +190,9 @@ class HttpChatClient:
         headers = dict(self._headers)
         api_key = os.environ.get(self.settings.api_key_env, "")
         if api_key:
+            if not (api_key.isascii() and api_key.isprintable()):
+                raise ConfigError(f"{self.settings.api_key_env} holds a character "
+                                  "that is not printable ASCII")
             headers["Authorization"] = f"Bearer {api_key}"
 
         status, body = self._post(json.dumps(payload).encode("utf-8"), headers)
@@ -199,7 +206,7 @@ class HttpChatClient:
             raise error(f"chat endpoint rejected request ({status}): "
                         f"{body.decode('utf-8', 'replace')[:200]}")
         try:
-            return json.loads(body)["choices"][0]["message"]["content"]
+            return json_string(json.loads(body)["choices"][0]["message"]["content"])
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {exc}") from exc
 

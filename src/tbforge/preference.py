@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
 
-from tbforge.errors import EmptyInput, LexError, ParseError
+from tbforge.errors import ConfigError, EmptyInput, LexError, ParseError
 from tbforge.frontend import extract_dfg, lex, parse_module
 from tbforge.llm.client import ChatRequest, Message, complete
 from tbforge.llm.postprocess import extract_code_block
@@ -97,10 +97,12 @@ class SamplingParams:
     max_tokens: int = 4096
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least two candidates per spec")
-        if not self.temperatures:
-            raise ValueError("need at least one sampling temperature")
+        temperatures_ok = bool(self.temperatures) and min(self.temperatures) >= 0
+        for key, ok, rule in (("n", self.n >= 2, ">= 2"),
+                              ("temperatures", temperatures_ok, "one or more values >= 0"),
+                              ("max_tokens", self.max_tokens >= 1, ">= 1")):
+            if not ok:
+                raise ConfigError(f"sampling {key} must be {rule}")
 
 
 def sample_candidates(client, spec: str, params: SamplingParams | None = None, *,

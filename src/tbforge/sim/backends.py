@@ -89,9 +89,9 @@ class CommandSimulator:
         """Run one command; raises subprocess.TimeoutExpired past the
         configured timeout."""
         argv = [part.format(**paths) for part in shlex.split(template)]
-        try:
+        try:  # a byte that is not UTF-8 must not cost the log
             proc = subprocess.run(
-                argv, capture_output=True, text=True,
+                argv, capture_output=True, encoding="utf-8", errors="replace",
                 timeout=self.config.timeout, cwd=paths["workdir"],
             )
         except FileNotFoundError as exc:
@@ -184,7 +184,7 @@ class MockSimulator:
             return None
         if isinstance(entry, CompileError):
             return entry
-        raise ValueError(f"mock script expected compile entry, got {entry!r}")
+        raise ConfigError(f"mock script expected compile entry, got {entry!r}")
 
     def run_test(self, dut: str, tb: str) -> SimOutcome:
         error = self.compile(dut, tb)
@@ -193,7 +193,7 @@ class MockSimulator:
         entry = self._next("run")
         if isinstance(entry, (Report, RuntimeAbort)):
             return entry
-        raise ValueError(f"mock script expected run entry, got {entry!r}")
+        raise ConfigError(f"mock script expected run entry, got {entry!r}")
 
     def coverage(self, dut: str, tb: str) -> CoverageReport:
         entry = self._next("coverage")
@@ -208,4 +208,4 @@ class MockSimulator:
             return CoverageReport(module_name="mock", total_lines=10000,
                                   covered_lines=covered, percent=float(entry),
                                   text=text)
-        raise ValueError(f"mock script expected coverage entry, got {entry!r}")
+        raise ConfigError(f"mock script expected coverage entry, got {entry!r}")

@@ -9,6 +9,7 @@ The mock backend replays a JSON script instead of running commands.
 
 from __future__ import annotations
 
+import shlex
 from dataclasses import dataclass
 
 from tbforge.errors import ConfigError
@@ -29,15 +30,20 @@ class SimulatorConfig:
     def __post_init__(self):
         if self.timeout <= 0:
             raise ConfigError("simulator timeout must be > 0")
-        for placeholder in ("{dut}", "{tb}", "{out}"):
-            if placeholder not in self.compile_command:
-                raise ConfigError(f"compile_command missing {placeholder}")
-        if "{out}" not in self.run_command:
-            raise ConfigError("run_command missing {out}")
-        if self.coverage_command is not None:
-            for placeholder in ("{dut}", "{tb}"):
-                if placeholder not in self.coverage_command:
-                    raise ConfigError(f"coverage_command missing {placeholder}")
+        for key, placeholders in (("compile_command", ("{dut}", "{tb}", "{out}")),
+                                  ("run_command", ("{out}",)),
+                                  ("coverage_command", ("{dut}", "{tb}"))):
+            template = getattr(self, key)
+            if template is None:
+                continue
+            for placeholder in placeholders:
+                if placeholder not in template:
+                    raise ConfigError(f"{key} missing {placeholder}")
+            try:  # as CommandSimulator splits and fills it for each call
+                for part in shlex.split(template):
+                    part.format(dut="", tb="", out="", workdir="")
+            except (ValueError, LookupError, AttributeError) as exc:
+                raise ConfigError(f"bad {key} {template!r}: {exc}") from None
         if self.backend not in ("command", "mock"):
             raise ConfigError(
                 f"simulator backend must be command or mock, got {self.backend!r}")

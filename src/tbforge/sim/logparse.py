@@ -87,8 +87,8 @@ def parse_coverage(report: str) -> CoverageReport:
     The TOTAL row carries total/covered/percent; lines prefixed ``1/1`` are
     covered and ``0/1 ==>`` uncovered, keyed by their 1-based position in
     the report text. Raises UnparseableReport when the TOTAL row is absent
-    or its percent disagrees with covered/total by more than half a unit
-    in the percent's last printed decimal place.
+    or out of range, or its percent disagrees with covered/total by more
+    than half a unit in the percent's last printed decimal place.
     """
     module_name = ""
     total_row = None
@@ -111,6 +111,9 @@ def parse_coverage(report: str) -> CoverageReport:
         raise UnparseableReport("no TOTAL row in coverage report")
     total, covered = int(total_row.group(1)), int(total_row.group(2))
     printed = Fraction(total_row.group(3))
+    if covered > total or printed > 100:
+        raise UnparseableReport(
+            f"TOTAL row {covered}/{total} at {total_row.group(3)}% is out of range")
     tolerance = Fraction(1, 2 * 10 ** len(total_row.group(4) or ""))
     if total > 0 and abs(Fraction(100 * covered, total) - printed) > tolerance:
         raise UnparseableReport(

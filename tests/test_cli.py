@@ -246,7 +246,151 @@ def test_batch_fatal_errors_are_the_ones_every_row_would_hit():
     assert set(cli._BATCH_FATAL) == {ConfigError, RequestRejected, ToolMissing}
 
 
+def _fake_tools(tmp_path, **scripts):
+    """Executable shell scripts under tmp_path, one per keyword: name=body."""
+    for name, body in scripts.items():
+        tool = tmp_path / name
+        tool.write_text("#!/bin/sh\n" + body, encoding="utf-8")
+        tool.chmod(0o755)
+    return tmp_path
+
+
+def test_gen_testbench_spec_with_a_repeated_id_is_skipped(pipeline_workspace):
+    tmp_path, specs, config = pipeline_workspace
+    rows = specs.read_text(encoding="utf-8").splitlines()
+    specs.write_text("\n".join(rows[:3] + [rows[0]]) + "\n", encoding="utf-8")
+    out = tmp_path / "tb.jsonl"
+    proc = run_cli("gen-testbench", "--input", str(specs), "--out", str(out),
+                   "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+    assert "skipped_input_lines: 1" in proc.stdout
+    assert "[input] line 4 skipped: duplicate id 'design000'" in proc.stderr
+    assert [row["id"] for row in read_jsonl(out)] == \
+        ["design000", "design001", "design002"]
+
+
+def test_gen_testbench_coverage_above_100_percent_errors_only_its_row(tmp_path):
+    specs = tmp_path / "specs.jsonl"
+    specs.write_text("".join(json.dumps({
+        "id": f"design{i:03d}", "spec": f"Spec {i}.",
+        "code": AUDIO_ENCODER_DUT + ("// over\n" if i == 1 else "")}) + "\n"
+        for i in range(3)), encoding="utf-8")
+    llm_script, _ = write_pipeline_scripts(tmp_path)
+    tools = _fake_tools(
+        tmp_path,
+        cover='echo "Line Coverage for Module : m"\n'
+              'if grep -q "// over" "$1"; then echo "TOTAL 2 3 150"; '
+              'else echo "TOTAL 3 3 100.0"; fi\n',
+        run='echo "Test Case 1. Expected 1"\necho "Test Case 1. Actual 1"\n'
+            'echo "Your Design Passed"\n')
+    config = tmp_path / "config.ini"
+    config.write_text(
+        f"[llm]\nbackend = mock\nmock_script = {llm_script}\n\n"
+        "[simulator]\ncompile_command = true {out} {dut} {tb}\n"
+        f"run_command = {tools}/run {{out}}\n"
+        f"coverage_command = {tools}/cover {{dut}} {{tb}}\n", encoding="utf-8")
+    out = tmp_path / "tb.jsonl"
+    proc = run_cli("gen-testbench", "--input", str(specs), "--out", str(out),
+                   "--config", str(config), "--jobs", "2")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "rows: 3  finished: 2  terminated: 0  errored: 1" in proc.stdout
+    assert proc.stderr.endswith("error: TOTAL row 3/2 at 150% is out of range\n")
+    assert [row["id"] for row in read_jsonl(out)] == ["design000", "design002"]
+
+
 # ---- collect-pairs ----
+
+def test_collect_pairs_simulator_output_that_is_not_utf8_still_parses(tmp_path):
+    specs = tmp_path / "specs.jsonl"
+    rows = write_spec_rows(specs, 3)
+    testbenches = tmp_path / "tb.jsonl"
+    testbenches.write_text("".join(json.dumps({
+        "id": row["id"], "tb": "module tb; // raw\nendmodule" if i == 1 else
+        "module tb; endmodule"}) + "\n" for i, row in enumerate(rows)),
+        encoding="utf-8")
+    llm_script, _ = write_collect_scripts(tmp_path)
+    # Candidate A fails one case of two, B both; the row whose testbench
+    # says "raw" prints a byte that is not UTF-8 inside a case line.
+    tools = _fake_tools(tmp_path, run=(
+        "fails=1\ngrep -q '~audio_in' dut.v && fails=2\n"
+        'echo "Test Case 1. Expected 1"\n'
+        "if grep -q raw tb.v; then printf 'Test Case 1. Actual \\377\\n'; "
+        'else echo "Test Case 1. Actual 0"; fi\n'
+        'echo "Test Case 2. Expected 1"\necho "Test Case 2. Actual 0"\n'
+        'echo "Test with $fails failures"\n'))
+    config = tmp_path / "config.ini"
+    config.write_text(
+        f"[llm]\nbackend = mock\nmock_script = {llm_script}\n\n"
+        "[simulator]\ncompile_command = true {out} {dut} {tb}\n"
+        f"run_command = {tools}/run {{out}}\n", encoding="utf-8")
+    pairs_out, evals_out = tmp_path / "pairs.jsonl", tmp_path / "evals.jsonl"
+    proc = run_cli("collect-pairs", "--specs", str(specs),
+                   "--testbenches", str(testbenches), "--out", str(pairs_out),
+                   "--evals-out", str(evals_out), "--method", "testbench",
+                   "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+    assert "specs: 3  pairs: 3  discards: 0  errored: 0" in proc.stdout
+    assert [row["id"] for row in read_jsonl(pairs_out)] == \
+        ["design000#0", "design001#0", "design002#0"]
+    assert [(row["passed"], row["total"]) for row in read_jsonl(evals_out)] == \
+        [(1, 2), (0, 2)] * 3
+
+
+@pytest.mark.parametrize("section,line,message", [
+    ("sampling", "temperatures = 0.2, -0.5",
+     "sampling temperatures must be one or more values >= 0"),
+    ("sampling", "max_tokens = 0", "sampling max_tokens must be >= 1"),
+    ("simulator", 'compile_command = cc "-o {out} {dut} {tb}',
+     """bad compile_command 'cc "-o {out} {dut} {tb}': No closing quotation"""),
+    ("simulator", "run_command = run {out} {log}",
+     "bad run_command 'run {out} {log}': 'log'"),
+])
+def test_bad_setting_fails_before_any_chat_call(tmp_path, monkeypatch, capsys,
+                                                section, line, message):
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 4)
+    config = tmp_path / "config.ini"
+    config.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    client = MockChatClient([CANDIDATE_A, CANDIDATE_B])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    testbenches = tmp_path / "testbenches.jsonl"
+    testbenches.write_text("".join(json.dumps({"id": f"design{i:03d}", "tb": "t"}) + "\n"
+                                   for i in range(4)), encoding="utf-8")
+    assert cli.main(["collect-pairs", "--specs", str(specs), "--testbenches",
+                     str(testbenches), "--out", str(tmp_path / "pairs.jsonl"),
+                     "--method", "testbench", "--config", str(config)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert client.calls == []
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
+@pytest.mark.parametrize("backend,script,problem", [
+    ("simulator", ["ok"], "entry is not an object: 'ok'"),
+    ("simulator", [{"kind": "run", "failures": 1}], "entry lacks 'total'"),
+    ("simulator", [{"kind": "run", "total": 1, "failures": 2}],
+     "failures exceed total_cases"),
+    ("simulator", [{"kind": "coverage", "percent": 150}],
+     "coverage percent out of range: 150.0"),
+    ("simulator", [{"kind": "link"}], "unknown entry kind 'link'"),
+    ("simulator", [], "not a nonempty JSON list"),
+    ("llm", [], "not a nonempty JSON list"),
+    ("llm", ["ok", 1], "not a string: 1"),
+])
+def test_bad_mock_script_is_a_config_error_naming_it(pipeline_workspace, backend,
+                                                     script, problem):
+    tmp_path, specs, config = pipeline_workspace
+    path = tmp_path / ("sim_pipeline.json" if backend == "simulator"
+                       else "llm_pipeline.json")
+    path.write_text(json.dumps(script), encoding="utf-8")
+    out = tmp_path / "tb.jsonl"
+    proc = run_cli("gen-testbench", "--input", str(specs), "--out", str(out),
+                   "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: bad {backend} mock script {path}: {problem}\n"
+    assert not out.exists()
+
 
 @pytest.fixture
 def collected(tmp_path):
@@ -493,8 +637,8 @@ def test_collect_pairs_duplicate_testbench_id_exit_1(tmp_path):
     proc, pairs_out = _collect_with_testbench_rows(
         tmp_path, [{"id": "design000", "tb": "first"},
                    {"id": "design000", "tb": "second"}])
-    assert proc.returncode == 1
-    assert "error: duplicate id in corpus: 'design000'" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: {tmp_path / 'tb.jsonl'}:2: duplicate id 'design000'\n"
     assert not pairs_out.exists()
 
 
@@ -510,17 +654,16 @@ def test_collect_pairs_integer_and_string_testbench_id_exit_1(tmp_path):
     proc, pairs_out = _collect_with_testbench_rows(
         tmp_path, [{"id": 5, "tb": "first"}, {"id": "5", "tb": "second"}],
         spec_id=5)
-    assert proc.returncode == 1
-    assert "error: duplicate id in corpus: '5'" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: {tmp_path / 'tb.jsonl'}:2: duplicate id '5'\n"
     assert not pairs_out.exists()
 
 
 def test_collect_pairs_testbench_row_without_id_exit_1(tmp_path):
     proc, pairs_out = _collect_with_testbench_rows(
         tmp_path, [{"id": "design000", "tb": "t"}, {"tb": "no id"}])
-    assert proc.returncode == 1
-    assert "error: " in proc.stderr
-    assert "tb.jsonl:2: testbench row missing field 'id'" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: {tmp_path / 'tb.jsonl'}:2: row missing field 'id'\n"
     assert "Traceback" not in proc.stderr
     assert not pairs_out.exists()
 
@@ -528,9 +671,9 @@ def test_collect_pairs_testbench_row_without_id_exit_1(tmp_path):
 def test_collect_pairs_testbench_that_is_not_a_string_exit_1(tmp_path):
     proc, pairs_out = _collect_with_testbench_rows(
         tmp_path, [{"id": "design000", "tb": None}])
-    assert proc.returncode == 1
-    assert "error: " in proc.stderr
-    assert "tb.jsonl:1: bad value for field 'tb': None" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        f"io error: {tmp_path / 'tb.jsonl'}:1: bad value for field 'tb': None\n"
     assert "Traceback" not in proc.stderr
     assert not pairs_out.exists()
 
@@ -540,8 +683,9 @@ def test_collect_pairs_testbench_id_that_is_not_a_string_or_integer_exit_1(tmp_p
                                                                         bad_id):
     proc, pairs_out = _collect_with_testbench_rows(
         tmp_path, [{"id": "design000", "tb": "t"}, {"id": bad_id, "tb": "t"}])
-    assert proc.returncode == 1
-    assert f"tb.jsonl:2: bad value for field 'id': {bad_id!r}" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == \
+        f"io error: {tmp_path / 'tb.jsonl'}:2: bad value for field 'id': {bad_id!r}\n"
     assert "Traceback" not in proc.stderr
     assert not pairs_out.exists()
 
@@ -602,6 +746,36 @@ def test_passk_row_missing_a_field_is_an_io_error(tmp_path):
     assert proc.stderr == f"io error: {results}:2: row missing field 'c_function'\n"
 
 
+@pytest.mark.parametrize("k_list", ["0", "1,0", "-1", "x"])
+def test_passk_k_below_one_is_a_usage_error(tmp_path, k_list):
+    results = tmp_path / "results.jsonl"
+    write_task_results(results, [{"task": "t", "n": 5, "c_syntax": 3, "c_function": 1}])
+    proc = run_cli("passk", "--results", str(results), "--k", k_list)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: bad --k list: {k_list!r}\n"
+
+
+def test_passk_record_error_is_an_io_error_at_its_line(tmp_path):
+    results = tmp_path / "results.jsonl"
+    write_task_results(results, [{"task": "t", "n": 5, "c_syntax": 3, "c_function": 1},
+                                 {"task": "u", "n": 5, "c_syntax": 6, "c_function": 1}])
+    proc = run_cli("passk", "--results", str(results), "--k", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == (f"io error: {results}:2: bad row: need 0 <= c_function "
+                           "<= c_syntax <= n, got (1, 6, 5)\n")
+
+
+def test_passk_line_that_is_not_utf8_is_an_io_error_at_its_line(tmp_path):
+    results = tmp_path / "results.jsonl"
+    results.write_bytes(b'{"task": "t", "n": 5, "c_syntax": 3, "c_function": 1}\n'
+                        b'{"task": "\xff", "n": 5, "c_syntax": 3, "c_function": 1}\n')
+    proc = run_cli("passk", "--results", str(results), "--k", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"io error: {results}:2: bad JSON: ")
+    assert "can't decode byte 0xff" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 # ---- similarity ----
 
 def test_similarity_identical_files(tmp_path):
@@ -621,6 +795,17 @@ def test_similarity_unparseable_ast_exit_1(tmp_path):
     proc = run_cli("similarity", "--method", "ast", str(bad), str(good))
     assert proc.returncode == 1
     assert "generate" in proc.stderr
+
+
+def test_similarity_file_that_is_not_utf8_is_an_io_error(tmp_path):
+    good = tmp_path / "good.v"
+    good.write_text(AUDIO_ENCODER_DUT, encoding="utf-8")
+    bad = tmp_path / "bad.v"
+    bad.write_bytes(b"module m; // \xff\nendmodule\n")
+    proc = run_cli("similarity", "--method", "bleu", str(bad), str(good))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("io error: 'utf-8' codec can't decode byte 0xff")
+    assert proc.stderr.count("\n") == 1
 
 
 # ---- dpo ----
@@ -653,6 +838,15 @@ def test_dpo_bad_row_is_an_io_error(tmp_path, row, problem):
     assert proc.stderr == f"io error: {pairs}:1: {problem}\n"
 
 
+def test_dpo_record_error_is_an_io_error_at_its_line(tmp_path):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text('{"policy_chosen": NaN, "ref_chosen": -5.0, '
+                     '"policy_rejected": -7.0, "ref_rejected": -7.0}\n', encoding="utf-8")
+    proc = run_cli("dpo", "--pairs", str(pairs))
+    assert proc.returncode == 2
+    assert proc.stderr == f"io error: {pairs}:1: bad row: policy_chosen must be finite\n"
+
+
 def test_dpo_gradcheck(tmp_path):
     proc = run_cli("dpo", "--gradcheck", "5")
     assert proc.returncode == 0, proc.stderr
@@ -676,6 +870,13 @@ def test_report_out_in_a_new_directory(tmp_path, command):
 def test_dpo_nonpositive_beta_exit_1(tmp_path):
     proc = run_cli("dpo", "--gradcheck", "1", "--beta", "0")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_dpo_beta_that_is_not_finite_exit_1(tmp_path, beta):
+    proc = run_cli("dpo", "--gradcheck", "1", "--beta", beta)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: --beta must be > 0 and finite, got {beta}\n"
 
 
 # ---- simulate ----

@@ -15,9 +15,10 @@ from tbforge.config import (
 from tbforge.corpus import (
     JsonlError,
     SpecCodePair,
-    check_unique_ids,
     iter_jsonl,
     load_spec_code_pairs,
+    load_testbench_rows,
+    read_fields,
     read_jsonl,
     write_jsonl,
 )
@@ -87,6 +88,19 @@ def test_spec_loader_rejects_spec_or_code_that_is_not_a_string(tmp_path):
                       (2, "bad value for field 'code': ['x']")]
 
 
+def test_spec_loader_rejects_a_string_no_output_could_hold(tmp_path):
+    path = tmp_path / "surrogates.jsonl"
+    path.write_text('{"id": "a", "spec": "s", "code": "c \\udc80"}\n'
+                    '{"id": "\\ud800", "spec": "s", "code": "c"}\n'
+                    '{"id": "b", "spec": "s", "code": "c \\ud83d\\ude00"}\n',
+                    encoding="utf-8")
+    errors = []
+    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append((n, m)))
+    assert pairs == [SpecCodePair(id="b", spec="s", code="c \U0001F600")]
+    assert errors == [(1, "bad value for field 'code': 'c \\udc80'"),
+                      (2, "bad value for field 'id': '\\ud800'")]
+
+
 def test_spec_loader_rejects_an_id_that_is_not_a_string_or_integer(tmp_path):
     path = tmp_path / "ids.jsonl"
     ids = [None, [1], True, 1.5, {"a": 1}, 7, "None"]
@@ -114,9 +128,79 @@ def test_spec_loader_without_callback_raises(tmp_path, bad_line):
     assert str(exc.value).startswith(f"{path}:2: ")
 
 
-def test_duplicate_ids_rejected():
-    with pytest.raises(ValueError):
-        check_unique_ids([{"id": "a"}, {"id": "a"}])
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def test_read_fields_reports_a_record_value_error_at_its_line(tmp_path):
+    @dataclasses.dataclass(frozen=True)
+    class Positive:
+        value: int
+
+        def __post_init__(self):
+            if self.value <= 0:
+                raise ValueError(f"value must be > 0, got {self.value}")
+
+    path = _write_lines(tmp_path / "rows.jsonl",
+                        ['{"value": 1}', '{"value": -2}', '{"value": 3}'])
+    with pytest.raises(JsonlError) as exc:
+        read_fields(path, {"value": int}, make=Positive)
+    assert str(exc.value) == f"{path}:2: bad row: value must be > 0, got -2"
+    errors = []
+    rows = read_fields(path, {"value": int}, make=Positive,
+                       on_error=lambda n, m: errors.append((n, m)))
+    assert rows == [Positive(1), Positive(3)]
+    assert errors == [(2, "bad row: value must be > 0, got -2")]
+
+
+def test_spec_loader_skips_a_repeated_id_at_the_repeat(tmp_path):
+    path = _write_lines(tmp_path / "specs.jsonl", [
+        json.dumps({"id": 5, "spec": "s", "code": "first"}),
+        json.dumps({"id": "6", "spec": "s", "code": "c"}),
+        json.dumps({"id": "5", "spec": "s", "code": "second"}),
+        json.dumps({"id": "a", "spec": None, "code": "c"}),
+        json.dumps({"id": "a", "spec": "s", "code": "after a bad row"})])
+    errors = []
+    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append((n, m)))
+    assert pairs == [SpecCodePair(id="5", spec="s", code="first"),
+                     SpecCodePair(id="6", spec="s", code="c"),
+                     SpecCodePair(id="a", spec="s", code="after a bad row")]
+    assert errors == [(3, "duplicate id '5'"),
+                      (4, "bad value for field 'spec': None")]
+    with pytest.raises(JsonlError) as exc:
+        load_spec_code_pairs(path)
+    assert str(exc.value) == f"{path}:3: duplicate id '5'"
+
+
+def test_testbench_loader_rejects_a_repeated_id_at_the_repeat(tmp_path):
+    path = _write_lines(tmp_path / "tb.jsonl", [
+        json.dumps({"id": 5, "tb": "first", "testcase_count": 3}),
+        json.dumps({"id": "x", "tb": "t"}),
+        json.dumps({"id": "5", "tb": "second"})])
+    with pytest.raises(JsonlError) as exc:
+        load_testbench_rows(path)
+    assert str(exc.value) == f"{path}:3: duplicate id '5'"
+    path = _write_lines(path, [json.dumps({"id": 5, "tb": "first"}),
+                               json.dumps({"id": "x", "tb": "t"})])
+    assert load_testbench_rows(path) == {"5": "first", "x": "t"}
+
+
+def test_a_line_that_is_not_utf8_is_a_bad_row_at_its_line(tmp_path):
+    path = tmp_path / "specs.jsonl"
+    path.write_bytes(b'{"id": "a", "spec": "s", "code": "c"}\n'
+                     b'{"id": "b", "spec": "\xff", "code": "c"}\n'
+                     b'{"id": "c", "spec": "\xc3\xa9", "code": "c"}\n')
+    errors = []
+    pairs = load_spec_code_pairs(path, on_error=lambda n, m: errors.append((n, m)))
+    assert [p.id for p in pairs] == ["a", "c"]
+    assert pairs[1].spec == "\u00e9"
+    assert [n for n, _ in errors] == [2]
+    assert "can't decode byte 0xff" in errors[0][1]
+    path.write_bytes(b'{"id": "a", "tb": "t"}\n{"id": "b", "tb": "\xff"}\n')
+    with pytest.raises(JsonlError) as exc:
+        load_testbench_rows(path)
+    assert exc.value.lineno == 2
 
 
 # ---- config ----
@@ -239,6 +323,36 @@ def test_mock_factories_give_fresh_instances(tmp_path, scripts):
 
 def test_empty_file_loads_the_defaults(tmp_path):
     assert load_config(write_config(tmp_path, "")) == Config()
+
+
+def test_values_are_literal_percent_signs_included(tmp_path):
+    path = write_config(tmp_path, "[simulator]\n"
+                                  "compile_command = cc -D PCT=50% -o {out} {dut} {tb}\n")
+    assert load_config(path).simulator.compile_command == \
+        "cc -D PCT=50% -o {out} {dut} {tb}"
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "tbforge.ini"
+    path.write_bytes(b"[llm]\nmodel = caf\xe9\n")
+    with pytest.raises(ConfigError, match=f"bad config file {path}: 'utf-8' codec"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,value,match", [
+    ("sampling", "temperatures", "0.2, -0.5", "sampling temperatures must be"),
+    ("sampling", "max_tokens", "0", "sampling max_tokens must be >= 1"),
+    ("sampling", "n", "1", "sampling n must be >= 2"),
+    ("simulator", "compile_command", 'cc "-o {out} {dut} {tb}', "No closing quotation"),
+    ("simulator", "compile_command", "cc -o {out} {dut} {tb} {0}", "bad compile_command"),
+    ("simulator", "run_command", "run {out} {dut.name}", "bad run_command"),
+    ("simulator", "coverage_command", "cover {dut} {tb} }", "bad coverage_command"),
+])
+def test_setting_that_would_fail_a_later_call_fails_at_load(tmp_path, section, key,
+                                                            value, match):
+    path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=match):
+        load_config(path)
 
 
 # A valid value other than the default for every key the loader accepts:

@@ -178,6 +178,14 @@ def test_malformed_body_is_transport_error(serve, body):
         client.complete_once(_req())
 
 
+@pytest.mark.parametrize("content", [b"null", b"7", b'"code \\udc80"'])
+def test_content_that_is_not_a_writable_string_is_transport_error(serve, content):
+    _, client = serve(lambda handler, payload: (
+        200, b'{"choices": [{"message": {"content": ' + content + b"}}]}"))
+    with pytest.raises(TransportError, match="malformed chat response"):
+        client.complete_once(_req())
+
+
 # ---- what is sent ----
 
 def test_payload_fields(serve):
@@ -209,10 +217,32 @@ def test_authorization_header_from_env(serve, monkeypatch):
     assert with_key["Authorization"] == "Bearer sk-123"
 
 
+@pytest.mark.parametrize("key", ["sk-secret123\n", "sk-secret123\r", "sk-secret\u0101"])
+def test_api_key_no_header_can_carry_is_a_config_error(serve, monkeypatch, key):
+    server, client = serve(api_key_env="TBFORGE_TEST_KEY")
+    monkeypatch.setenv("TBFORGE_TEST_KEY", key)
+    with pytest.raises(ConfigError) as exc:
+        client.complete_once(_req())
+    assert "TBFORGE_TEST_KEY" in str(exc.value)
+    assert "sk-secret" not in str(exc.value)
+    assert server.requests == []
+
+
 def test_endpoint_must_be_http_url():
     for endpoint in ("localhost:8000/v1", "ftp://host/v1", "http://"):
         with pytest.raises(ConfigError):
             HttpChatClient(LlmSettings(endpoint=endpoint))
+
+
+@pytest.mark.parametrize("endpoint,proxy", [
+    ("http://localhost:80a/v1", None), ("http://[::1/v1", None),
+    ("http://localhost:70000/v1", None), ("http://llm.invalid/v1", "http://proxy:x")])
+def test_malformed_endpoint_or_proxy_url_is_a_config_error(monkeypatch, endpoint, proxy):
+    monkeypatch.setenv("HTTP_PROXY", proxy or "")
+    monkeypatch.delenv("NO_PROXY", raising=False)
+    monkeypatch.delenv("no_proxy", raising=False)
+    with pytest.raises(ConfigError, match="bad llm endpoint or proxy URL"):
+        HttpChatClient(LlmSettings(endpoint=endpoint))
 
 
 # ---- connections ----
@@ -411,3 +441,13 @@ def test_cli_rejected_request_exits_3_without_retry(serve, tmp_path, capsys):
     assert _collect_pairs(tmp_path, server.url, specs=1, jobs=1) == cli.EXIT_BACKEND
     assert len(server.requests) == 1
     assert "rejected request (400)" in capsys.readouterr().err
+
+
+def test_cli_api_key_never_reaches_stderr(serve, tmp_path, monkeypatch, capsys):
+    server, _ = serve()
+    monkeypatch.setenv("TBFORGE_API_KEY", "sk-secret123\n")
+    assert _collect_pairs(tmp_path, server.url, specs=2, jobs=1) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: TBFORGE_API_KEY holds a character that is not printable ASCII\n"
+    assert "sk-secret123" not in err
+    assert server.requests == []

@@ -6,6 +6,7 @@ import pytest
 
 from tbforge.errors import ConfigError, ScriptExhausted, ToolMissing, UnparseableReport
 from tbforge.sim import (
+    CaseLine,
     CommandSimulator,
     CompileError,
     MockSimulator,
@@ -66,7 +67,7 @@ def test_mock_coverage_text_is_a_report_that_parses_back():
 
 def test_mock_wrong_entry_type_is_an_error():
     mock = MockSimulator([Report(1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         mock.compile("d", "t")
 
 
@@ -164,6 +165,16 @@ def test_command_run_parses_log(fake_tools, tmp_path):
     assert outcome == Report(1, 0, outcome.case_lines)
     assert outcome.passed == 1
     assert _workdirs_left(tmp_path) == []
+
+
+def test_command_output_that_is_not_utf8_still_parses(fake_tools, tmp_path):
+    runner = fake_tools / "rawrun"
+    runner.write_text("#!/bin/sh\nprintf 'Test Case 1. Expected \\377\\n'\n"
+                      "printf 'Test Case 1. Actual \\377\\n'\necho 'Your Design Passed'\n")
+    runner.chmod(runner.stat().st_mode | stat.S_IEXEC)
+    sim = CommandSimulator(_config(fake_tools, tmp_path, run="rawrun"))
+    outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert outcome == Report(1, 0, (CaseLine(1, "\ufffd", "\ufffd"),))
 
 
 def test_command_coverage_parses_report(fake_tools, tmp_path):

@@ -185,3 +185,9 @@ def test_coverage_inconsistent_percent_rejected(row):
 def test_coverage_missing_total_row():
     with pytest.raises(UnparseableReport):
         parse_coverage("Line Coverage for Module : m\n1/1 x;\n")
+
+
+@pytest.mark.parametrize("row", ["TOTAL 2 3 150", "TOTAL 0 0 150", "TOTAL 0 1 0"])
+def test_coverage_out_of_range_rejected(row):
+    with pytest.raises(UnparseableReport, match="out of range"):
+        parse_coverage(row + "\n")

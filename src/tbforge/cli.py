@@ -6,7 +6,9 @@ order, so repeat runs produce byte-identical files. Their ``--jobs N``
 bounds the backends, not the rows: at most N chat calls, and so N
 chat-endpoint connections, and N simulator calls are in flight at once.
 Both run 2N rows, each making one backend call at a time, so one row's
-simulator call overlaps another row's chat call.
+simulator call overlaps another row's chat call. One runner, ``_run_rows``,
+alone builds each row's chat client and simulator and holds the slots; a
+command only says what one row does with them.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Outside input is checked where it enters: a bad row of ``--testbenches``,
@@ -35,8 +37,8 @@ from pathlib import Path
 import click
 
 from tbforge import corpus
-from tbforge.config import ChatClientFactory, load_config, \
-    make_chat_client_factory, make_simulator_factory
+from tbforge.config import load_config, make_chat_client_factory, \
+    make_simulator_factory
 from tbforge.errors import (
     ConfigError,
     NonPositiveBeta,
@@ -139,35 +141,34 @@ class _SlottedSimulator:
             return self._simulator.coverage(dut, tb)
 
 
-def _slotted_backends(config, jobs):
-    """The config's chat-client and simulator factories, with every chat call
-    holding one of ``jobs`` chat slots and every simulator call one of
-    ``jobs`` simulator slots, each set shared by all rows of the run."""
+def _run_rows(items, work, jobs, config):
+    """Yield ``(item, work(item, chat, simulator))`` in input order from
+    ``2 * jobs`` threads, twice the slots of either backend, so one row
+    simulates while another waits on the endpoint. The runner alone builds
+    each row's chat client and simulator, from the config's factories, and
+    holds the slots: every chat call holds one of ``jobs`` chat slots and
+    every simulator call one of ``jobs`` simulator slots, each set shared by
+    all rows. A row's toolkit error outside ``_BATCH_FATAL`` is its result,
+    logged in input order; any other exception ends the batch and cancels
+    the rows not yet started. Closes the chat factory."""
     make_client = make_chat_client_factory(config)
     make_simulator = make_simulator_factory(config)
-    chat_slots = _Slots(jobs)
-    sim_slots = _Slots(jobs)
-    return (ChatClientFactory(lambda: _SlottedChat(make_client(), chat_slots),
-                              make_client.close),
-            lambda: _SlottedSimulator(make_simulator(), sim_slots))
+    chat_slots, sim_slots = _Slots(jobs), _Slots(jobs)
 
-
-def _run_rows(items, work, jobs, client_factory):
-    """Yield ``(item, work(item))`` in input order from ``2 * jobs`` threads,
-    twice the slots of either backend, so one row simulates while another
-    waits on the endpoint. A row's toolkit error outside ``_BATCH_FATAL`` is
-    its result; any other exception ends the batch and cancels the rows not
-    yet started. Closes ``client_factory``."""
     def guarded(item):
         try:
-            return work(item)
+            return work(item, _SlottedChat(make_client(), chat_slots),
+                        _SlottedSimulator(make_simulator(), sim_slots))
         except _BATCH_FATAL:
             raise
         except TbforgeError as exc:
             return exc
 
-    with closing(client_factory), ThreadPoolExecutor(max_workers=2 * jobs) as pool:
-        yield from zip(items, pool.map(guarded, items))
+    with closing(make_client), ThreadPoolExecutor(max_workers=2 * jobs) as pool:
+        for item, result in zip(items, pool.map(guarded, items)):
+            if isinstance(result, TbforgeError):
+                log.error("[error] %s: %s: %s", item.id, type(result).__name__, result)
+            yield item, result
 
 
 def _make_output_dirs(*paths) -> None:
@@ -177,6 +178,15 @@ def _make_output_dirs(*paths) -> None:
     for path in paths:
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
+def _read_source(path) -> str:
+    """The UTF-8 text of a Verilog file; text that is not UTF-8 is an IO
+    error that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
 
 
 @click.group()
@@ -200,6 +210,7 @@ def cli(verbose):
                    "rows run, so one row simulates while another waits on "
                    "the endpoint.")
 @click.option("--min-code-lines", default=0, show_default=True,
+              type=click.IntRange(min=0),
               help="Skip rows whose code has at most this many real lines.")
 @click.option("--trace-log", "trace_path", type=click.Path(), default=None,
               help="Write per-row stage traces to this file.")
@@ -207,7 +218,6 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                       trace_path):
     """Run the testbench pipeline over a spec/code corpus."""
     config = load_config(config_path)
-    client_factory, simulator_factory = _slotted_backends(config, jobs)
 
     skipped_rows = []
     pairs = corpus.load_spec_code_pairs(
@@ -222,20 +232,18 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
         log.info("[input] %d of %d rows pass the %d-line filter",
                  len(pairs), before, min_code_lines)
 
-    def run_row(pair):
-        pipeline = TestbenchPipeline(client_factory(), simulator_factory(),
-                                     config.pipeline, llm=config.llm)
-        return pipeline.run(pair)
+    def run_row(pair, chat, simulator):
+        return TestbenchPipeline(chat, simulator, config.pipeline,
+                                 llm=config.llm).run(pair)
 
     _make_output_dirs(out_path, trace_path)
     trace_lines = []
     rows = []
     termination_counts: dict[str, int] = {}
     errors = []
-    for pair, result in _run_rows(pairs, run_row, jobs, client_factory):
+    for pair, result in _run_rows(pairs, run_row, jobs, config):
         if isinstance(result, TbforgeError):
             errors.append(result)
-            log.error("[error] %s: %s: %s", pair.id, type(result).__name__, result)
             trace_lines.append(f"{pair.id} [error] {type(result).__name__}")
             continue
         for entry in result.trace:
@@ -254,7 +262,8 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 
     corpus.write_jsonl(out_path, rows)
     if trace_path:
-        Path(trace_path).write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+        Path(trace_path).write_text("".join(line + "\n" for line in trace_lines),
+                                    encoding="utf-8")
 
     click.echo(f"rows: {len(pairs)}  finished: {len(rows)}  "
                f"terminated: {sum(termination_counts.values())}  errored: {len(errors)}  "
@@ -272,7 +281,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 @click.option("--testbenches", "tb_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--method", required=True, type=click.Choice(METHOD_CHOICES))
-@click.option("--n", "n_candidates", default=None, type=int,
+@click.option("--n", "n_candidates", default=None, type=click.IntRange(min=2),
               help="Candidates per spec (default: sampling.n from config).")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--evals-out", "evals_path", type=click.Path(), default=None,
@@ -286,7 +295,6 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
     config = load_config(config_path)
-    client_factory, simulator_factory = _slotted_backends(config, jobs)
     pair_method = PairMethod(method)
 
     specs = corpus.load_spec_code_pairs(
@@ -294,26 +302,21 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
             "[specs] line %s skipped: %s", lineno, msg))
     testbenches = corpus.load_testbench_rows(tb_path)
 
-    sampling = config.sampling
-    if n_candidates is not None:
-        sampling = dataclasses.replace(sampling, n=n_candidates)
+    sampling = dataclasses.replace(config.sampling, n=n_candidates or config.sampling.n)
 
-    joined = [(spec, testbenches[spec.id]) for spec in specs if spec.id in testbenches]
+    joined = [spec for spec in specs if spec.id in testbenches]
     missing = len(specs) - len(joined)
     if missing:
         log.info("[join] %d specs have no testbench and are skipped", missing)
 
-    def run_row(item):
-        spec, tb = item
-        simulator = simulator_factory()
+    def run_row(spec, chat, simulator):
         evals = []
         # Candidate k is evaluated before k+1 is requested, so the row makes
         # one backend call at a time and ends at its first failing one.
-        sample_candidates(client_factory(), spec.spec, sampling,
-                          retries=config.llm.retries,
+        sample_candidates(chat, spec.spec, sampling, retries=config.llm.retries,
                           backoff=config.llm.backoff_seconds,
-                          on_code=lambda code: evals.append(
-                              evaluate_candidate(code, tb, simulator)))
+                          on_code=lambda code: evals.append(evaluate_candidate(
+                              code, testbenches[spec.id], simulator)))
         outcomes = build_pairs(spec.spec, spec.code, evals, pair_method,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
@@ -323,10 +326,9 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
     eval_rows = []
     discard_counts: dict[str, int] = {}
     errors = []
-    for (spec, _), result in _run_rows(joined, run_row, jobs, client_factory):
+    for spec, result in _run_rows(joined, run_row, jobs, config):
         if isinstance(result, TbforgeError):
             errors.append(result)
-            log.error("[error] %s: %s: %s", spec.id, type(result).__name__, result)
             continue
         evals, outcomes = result
         for idx, evaluation in enumerate(evals):
@@ -362,6 +364,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
 @click.option("--k", "k_list", required=True,
               help="Comma-separated k values, e.g. 1,5,10.")
 @click.option("--n", "default_n", default=20, show_default=True,
+              type=click.IntRange(min=1),
               help="Trials per task for rows that omit n.")
 @click.option("--mode", type=click.Choice(["syntax", "function"]),
               default="function", show_default=True)
@@ -401,8 +404,8 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
 def cmd_similarity(method, file_a, file_b):
     """Score FILE_A (candidate) against FILE_B (reference)."""
     pair_method = PairMethod(method)
-    candidate = similarity_form(pair_method, Path(file_a).read_text(encoding="utf-8"))
-    reference = similarity_form(pair_method, Path(file_b).read_text(encoding="utf-8"))
+    candidate = similarity_form(pair_method, _read_source(file_a))
+    reference = similarity_form(pair_method, _read_source(file_b))
     score = form_similarity(pair_method, candidate, reference)
     click.echo(f"{score.value:.6f}")
 
@@ -413,7 +416,8 @@ def cmd_similarity(method, file_a, file_b):
 @click.option("--pairs", "pairs_path", type=click.Path(exists=True), default=None,
               help="Pair log-probability JSONL.")
 @click.option("--beta", default=DEFAULT_BETA, show_default=True)
-@click.option("--gradcheck", "gradcheck_seeds", type=int, default=None,
+@click.option("--gradcheck", "gradcheck_seeds", type=click.IntRange(min=1),
+              default=None,
               help="Run this many seeded finite-difference gradient checks.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
@@ -433,14 +437,9 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
 
     if gradcheck_seeds is not None:
         tolerance = 1e-5
-        errors = [random_grad_check(seed, beta=beta)
-                  for seed in range(gradcheck_seeds)]
-        report["gradcheck"] = {
-            "seeds": gradcheck_seeds,
-            "max_rel_error": max(errors) if errors else 0.0,
-            "tolerance": tolerance,
-            "pass": bool(errors and max(errors) < tolerance),
-        }
+        worst = max(random_grad_check(seed, beta=beta) for seed in range(gradcheck_seeds))
+        report["gradcheck"] = {"seeds": gradcheck_seeds, "max_rel_error": worst,
+                               "tolerance": tolerance, "pass": worst < tolerance}
 
     text = json.dumps(report, indent=2)
     if out_path:
@@ -459,8 +458,7 @@ def cmd_simulate(dut_path, tb_path, config_path):
     """Compile and run one DUT/testbench pair; print the parsed outcome."""
     config = load_config(config_path)
     simulator = make_simulator_factory(config)()
-    outcome = simulator.run_test(Path(dut_path).read_text(encoding="utf-8"),
-                                 Path(tb_path).read_text(encoding="utf-8"))
+    outcome = simulator.run_test(_read_source(dut_path), _read_source(tb_path))
     click.echo(json.dumps(corpus.outcome_json(outcome), indent=2))
 
 
@@ -476,7 +474,7 @@ def main(argv=None) -> int:
     except (ToolMissing, TransportError) as exc:
         print(f"backend unavailable: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (corpus.JsonlError, OSError, UnicodeDecodeError) as exc:
+    except (corpus.JsonlError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TbforgeError as exc:

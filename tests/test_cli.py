@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 
+import click
 import pytest
 
-from tbforge import cli
+from tbforge import cli, corpus
 from tbforge.config import ChatClientFactory
 from tbforge.corpus import read_jsonl
 from tbforge.errors import ConfigError, RequestRejected, ToolMissing, TransportError
@@ -125,6 +128,19 @@ def test_gen_testbench_trace_log_in_a_new_directory(pipeline_workspace):
     assert "design003 [finish] ok" in trace.read_text(encoding="utf-8")
 
 
+def test_gen_testbench_trace_log_over_zero_rows_is_empty(pipeline_workspace):
+    tmp_path, specs, config = pipeline_workspace
+    out = tmp_path / "tb.jsonl"
+    trace = tmp_path / "trace.log"
+    proc = run_cli("gen-testbench", "--input", str(specs), "--out", str(out),
+                   "--config", str(config), "--min-code-lines", "100000",
+                   "--trace-log", str(trace))
+    assert proc.returncode == 0, proc.stderr
+    assert "rows: 0  finished: 0" in proc.stdout
+    assert out.read_bytes() == b""
+    assert trace.read_bytes() == b""
+
+
 @pytest.mark.parametrize("command,option", [
     ("gen-testbench", "--out"), ("gen-testbench", "--trace-log"),
     ("collect-pairs", "--out"), ("collect-pairs", "--evals-out")])
@@ -240,6 +256,62 @@ def test_gen_testbench_transport_error_ends_only_its_row(pipeline_workspace,
     assert [line for line in lines if line.startswith("design001 ")] == \
         ["design001 [error] TransportError"]
     assert "design002 [finish] ok" in lines
+
+
+class ReverseFailingChat(MockChatClient):
+    """Replays ``script``, except that the rows of variants 0 and 2 fail in
+    transport, variant 0 only after variant 2 has failed, so the two errored
+    rows finish in the reverse of input order."""
+
+    def __init__(self, script, second_failed):
+        super().__init__(script)
+        self.second_failed = second_failed
+
+    def complete_once(self, request):
+        text = " ".join(m.content for m in request.messages)
+        if "variant 2." in text:
+            self.second_failed.set()
+            raise TransportError("variant 2 gone")
+        if "variant 0." in text:
+            assert self.second_failed.wait(5.0)
+            time.sleep(0.1)  # past the moment variant 2's row returns
+            raise TransportError("variant 0 gone")
+        return super().complete_once(request)
+
+
+@pytest.mark.parametrize("command", ["gen-testbench", "collect-pairs"])
+def test_errored_rows_are_logged_in_input_order(pipeline_workspace, monkeypatch,
+                                                 caplog, command):
+    # Rows run on worker threads, but their [error] lines are logged as the
+    # rows are yielded, in input order, whatever order the rows finish in.
+    tmp_path, specs, config = pipeline_workspace
+    if command == "gen-testbench":
+        llm_script, _ = write_pipeline_scripts(tmp_path)
+        inputs = ["--input", str(specs)]
+    else:
+        llm_script, sim_script = write_collect_scripts(tmp_path)
+        config = write_config(tmp_path, llm_script, sim_script, name="collect.ini")
+        testbenches = tmp_path / "testbenches.jsonl"
+        testbenches.write_text("".join(json.dumps({"id": f"design{i:03d}", "tb": "t"})
+                                       + "\n" for i in range(4)), encoding="utf-8")
+        inputs = ["--specs", str(specs), "--testbenches", str(testbenches),
+                  "--method", "testbench"]
+    config.write_text(config.read_text().replace(
+        "[llm]\n", "[llm]\nretries = 1\nbackoff_seconds = 0\n"), encoding="utf-8")
+    script = json.loads(llm_script.read_text(encoding="utf-8"))
+    second_failed = threading.Event()
+    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: ChatClientFactory(
+        lambda: ReverseFailingChat(script, second_failed)))
+    code = cli.main([command, *inputs, "--out", str(tmp_path / "out.jsonl"),
+                     "--config", str(config), "--jobs", "3"])
+    assert code == cli.EXIT_BACKEND
+    errors = [record.getMessage() for record in caplog.records
+              if record.getMessage().startswith("[error]")]
+    assert errors == [
+        "[error] design000: TransportError: "
+        "chat completion failed after 1 attempts: variant 0 gone",
+        "[error] design002: TransportError: "
+        "chat completion failed after 1 attempts: variant 2 gone"]
 
 
 def test_batch_fatal_errors_are_the_ones_every_row_would_hit():
@@ -804,8 +876,8 @@ def test_similarity_file_that_is_not_utf8_is_an_io_error(tmp_path):
     bad.write_bytes(b"module m; // \xff\nendmodule\n")
     proc = run_cli("similarity", "--method", "bleu", str(bad), str(good))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("io error: 'utf-8' codec can't decode byte 0xff")
-    assert proc.stderr.count("\n") == 1
+    assert proc.stderr == (f"io error: {bad}: 'utf-8' codec can't decode byte 0xff "
+                           "in position 13: invalid start byte\n")
 
 
 # ---- dpo ----
@@ -903,6 +975,22 @@ def test_simulate_outputs_outcome_json(tmp_path):
     assert outcome["passed"] == 0
 
 
+@pytest.mark.parametrize("bad_option", ["--dut", "--tb"])
+def test_simulate_file_that_is_not_utf8_is_an_io_error(tmp_path, bad_option):
+    files = {}
+    for option in ("--dut", "--tb"):
+        files[option] = tmp_path / f"{option[2:]}.v"
+        files[option].write_bytes(b"module m; // \xff\nendmodule\n"
+                                  if option == bad_option else b"module m; endmodule\n")
+    llm_script, sim_script = write_pipeline_scripts(tmp_path)
+    config = write_config(tmp_path, llm_script, sim_script)
+    proc = run_cli("simulate", "--dut", str(files["--dut"]), "--tb", str(files["--tb"]),
+                   "--config", str(config))
+    assert proc.returncode == 2
+    assert proc.stderr == (f"io error: {files[bad_option]}: 'utf-8' codec can't decode "
+                           "byte 0xff in position 13: invalid start byte\n")
+
+
 def test_simulate_tool_missing_exit_3(tmp_path):
     dut = tmp_path / "dut.v"
     dut.write_text("module m; endmodule", encoding="utf-8")
@@ -927,6 +1015,50 @@ def test_cli_import_loads_no_heavy_dependencies():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("passk", "--n", "0"), ("passk", "--n", "-1"),
+    ("dpo", "--gradcheck", "0"), ("dpo", "--gradcheck", "-2"),
+    ("gen-testbench", "--min-code-lines", "-1"),
+    ("collect-pairs", "--n", "1"), ("collect-pairs", "--n", "-3"),
+])
+def test_count_flag_out_of_range_is_a_usage_error(pipeline_workspace, monkeypatch,
+                                                  capsys, command, flag, value):
+    tmp_path, specs, config = pipeline_workspace
+    client = MockChatClient(["unused"])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    reads = []
+    monkeypatch.setattr(corpus, "iter_jsonl", lambda path, *args: reads.append(path))
+    out = tmp_path / "out.jsonl"
+    inputs = {
+        "passk": ["--results", str(specs), "--k", "1"],
+        "dpo": ["--pairs", str(specs)],
+        "gen-testbench": ["--input", str(specs), "--config", str(config)],
+        "collect-pairs": ["--specs", str(specs), "--testbenches", str(specs),
+                          "--method", "testbench", "--config", str(config)],
+    }[command]
+    code = cli.main([command, *inputs, "--out", str(out), flag, value])
+    assert code == cli.EXIT_USAGE
+    assert f"Invalid value for '{flag}'" in capsys.readouterr().err
+    assert reads == []
+    assert client.calls == []
+    assert not out.exists()
+
+
+def test_every_integer_option_is_range_checked():
+    # An integer flag without a range lets zero or a negative count reach
+    # the command, which then fails late, blames an input file, or silently
+    # does nothing; click.IntRange rejects it as a usage error first.
+    integers = {f"{name} {param.opts[0]}": param.type
+                for name, command in cli.cli.commands.items()
+                for param in command.params
+                if isinstance(param, click.Option)
+                and isinstance(param.type, click.types.IntParamType)}
+    assert len(integers) >= 6
+    assert [name for name, kind in integers.items()
+            if not isinstance(kind, click.IntRange)] == []
 
 
 def test_usage_error_exit_1():

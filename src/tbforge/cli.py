@@ -6,20 +6,24 @@ order, so repeat runs produce byte-identical files. Their ``--jobs N``
 bounds the backends, not the rows: at most N chat calls, and so N
 chat-endpoint connections, and N simulator calls are in flight at once.
 Both run 2N rows, each making one backend call at a time, so one row's
-simulator call overlaps another row's chat call. One runner, ``_run_rows``,
+simulator call overlaps another row's chat call. One runner, ``_row_runner``,
 alone builds each row's chat client and simulator and holds the slots; a
 command only says what one row does with them.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Outside input is checked where it enters: a bad row of ``--testbenches``,
 ``passk --results`` or ``dpo --pairs`` is an IO error at its path and line,
-a bad spec row is logged and skipped, and a bad setting or flag is a config
-error before any chat call. A ValueError that reaches ``main`` is a bug.
-Per-row pipeline terminations are reported in the summary, never as a
-nonzero exit. A row that raises any other toolkit error is errored: it is
-left out of the outputs and counted in the summary, the other rows are still
-written, and the run exits with the first errored row's code. The errors in
-``_BATCH_FATAL`` end the batch at once, with no output.
+a bad spec row is logged and skipped, and a bad setting or flag, two output
+flags that name one file included, is a config error before any chat call.
+A ValueError that reaches ``main`` is a bug. Batch output lines are appended
+in input order and flushed after each row, so a batch that stops keeps every
+row that finished before the stop; as nothing is fsynced, a SIGKILL in the
+middle of a write can leave one partial last line. Per-row pipeline
+terminations are reported in the summary, never as a nonzero exit. A row
+that raises any other toolkit error is errored: it is left out of the
+outputs and counted in the summary, the other rows are still written, and
+the run exits with the first errored row's code. The errors in
+``_BATCH_FATAL`` end the batch at once.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import json
 import logging
 import sys
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import ExitStack, closing
 from pathlib import Path
 
 import click
@@ -103,78 +107,88 @@ class _Slots:
                 self._free += 1
 
 
-class _SlottedChat:
-    """A chat client whose every call holds one of the run's chat slots.
-    ``complete()`` sleeps its retry backoff between calls, so a row waiting
-    to retry holds no slot."""
+class _Slotted:
+    """A backend whose every method call holds one of the given slots. As
+    ``complete()`` sleeps its retry backoff between ``complete_once`` calls,
+    a row waiting to retry holds no chat slot."""
 
-    def __init__(self, client, slots: _Slots):
-        self._client = client
+    def __init__(self, backend, slots: _Slots):
+        self._backend = backend
         self._slots = slots
 
-    def complete_once(self, request):
-        with self._slots:
-            return self._client.complete_once(request)
+    def __getattr__(self, name):
+        attr = getattr(self._backend, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args):
+            with self._slots:
+                return attr(*args)
+        return call
 
 
-class _SlottedSimulator:
-    """A simulator whose every call holds one of the run's simulator slots."""
-
-    def __init__(self, simulator, slots: _Slots):
-        self._simulator = simulator
-        self._slots = slots
-
-    @property
-    def supports_coverage(self) -> bool:
-        return self._simulator.supports_coverage
-
-    def compile(self, dut, tb):
-        with self._slots:
-            return self._simulator.compile(dut, tb)
-
-    def run_test(self, dut, tb):
-        with self._slots:
-            return self._simulator.run_test(dut, tb)
-
-    def coverage(self, dut, tb):
-        with self._slots:
-            return self._simulator.coverage(dut, tb)
-
-
-def _run_rows(items, work, jobs, config):
-    """Yield ``(item, work(item, chat, simulator))`` in input order from
-    ``2 * jobs`` threads, twice the slots of either backend, so one row
-    simulates while another waits on the endpoint. The runner alone builds
-    each row's chat client and simulator, from the config's factories, and
-    holds the slots: every chat call holds one of ``jobs`` chat slots and
-    every simulator call one of ``jobs`` simulator slots, each set shared by
-    all rows. A row's toolkit error outside ``_BATCH_FATAL`` is its result,
-    logged in input order; any other exception ends the batch and cancels
-    the rows not yet started. Closes the chat factory."""
-    make_client = make_chat_client_factory(config)
+def _row_runner(config, jobs):
+    """Build the config's backend factories now, so a bad backend setting
+    fails before any input is read; the chat factory closes with the command.
+    Returns ``run_rows(items, work)``, which yields ``(item, work(item, chat,
+    simulator))`` in input order from ``2 * jobs`` threads, so one row
+    simulates while another waits on the endpoint. Each row gets its own
+    backends, whose calls hold one of ``jobs`` slots per backend. A row's
+    toolkit error outside ``_BATCH_FATAL`` is its result; any other exception
+    ends the batch and cancels the rows not yet started."""
+    make_client = click.get_current_context().with_resource(
+        closing(make_chat_client_factory(config)))
     make_simulator = make_simulator_factory(config)
     chat_slots, sim_slots = _Slots(jobs), _Slots(jobs)
 
-    def guarded(item):
-        try:
-            return work(item, _SlottedChat(make_client(), chat_slots),
-                        _SlottedSimulator(make_simulator(), sim_slots))
-        except _BATCH_FATAL:
-            raise
-        except TbforgeError as exc:
-            return exc
+    def run_rows(items, work):
+        def guarded(item):
+            try:
+                return work(item, _Slotted(make_client(), chat_slots),
+                            _Slotted(make_simulator(), sim_slots))
+            except _BATCH_FATAL:
+                raise
+            except TbforgeError as exc:
+                return exc
 
-    with closing(make_client), ThreadPoolExecutor(max_workers=2 * jobs) as pool:
-        for item, result in zip(items, pool.map(guarded, items)):
+        with ThreadPoolExecutor(max_workers=2 * jobs) as pool:
+            yield from zip(items, pool.map(guarded, items))
+
+    return run_rows
+
+
+def _write_rows(results, emit, *outputs) -> list[TbforgeError]:
+    """Append each row's lines to the ``(path, write)`` outputs as ``run_rows``
+    yields it: ``emit(item, result)`` returns one list per output, and
+    ``write(handle, lines)`` appends it to the file, flushed (not fsynced)
+    before the next row, so a stopped batch keeps the rows it finished. The
+    files are created before the first row runs; an output with no path is
+    skipped. Logs each errored row and returns their errors, in input order."""
+    _make_output_dirs(*(path for path, _ in outputs))
+    errors = []
+    with ExitStack() as stack:
+        files = [(path and stack.enter_context(open(path, "w", encoding="utf-8")), write)
+                 for path, write in outputs]
+        for item, result in results:
             if isinstance(result, TbforgeError):
                 log.error("[error] %s: %s: %s", item.id, type(result).__name__, result)
-            yield item, result
+                errors.append(result)
+            for (handle, write), lines in zip(files, emit(item, result)):
+                if handle:
+                    write(handle, lines)
+                    handle.flush()
+    return errors
+
+
+def _check_distinct(flag, path, other_flag, other_path) -> None:
+    """Two output flags may not name one file."""
+    if other_path and Path(path).resolve() == Path(other_path).resolve():
+        raise ConfigError(f"{flag} and {other_flag} name one file: {path}")
 
 
 def _make_output_dirs(*paths) -> None:
-    """Create the parent directory of each output path given. Commands call
-    it before their work, so a path whose directory cannot be made fails at
-    once, not after the batch; the files themselves are written at the end."""
+    """Create the parent directory of each output path given, so a path
+    whose directory cannot be made fails before any work."""
     for path in paths:
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -217,7 +231,9 @@ def cli(verbose):
 def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                       trace_path):
     """Run the testbench pipeline over a spec/code corpus."""
+    _check_distinct("--out", out_path, "--trace-log", trace_path)
     config = load_config(config_path)
+    run_rows = _row_runner(config, jobs)
 
     skipped_rows = []
     pairs = corpus.load_spec_code_pairs(
@@ -236,37 +252,30 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
         return TestbenchPipeline(chat, simulator, config.pipeline,
                                  llm=config.llm).run(pair)
 
-    _make_output_dirs(out_path, trace_path)
-    trace_lines = []
-    rows = []
-    termination_counts: dict[str, int] = {}
-    errors = []
-    for pair, result in _run_rows(pairs, run_row, jobs, config):
+    counts = Counter()
+    termination_counts = Counter()
+
+    def emit(pair, result):
+        """The row's testbench rows and trace lines."""
         if isinstance(result, TbforgeError):
-            errors.append(result)
-            trace_lines.append(f"{pair.id} [error] {type(result).__name__}")
-            continue
-        for entry in result.trace:
-            trace_lines.append(
-                f"{pair.id} [{entry.stage.value}] {entry.action} {entry.status}")
+            return [], [f"{pair.id} [error] {type(result).__name__}"]
+        trace = [f"{pair.id} [{entry.stage.value}] {entry.action} {entry.status}"
+                 for entry in result.trace]
         if isinstance(result.outcome, Finished):
-            rows.append(corpus.testbench_row(pair.id, result.outcome.record))
-            trace_lines.append(f"{pair.id} [finish] ok")
-        else:
-            stage = result.outcome.stage.value
-            termination_counts[stage] = termination_counts.get(stage, 0) + 1
-            log.warning("[terminated] %s at %s after %d attempts", pair.id,
-                        stage, result.outcome.attempts)
-            trace_lines.append(
-                f"{pair.id} [terminate] {stage} attempts={result.outcome.attempts}")
+            counts["finished"] += 1
+            return ([corpus.testbench_row(pair.id, result.outcome.record)],
+                    trace + [f"{pair.id} [finish] ok"])
+        stage, attempts = result.outcome.stage.value, result.outcome.attempts
+        termination_counts[stage] += 1
+        log.warning("[terminated] %s at %s after %d attempts", pair.id, stage, attempts)
+        return [], trace + [f"{pair.id} [terminate] {stage} attempts={attempts}"]
 
-    corpus.write_jsonl(out_path, rows)
-    if trace_path:
-        Path(trace_path).write_text("".join(line + "\n" for line in trace_lines),
-                                    encoding="utf-8")
+    errors = _write_rows(run_rows(pairs, run_row), emit, (out_path, corpus.write_jsonl),
+                         (trace_path, lambda handle, lines: handle.writelines(
+                             line + "\n" for line in lines)))
 
-    click.echo(f"rows: {len(pairs)}  finished: {len(rows)}  "
-               f"terminated: {sum(termination_counts.values())}  errored: {len(errors)}  "
+    click.echo(f"rows: {len(pairs)}  finished: {counts['finished']}  "
+               f"terminated: {termination_counts.total()}  errored: {len(errors)}  "
                f"skipped_input_lines: {len(skipped_rows)}")
     for stage in sorted(termination_counts):
         click.echo(f"  terminated at {stage}: {termination_counts[stage]}")
@@ -294,7 +303,9 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
+    _check_distinct("--out", out_path, "--evals-out", evals_path)
     config = load_config(config_path)
+    run_rows = _row_runner(config, jobs)
     pair_method = PairMethod(method)
 
     specs = corpus.load_spec_code_pairs(
@@ -321,34 +332,29 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                                cap=config.max_pairs_per_spec)
         return evals, outcomes
 
-    _make_output_dirs(out_path, evals_path)
-    pair_rows = []
-    eval_rows = []
-    discard_counts: dict[str, int] = {}
-    errors = []
-    for spec, result in _run_rows(joined, run_row, jobs, config):
+    counts = Counter()
+    discard_counts = Counter()
+
+    def emit(spec, result):
+        """The row's pair rows and eval rows."""
         if isinstance(result, TbforgeError):
-            errors.append(result)
-            continue
+            return [], []
         evals, outcomes = result
-        for idx, evaluation in enumerate(evals):
-            eval_rows.append(corpus.eval_row(spec.id, idx, evaluation))
-        emitted_for_spec = 0
+        pair_rows = []
         for outcome in outcomes:
             if isinstance(outcome, PreferencePair):
-                pair_rows.append(corpus.pair_row(f"{spec.id}#{emitted_for_spec}",
-                                                 outcome))
-                emitted_for_spec += 1
+                pair_rows.append(corpus.pair_row(f"{spec.id}#{len(pair_rows)}", outcome))
             else:
-                discard_counts[outcome.reason] = \
-                    discard_counts.get(outcome.reason, 0) + 1
+                discard_counts[outcome.reason] += 1
+        counts["pairs"] += len(pair_rows)
+        return pair_rows, [corpus.eval_row(spec.id, idx, evaluation)
+                           for idx, evaluation in enumerate(evals)]
 
-    corpus.write_jsonl(out_path, pair_rows)
-    if evals_path:
-        corpus.write_jsonl(evals_path, eval_rows)
+    errors = _write_rows(run_rows(joined, run_row), emit,
+                         (out_path, corpus.write_jsonl), (evals_path, corpus.write_jsonl))
 
-    click.echo(f"specs: {len(joined)}  pairs: {len(pair_rows)}  "
-               f"discards: {sum(discard_counts.values())}  errored: {len(errors)}  "
+    click.echo(f"specs: {len(joined)}  pairs: {counts['pairs']}  "
+               f"discards: {discard_counts.total()}  errored: {len(errors)}  "
                f"method: {method}")
     for reason in sorted(discard_counts):
         click.echo(f"  discarded ({reason}): {discard_counts[reason]}")

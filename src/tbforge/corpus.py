@@ -91,16 +91,10 @@ def read_fields(path, casts: dict[str, Callable], make: Callable = dict,
     return records
 
 
-def write_jsonl(path, rows: Iterable[dict]) -> int:
-    """Write rows as JSONL; returns the row count. Field order is preserved,
+def write_jsonl(handle, rows: Iterable[dict]) -> None:
+    """Append rows as JSONL to an open text handle. Field order is preserved,
     so identical inputs produce byte-identical files."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
+    handle.writelines(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
 
 
 def load_testbench_rows(path) -> dict[str, str]:

@@ -105,6 +105,12 @@ def write_config(tmp_path, llm_script, sim_script, name="config.ini"):
     return path
 
 
+def lines_before(text, row_id):
+    """The lines of ``text`` before the first line that names ``row_id``."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:next(i for i, line in enumerate(lines) if row_id in line)])
+
+
 def cli_argv(*args):
     return [sys.executable, "-m", "tbforge", *args]
 

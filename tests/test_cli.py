@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 import subprocess
 import sys
 import threading
@@ -40,6 +41,18 @@ def pipeline_workspace(tmp_path):
     llm_script, sim_script = write_pipeline_scripts(tmp_path)
     config = write_config(tmp_path, llm_script, sim_script)
     return tmp_path, specs, config
+
+
+def batch_inputs(command, tmp_path, specs, count=4):
+    """The input flags of a batch command over ``specs``; collect-pairs gets
+    a testbench for each of the first ``count`` specs."""
+    if command == "gen-testbench":
+        return ["--input", str(specs)]
+    testbenches = tmp_path / "testbenches.jsonl"
+    testbenches.write_text("".join(json.dumps({"id": f"design{i:03d}", "tb": "t"}) + "\n"
+                                   for i in range(count)), encoding="utf-8")
+    return ["--specs", str(specs), "--testbenches", str(testbenches),
+            "--method", "testbench"]
 
 
 # ---- gen-testbench ----
@@ -168,6 +181,85 @@ def test_output_under_a_regular_file_fails_before_any_chat_call(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,option", [
+    ("gen-testbench", "--trace-log"), ("collect-pairs", "--evals-out")])
+def test_two_output_flags_naming_one_file_is_a_usage_error(
+        pipeline_workspace, monkeypatch, capsys, command, option):
+    tmp_path, specs, config = pipeline_workspace
+    client = MockChatClient(["unused"])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    out = tmp_path / "out.jsonl"
+    code = cli.main([command, *batch_inputs(command, tmp_path, specs),
+                     "--config", str(config), "--out", str(out),
+                     option, str(tmp_path / "sub" / ".." / "out.jsonl")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --out and {option} name one file: {out}\n"
+    assert client.calls == []
+    assert not out.exists()
+
+
+KILL_WHEN_WRITTEN = """\
+import os, signal, sys, time
+from pathlib import Path
+from tbforge import cli
+from tbforge.llm import MockChatClient
+
+watched = Path(sys.argv[1])
+answer = MockChatClient.complete_once
+
+def complete_once(self, request):
+    # Specs 5 to 7 wait until a row is on disk, then kill the process.
+    if int(request.messages[0].content.rsplit("variant ", 1)[1][0]) >= 5:
+        deadline = time.monotonic() + 30
+        while b"\\n" not in (watched.read_bytes() if watched.exists() else b""):
+            if time.monotonic() > deadline:
+                sys.exit(99)
+            time.sleep(0.001)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return answer(self, request)
+
+if sys.argv[1] != "-":
+    MockChatClient.complete_once = complete_once
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("command", ["gen-testbench", "collect-pairs"])
+def test_killed_batch_keeps_the_rows_written_before_the_kill(tmp_path, command, jobs):
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 8)
+    scripts = write_pipeline_scripts if command == "gen-testbench" else \
+        write_collect_scripts
+    config = write_config(tmp_path, *scripts(tmp_path))
+    inputs = batch_inputs(command, tmp_path, specs, count=8)
+    # The second output is written after the first within each row.
+    second = "--trace-log" if command == "gen-testbench" else "--evals-out"
+    outputs = {}
+    for run in ("whole", "killed"):
+        paths = {"--out": tmp_path / run / "out.jsonl",
+                 second: tmp_path / run / "second.log"}
+        argv = [command, *inputs, "--config", str(config), "--jobs", jobs,
+                *(arg for flag, path in paths.items() for arg in (flag, str(path)))]
+        proc = subprocess.run(
+            [sys.executable, "-c", KILL_WHEN_WRITTEN,
+             str(paths[second]) if run == "killed" else "-", *argv],
+            capture_output=True, text=True)
+        outputs[run] = {flag: path.read_text(encoding="utf-8")
+                        for flag, path in paths.items()}
+        if run == "whole":
+            assert proc.returncode == 0, proc.stderr
+        else:
+            assert proc.returncode == -signal.SIGKILL, proc.stderr
+    for flag, whole in outputs["whole"].items():
+        killed = outputs["killed"][flag]
+        assert "design000" in killed
+        assert killed.endswith("\n")
+        assert whole.startswith(killed)
+        assert "design007" in whole[len(killed):]
+
+
 def test_gen_testbench_bad_config_exit_1(pipeline_workspace):
     tmp_path, specs, config = pipeline_workspace
     config.write_text(config.read_text() + "\n[bogus]\nx = 1\n", encoding="utf-8")
@@ -196,7 +288,8 @@ def test_gen_testbench_without_coverage_fails_before_any_chat_call(
                      "--config", str(config), "--jobs", "2"])
     assert code == cli.EXIT_USAGE
     assert client.calls == []
-    assert not out.exists()
+    # The check runs in the first row, after the output file was opened.
+    assert out.read_bytes() == b""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -457,11 +550,15 @@ def test_bad_mock_script_is_a_config_error_naming_it(pipeline_workspace, backend
                        else "llm_pipeline.json")
     path.write_text(json.dumps(script), encoding="utf-8")
     out = tmp_path / "tb.jsonl"
-    proc = run_cli("gen-testbench", "--input", str(specs), "--out", str(out),
-                   "--config", str(config))
-    assert proc.returncode == 1
-    assert proc.stderr == f"error: bad {backend} mock script {path}: {problem}\n"
-    assert not out.exists()
+    # The backends are built before any input is read, so the error is all
+    # that is printed, also when no gen-testbench row passes the filter.
+    for command in (["gen-testbench"], ["gen-testbench", "--min-code-lines", "99"],
+                    ["collect-pairs"]):
+        proc = run_cli(*command, *batch_inputs(command[0], tmp_path, specs),
+                       "--out", str(out), "--config", str(config))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: bad {backend} mock script {path}: {problem}\n"
+        assert not out.exists()
 
 
 @pytest.fixture

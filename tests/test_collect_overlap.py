@@ -21,6 +21,7 @@ from cli_fixtures import (
     CANDIDATE_A,
     CANDIDATE_B,
     InFlight,
+    lines_before,
     write_collect_scripts,
     write_spec_rows,
 )
@@ -263,4 +264,36 @@ def test_batch_fatal_error_leaves_later_rows_unstarted(monkeypatch, tmp_path, ca
     # Rows 1 to 3 may start beside row 0, and the worker that row 0 frees may
     # take row 4 before the batch ends, but rows 5 to 9 never start.
     assert 1 <= len(started) <= 5
-    assert not (tmp_path / "pairs.jsonl").exists()
+    assert (tmp_path / "pairs.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_batch_fatal_error_keeps_the_rows_before_it(monkeypatch, tmp_path, jobs):
+    class AlternatingChat(Chat):
+        """Answers CANDIDATE_A, CANDIDATE_B, CANDIDATE_A, ..."""
+
+        def complete_once(self, request):
+            super().complete_once(request)
+            return CANDIDATE_B if self.count % 2 == 0 else CANDIDATE_A
+
+    class RankingSim(Sim):
+        """CANDIDATE_B passes 2 of 5 cases and CANDIDATE_A 4 of 5."""
+
+        def run_test(self, dut, tb):
+            return Report(total_cases=5, failures=3 if "~" in dut else 1)
+
+    class NoSimForDesign003(RankingSim):
+        def run_test(self, dut, tb):
+            if "design003" in tb:
+                raise ToolMissing("simulator not found")
+            return super().run_test(dut, tb)
+
+    assert collect(monkeypatch, tmp_path / "whole", AlternatingChat, RankingSim,
+                   specs=8, jobs=jobs) == cli.EXIT_OK
+    assert collect(monkeypatch, tmp_path / "stopped", AlternatingChat,
+                   NoSimForDesign003, specs=8, jobs=jobs) == cli.EXIT_BACKEND
+    for name in ("pairs.jsonl", "evals.jsonl"):
+        whole = (tmp_path / "whole" / name).read_text(encoding="utf-8")
+        stopped = (tmp_path / "stopped" / name).read_text(encoding="utf-8")
+        assert "design002" in stopped
+        assert stopped == lines_before(whole, "design003")

@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -34,16 +35,19 @@ def test_write_read_roundtrip(tmp_path):
         {"id": "b", "spec": "unicode ✓", "code": "module m; endmodule\n"},
     ]
     path = tmp_path / "rows.jsonl"
-    assert write_jsonl(path, rows) == 2
+    with open(path, "w", encoding="utf-8") as handle:
+        write_jsonl(handle, rows[:1])
+        write_jsonl(handle, rows[1:])
     assert read_jsonl(path) == rows
 
 
-def test_byte_stable_output(tmp_path):
-    rows = [{"id": "x", "value": 1.25, "nested": {"a": [1, 2]}}]
-    p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
-    write_jsonl(p1, rows)
-    write_jsonl(p2, rows)
-    assert p1.read_bytes() == p2.read_bytes()
+def test_byte_stable_output():
+    rows = [{"id": "x", "value": 1.25, "nested": {"a": [1, 2]}, "text": "✓"}]
+    one, two = io.StringIO(), io.StringIO()
+    write_jsonl(one, rows)
+    write_jsonl(two, rows)
+    assert one.getvalue() == two.getvalue() == \
+        '{"id": "x", "value": 1.25, "nested": {"a": [1, 2]}, "text": "✓"}\n'
 
 
 def test_malformed_line_raises_with_lineno(tmp_path):

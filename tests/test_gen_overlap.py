@@ -20,7 +20,13 @@ from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError
 from tbforge.sim import CompileError, CoverageReport, Report
 
-from cli_fixtures import CASES_JSON, POINTS_JSON, InFlight, write_pipeline_scripts
+from cli_fixtures import (
+    CASES_JSON,
+    POINTS_JSON,
+    InFlight,
+    lines_before,
+    write_pipeline_scripts,
+)
 from fixture_data import AUDIO_ENCODER_DUT, TESTBENCH_SKELETON
 
 CONFIG = """\
@@ -222,7 +228,24 @@ def test_batch_fatal_error_leaves_later_rows_unstarted(monkeypatch, tmp_path, ca
     # Rows 1 to 3 may start beside row 0, and the worker that row 0 frees may
     # take row 4 before the batch ends, but rows 5 to 9 never start.
     assert 1 <= len(started) <= 5
-    assert not (tmp_path / "tb.jsonl").exists()
+    assert (tmp_path / "tb.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_batch_fatal_error_keeps_the_rows_before_it(monkeypatch, tmp_path, jobs):
+    def sim_call(dut):
+        if "design003" in dut:
+            raise ToolMissing("simulator not found")
+
+    assert generate(monkeypatch, tmp_path / "whole", Chat, Sim, rows=8,
+                    jobs=jobs) == cli.EXIT_OK
+    assert generate(monkeypatch, tmp_path / "stopped", Chat, lambda: Sim(sim_call),
+                    rows=8, jobs=jobs) == cli.EXIT_BACKEND
+    for name in ("tb.jsonl", "trace.log"):
+        whole = (tmp_path / "whole" / name).read_text(encoding="utf-8")
+        stopped = (tmp_path / "stopped" / name).read_text(encoding="utf-8")
+        assert "design002" in stopped
+        assert stopped == lines_before(whole, "design003")
 
 
 def test_slots_bound_holders_and_serve_waiters_under_contention():

@@ -1,5 +1,3 @@
-import sys
+from tbforge.cli import entry
 
-from tbforge.cli import main
-
-sys.exit(main())
+entry()

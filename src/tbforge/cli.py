@@ -13,9 +13,12 @@ command only says what one row does with them.
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Outside input is checked where it enters: a bad row of ``--testbenches``,
 ``passk --results`` or ``dpo --pairs`` is an IO error at its path and line,
-a bad spec row is logged and skipped, and a bad setting or flag, two output
-flags that name one file included, is a config error before any chat call.
-A ValueError that reaches ``main`` is a bug. Batch output lines are appended
+and a bad spec row is logged and skipped. A bad setting or flag, two output
+flags that name one file included, is a config error before any input is
+read or any output file is opened. So are settings under which the simulator
+cannot run what the command needs: coverage that cannot be measured, or a
+program that is not on PATH (which exits 3). A ValueError that reaches
+``main`` is a bug. Batch output lines are appended
 in input order and flushed after each row, so a batch that stops keeps every
 row that finished before the stop; as nothing is fsynced, a SIGKILL in the
 middle of a write can leave one partial last line. Per-row pipeline
@@ -29,6 +32,7 @@ the run exits with the first errored row's code. The errors in
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import sys
@@ -118,8 +122,6 @@ class _Slotted:
 
     def __getattr__(self, name):
         attr = getattr(self._backend, name)
-        if not callable(attr):
-            return attr
 
         def call(*args):
             with self._slots:
@@ -233,6 +235,11 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
     """Run the testbench pipeline over a spec/code corpus."""
     _check_distinct("--out", out_path, "--trace-log", trace_path)
     config = load_config(config_path)
+    if not config.pipeline.skip_coverage:
+        if not config.simulator.supports_coverage:
+            raise ConfigError("coverage measurement unavailable; configure a "
+                              "coverage command or set skip_coverage")
+        config.simulator.check_programs(config.simulator.coverage_command)
     run_rows = _row_runner(config, jobs)
 
     skipped_rows = []
@@ -488,5 +495,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """The process entry point: ``main`` with the imported modules' objects
+    frozen out of the collector, which spares a walk over them at exit."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -144,10 +144,12 @@ def _sim_entry(entry):
 def make_simulator_factory(config: Config):
     """Returns a zero-arg callable producing a simulator backend. Mock
     backends are fresh per call so each pipeline row replays the script
-    from the top."""
+    from the top. A missing compile or run program fails now."""
     if config.simulator.backend == "mock":
         script = _load_script(config.simulator.mock_script, "simulator", _sim_entry)
         return lambda: MockSimulator(list(script))
+    config.simulator.check_programs(config.simulator.compile_command,
+                                    config.simulator.run_command)
     shared = CommandSimulator(config.simulator)
     return lambda: shared
 

@@ -129,6 +129,18 @@ class HttpChatClient:
             raise ConfigError(f"bad llm endpoint or proxy URL: {exc}") from None
         self._lock = threading.Lock()
         self._idle: list[http.client.HTTPConnection] = []
+        self._authorization()  # a key no request could carry fails now
+
+    def _authorization(self) -> dict[str, str]:
+        """The API key's header, read for each request; a key no header can
+        carry is a ConfigError naming the variable, never the key."""
+        api_key = os.environ.get(self.settings.api_key_env, "")
+        if not api_key:
+            return {}
+        if not (api_key.isascii() and api_key.isprintable()):
+            raise ConfigError(f"{self.settings.api_key_env} holds a character "
+                              "that is not printable ASCII")
+        return {"Authorization": f"Bearer {api_key}"}
 
     def _open(self) -> http.client.HTTPConnection:
         timeout = self.settings.request_timeout
@@ -187,14 +199,7 @@ class HttpChatClient:
         if request.top_k is not None:
             payload["top_k"] = request.top_k
 
-        headers = dict(self._headers)
-        api_key = os.environ.get(self.settings.api_key_env, "")
-        if api_key:
-            if not (api_key.isascii() and api_key.isprintable()):
-                raise ConfigError(f"{self.settings.api_key_env} holds a character "
-                                  "that is not printable ASCII")
-            headers["Authorization"] = f"Bearer {api_key}"
-
+        headers = {**self._headers, **self._authorization()}
         status, body = self._post(json.dumps(payload).encode("utf-8"), headers)
         if status == 429:
             raise RateLimited("chat endpoint rate limited")

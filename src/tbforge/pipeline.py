@@ -198,10 +198,6 @@ class TestbenchPipeline:
         self.simulator = simulator
         self.config = config or PipelineConfig()
         self.llm = llm or LlmSettings()
-        if not self.config.skip_coverage and not simulator.supports_coverage:
-            raise ConfigError(
-                "coverage measurement unavailable; configure a coverage "
-                "command or set skip_coverage")
         self._trace: list[TraceEntry] = []
         self._conversation: list[Message] = []  # shared by Draft, Improve, Rectify
 

@@ -10,7 +10,6 @@ deterministic with zero external tools.
 
 from __future__ import annotations
 
-import shlex
 import shutil
 import subprocess
 import tempfile
@@ -39,10 +38,8 @@ from tbforge.sim.outcomes import (
 
 @runtime_checkable
 class SimulatorBackend(Protocol):
-    """What the pipeline and candidate evaluation need from a simulator."""
-
-    @property
-    def supports_coverage(self) -> bool: ...
+    """The calls the pipeline and candidate evaluation make of a simulator.
+    What it can run at all, coverage included, its ``SimulatorConfig`` says."""
 
     def compile(self, dut: str, tb: str) -> CompileError | None:
         """Compile only; None when the sources compile."""
@@ -63,16 +60,11 @@ class CommandSimulator:
     def __init__(self, config: SimulatorConfig | None = None):
         self.config = config or SimulatorConfig()
 
-    @property
-    def supports_coverage(self) -> bool:
-        return self.config.coverage_command is not None
-
     @contextmanager
-    def _workdir(self, dut: str, tb: str) -> Iterator[dict[str, str]]:
-        """Yield the template placeholders of a fresh ``sim-*`` directory
-        holding dut.v and tb.v; the directory is removed on exit. Commands
-        run in that directory, so file names are relative to it: a tool's
-        log then names the same files on every call."""
+    def _workdir(self, dut: str, tb: str) -> Iterator[str]:
+        """Yield a fresh ``sim-*`` directory holding dut.v and tb.v, removed
+        on exit. Commands run in it and name their files relative to it, so a
+        tool's log names the same files on every call."""
         root = self.config.workdir_root
         if root:
             Path(root).mkdir(parents=True, exist_ok=True)
@@ -80,27 +72,26 @@ class CommandSimulator:
         try:
             (workdir / "dut.v").write_text(dut, encoding="utf-8")
             (workdir / "tb.v").write_text(tb, encoding="utf-8")
-            yield {"dut": "dut.v", "tb": "tb.v", "out": "sim.out",
-                   "workdir": str(workdir)}
+            yield str(workdir)
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    def _invoke(self, template: str, paths: dict[str, str]) -> tuple[int, str]:
+    def _invoke(self, template: str, workdir: str) -> tuple[int, str]:
         """Run one command; raises subprocess.TimeoutExpired past the
         configured timeout."""
-        argv = [part.format(**paths) for part in shlex.split(template)]
+        argv = self.config.argv(template, workdir)
         try:  # a byte that is not UTF-8 must not cost the log
             proc = subprocess.run(
                 argv, capture_output=True, encoding="utf-8", errors="replace",
-                timeout=self.config.timeout, cwd=paths["workdir"],
+                timeout=self.config.timeout, cwd=workdir,
             )
         except FileNotFoundError as exc:
             raise ToolMissing(f"simulator command not found: {argv[0]}") from exc
         return proc.returncode, (proc.stdout or "") + (proc.stderr or "")
 
-    def _compile_in(self, paths: dict[str, str]) -> CompileError | None:
+    def _compile_in(self, workdir: str) -> CompileError | None:
         try:
-            code, log = self._invoke(self.config.compile_command, paths)
+            code, log = self._invoke(self.config.compile_command, workdir)
         except subprocess.TimeoutExpired:
             return CompileError(
                 log=f"compile timeout: no result within {self.config.timeout}s")
@@ -109,18 +100,18 @@ class CommandSimulator:
     def compile(self, dut: str, tb: str) -> CompileError | None:
         if not dut.strip() or not tb.strip():
             return _EMPTY_SOURCE
-        with self._workdir(dut, tb) as paths:
-            return self._compile_in(paths)
+        with self._workdir(dut, tb) as workdir:
+            return self._compile_in(workdir)
 
     def run_test(self, dut: str, tb: str) -> SimOutcome:
         if not dut.strip() or not tb.strip():
             return _EMPTY_SOURCE
-        with self._workdir(dut, tb) as paths:
-            error = self._compile_in(paths)
+        with self._workdir(dut, tb) as workdir:
+            error = self._compile_in(workdir)
             if error is not None:
                 return error
             try:
-                code, output = self._invoke(self.config.run_command, paths)
+                code, output = self._invoke(self.config.run_command, workdir)
             except subprocess.TimeoutExpired:
                 return RuntimeAbort(reason="timeout",
                                     log=f"no result within {self.config.timeout}s")
@@ -134,9 +125,9 @@ class CommandSimulator:
     def coverage(self, dut: str, tb: str) -> CoverageReport:
         if self.config.coverage_command is None:
             raise ConfigError("no coverage_command configured")
-        with self._workdir(dut, tb) as paths:
+        with self._workdir(dut, tb) as workdir:
             try:
-                _, log = self._invoke(self.config.coverage_command, paths)
+                _, log = self._invoke(self.config.coverage_command, workdir)
             except subprocess.TimeoutExpired as exc:
                 raise UnparseableReport(
                     f"coverage timeout: no report within {self.config.timeout}s"
@@ -158,8 +149,6 @@ class MockSimulator:
     report text is the header and TOTAL rows alone). A ``run_test``
     consumes a compile entry and, if it compiled, a run entry.
     """
-
-    supports_coverage = True
 
     def __init__(self, script: Sequence[ScriptEntry]):
         if not script:

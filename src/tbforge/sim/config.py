@@ -9,10 +9,12 @@ The mock backend replays a JSON script instead of running commands.
 
 from __future__ import annotations
 
+import os
 import shlex
+import shutil
 from dataclasses import dataclass
 
-from tbforge.errors import ConfigError
+from tbforge.errors import ConfigError, ToolMissing
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,8 @@ class SimulatorConfig:
             for placeholder in placeholders:
                 if placeholder not in template:
                     raise ConfigError(f"{key} missing {placeholder}")
-            try:  # as CommandSimulator splits and fills it for each call
-                for part in shlex.split(template):
-                    part.format(dut="", tb="", out="", workdir="")
+            try:
+                self.argv(template)
             except (ValueError, LookupError, AttributeError) as exc:
                 raise ConfigError(f"bad {key} {template!r}: {exc}") from None
         if self.backend not in ("command", "mock"):
@@ -49,3 +50,23 @@ class SimulatorConfig:
                 f"simulator backend must be command or mock, got {self.backend!r}")
         if self.backend == "mock" and not self.mock_script:
             raise ConfigError("simulator backend mock needs mock_script")
+
+    @property
+    def supports_coverage(self) -> bool:
+        return self.backend == "mock" or self.coverage_command is not None
+
+    def check_programs(self, *templates: str) -> None:
+        """Raise ToolMissing for a command program named without a path that
+        is not on PATH; a path is left to the call, which runs in its own
+        directory. The mock runs no program."""
+        if self.backend == "mock":
+            return
+        for template in templates:
+            program = self.argv(template)[0]
+            if os.sep not in program and shutil.which(program) is None:
+                raise ToolMissing(f"simulator command not found: {program}")
+
+    def argv(self, template: str, workdir: str = "") -> list[str]:
+        """The template split as a shell would, its placeholders filled."""
+        return [part.format(dut="dut.v", tb="tb.v", out="sim.out", workdir=workdir)
+                for part in shlex.split(template)]

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import signal
@@ -10,10 +11,10 @@ import click
 import pytest
 
 from tbforge import cli, corpus
-from tbforge.config import ChatClientFactory
+from tbforge.config import ChatClientFactory, load_config, make_simulator_factory
 from tbforge.corpus import read_jsonl
 from tbforge.errors import ConfigError, RequestRejected, ToolMissing, TransportError
-from tbforge.llm import MockChatClient
+from tbforge.llm import HttpChatClient, MockChatClient
 
 from cli_fixtures import (
     CANDIDATE_A,
@@ -269,6 +270,9 @@ def test_gen_testbench_bad_config_exit_1(pipeline_workspace):
     assert "bogus" in proc.stderr
 
 
+PREVIOUS_RUN = b'{"id": "old", "n": 1}\n'
+
+
 def test_gen_testbench_without_coverage_fails_before_any_chat_call(
         tmp_path, monkeypatch):
     specs = tmp_path / "specs.jsonl"
@@ -284,12 +288,91 @@ def test_gen_testbench_without_coverage_fails_before_any_chat_call(
     monkeypatch.setattr(cli, "make_chat_client_factory",
                         lambda config: ChatClientFactory(lambda: client))
     out = tmp_path / "tb.jsonl"
+    out.write_bytes(PREVIOUS_RUN)
     code = cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
                      "--config", str(config), "--jobs", "2"])
     assert code == cli.EXIT_USAGE
     assert client.calls == []
-    # The check runs in the first row, after the output file was opened.
-    assert out.read_bytes() == b""
+    # The settings are checked before the output file is opened.
+    assert out.read_bytes() == PREVIOUS_RUN
+
+# Settings that can never work, each with the sections it puts in the config
+# and the exit code and stderr it ends the run with.
+NEVER_WORKS = {
+    "coverage": (
+        "[simulator]\nbackend = command\ncompile_command = true {out} {dut} {tb}\n"
+        "run_command = true {out}\n\n[pipeline]\nskip_coverage = false\n",
+        cli.EXIT_USAGE, "error: coverage measurement unavailable; configure a "
+        "coverage command or set skip_coverage\n"),
+    "api-key": (
+        "[llm]\nbackend = http\nendpoint = http://127.0.0.1:9/v1\n\n"
+        "[simulator]\nbackend = mock\nmock_script = {sim_script}\n",
+        cli.EXIT_USAGE,
+        "error: TBFORGE_API_KEY holds a character that is not printable ASCII\n"),
+    "compiler": (
+        "[simulator]\nbackend = command\n"
+        "compile_command = no-such-compiler-xyz {out} {dut} {tb}\n"
+        "run_command = true {out}\n\n[pipeline]\nskip_coverage = true\n",
+        cli.EXIT_BACKEND, "backend unavailable: simulator command not found: "
+        "no-such-compiler-xyz\n"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+@pytest.mark.parametrize("command,fault", [
+    ("gen-testbench", "coverage"), ("gen-testbench", "api-key"),
+    ("collect-pairs", "api-key"), ("gen-testbench", "compiler"),
+    ("collect-pairs", "compiler")])
+def test_settings_that_can_never_work_leave_outputs_untouched(
+        tmp_path, monkeypatch, capsys, command, fault, jobs):
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 4)
+    scripts = write_pipeline_scripts if command == "gen-testbench" else \
+        write_collect_scripts
+    llm_script, sim_script = scripts(tmp_path)
+    sections, exit_code, stderr = NEVER_WORKS[fault]
+    config = tmp_path / "config.ini"
+    config.write_text(sections.replace("{sim_script}", str(sim_script)), encoding="utf-8")
+    clients, posted = [], []
+    if fault == "api-key":
+        monkeypatch.setenv("TBFORGE_API_KEY", "sk-x\n")
+        monkeypatch.setattr(HttpChatClient, "_post",
+                            lambda self, body, headers: posted.append(body))
+    else:
+        script = json.loads(llm_script.read_text(encoding="utf-8"))
+        monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: ChatClientFactory(
+            lambda: clients.append(MockChatClient(script)) or clients[-1]))
+    second = "--trace-log" if command == "gen-testbench" else "--evals-out"
+    outputs = {"--out": tmp_path / "out.jsonl", second: tmp_path / "second.txt"}
+    for path in outputs.values():
+        path.write_bytes(PREVIOUS_RUN)
+    code = cli.main([command, *batch_inputs(command, tmp_path, specs),
+                     "--config", str(config), "--jobs", jobs,
+                     *(arg for flag, path in outputs.items() for arg in (flag, str(path)))])
+    assert (code, capsys.readouterr().err) == (exit_code, stderr)
+    assert posted == [] and all(client.calls == [] for client in clients)
+    assert all(path.read_bytes() == PREVIOUS_RUN for path in outputs.values())
+
+
+def test_missing_coverage_program_fails_only_the_command_that_measures_coverage(
+        pipeline_workspace, monkeypatch, capsys):
+    tmp_path, specs, _ = pipeline_workspace
+    config = tmp_path / "config.ini"
+    config.write_text(
+        "[simulator]\nbackend = command\ncompile_command = true {out} {dut} {tb}\n"
+        "run_command = true {out}\ncoverage_command = no-such-coverage-xyz {dut} {tb}\n",
+        encoding="utf-8")
+    client = MockChatClient(["unused"])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
+                     "--config", str(config)]) == cli.EXIT_BACKEND
+    assert capsys.readouterr().err == \
+        "backend unavailable: simulator command not found: no-such-coverage-xyz\n"
+    assert client.calls == [] and not out.exists()
+    # collect-pairs never measures coverage, so its simulator is built.
+    assert make_simulator_factory(load_config(config))() is not None
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -1102,6 +1185,19 @@ def test_simulate_tool_missing_exit_3(tmp_path):
                    "--config", str(config))
     assert proc.returncode == 3
     assert "backend unavailable" in proc.stderr
+
+
+def test_only_the_process_entry_point_freezes_the_collector(capsys):
+    # Frozen objects are never collected, so in-process callers of main keep
+    # normal collection; the process entry freezes what its imports made.
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert gc.get_freeze_count() == 0
+    probe = ("import atexit, gc, runpy, sys; sys.argv = ['tbforge', '--help']; "
+             "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); "
+             "runpy.run_module('tbforge', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("frozen: True\n")
 
 
 def test_cli_import_loads_no_heavy_dependencies():

@@ -88,8 +88,6 @@ class Chat:
 class Sim:
     """Runs ``action()`` for each run_test, then reports 4 of 5 passed."""
 
-    supports_coverage = False
-
     def __init__(self, action=None):
         self.action = action
 

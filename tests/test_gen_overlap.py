@@ -94,8 +94,6 @@ class Sim:
     """Compiles everything, measures 95% coverage and passes every case;
     ``action(dut)`` runs first and may raise."""
 
-    supports_coverage = True
-
     def __init__(self, action=None):
         self.action = action
 

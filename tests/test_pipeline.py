@@ -15,7 +15,15 @@ from tbforge.pipeline import (
     TraceEntry,
     has_scaffold,
 )
-from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort, parse_coverage
+from tbforge.sim import (
+    CommandSimulator,
+    CompileError,
+    MockSimulator,
+    Report,
+    RuntimeAbort,
+    SimulatorConfig,
+    parse_coverage,
+)
 
 from fixture_data import AUDIO_ENCODER_DUT, COVERAGE_REPORT_SAMPLE, TESTBENCH_SKELETON
 
@@ -205,12 +213,16 @@ def test_improve_skip_coverage():
 
 
 def test_improve_without_coverage_support_is_config_error():
-    class NoCoverage:
-        supports_coverage = False
-
+    # The settings say whether coverage can be measured, and gen-testbench
+    # asks them before any row runs. A library caller that improves anyway
+    # gets the simulator's own ConfigError, before any chat call.
+    settings = SimulatorConfig(coverage_command=None)
+    assert not settings.supports_coverage
+    assert SimulatorConfig(backend="mock", mock_script="sim.json").supports_coverage
     client = MockChatClient(["x"])
-    with pytest.raises(ConfigError):
-        TestbenchPipeline(client, NoCoverage(), PipelineConfig())
+    p = TestbenchPipeline(client, CommandSimulator(settings), PipelineConfig())
+    with pytest.raises(ConfigError, match="no coverage_command configured"):
+        p.improve(PAIR.code, TESTBENCH_SKELETON)
     assert client.calls == []
 
 
@@ -386,8 +398,6 @@ def test_finished_implies_last_verify_passed():
 
 class RandomBehaviorSim:
     """Responds with seeded random outcomes; used to probe attempt bounds."""
-
-    supports_coverage = True
 
     def __init__(self, rng):
         self.rng = rng

@@ -178,9 +178,9 @@ def test_command_output_that_is_not_utf8_still_parses(fake_tools, tmp_path):
 
 
 def test_command_coverage_parses_report(fake_tools, tmp_path):
-    sim = CommandSimulator(_config(fake_tools, tmp_path))
-    assert sim.supports_coverage
-    report = sim.coverage(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    config = _config(fake_tools, tmp_path)
+    assert config.supports_coverage
+    report = CommandSimulator(config).coverage(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
     assert (report.total_lines, report.covered_lines, report.percent) == (3, 2, 66.7)
     assert _workdirs_left(tmp_path) == []
 
@@ -249,11 +249,31 @@ def test_backends_satisfy_the_protocol(fake_tools, tmp_path):
 
 
 def test_coverage_requires_configuration(fake_tools, tmp_path):
-    sim = CommandSimulator(dataclasses.replace(_config(fake_tools, tmp_path),
-                                               coverage_command=None))
-    assert not sim.supports_coverage
+    config = dataclasses.replace(_config(fake_tools, tmp_path), coverage_command=None)
+    assert not config.supports_coverage
     with pytest.raises(ConfigError):
-        sim.coverage("module m; endmodule", "module tb; endmodule")
+        CommandSimulator(config).coverage("module m; endmodule", "module tb; endmodule")
+
+
+def test_argv_splits_and_fills_a_template():
+    config = SimulatorConfig()
+    assert config.argv("cc -o '{out} x' {dut} {tb}", "/w") == \
+        ["cc", "-o", "sim.out x", "dut.v", "tb.v"]
+    assert config.argv("{workdir}/sim {out}", "/w") == ["/w/sim", "sim.out"]
+
+
+def test_check_programs_finds_a_bare_program_missing_from_path(fake_tools, monkeypatch):
+    monkeypatch.setenv("PATH", str(fake_tools))
+    config = SimulatorConfig()
+    config.check_programs("fakecomp {out} {dut} {tb}", "fakerun {out}")
+    # A program given as a path runs from each call's work directory, so
+    # only the call can tell whether it is there.
+    config.check_programs("./not-here {out}", "{workdir}/not-here {out}")
+    with pytest.raises(ToolMissing, match="^simulator command not found: not-here-xyz$"):
+        config.check_programs("fakerun {out}", "not-here-xyz {out}")
+    # The mock runs no program.
+    SimulatorConfig(backend="mock", mock_script="sim.json").check_programs(
+        "not-here-xyz {out}")
 
 
 def test_config_validates_placeholders():

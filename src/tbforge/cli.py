@@ -336,7 +336,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                           on_code=lambda code: evals.append(evaluate_candidate(
                               code, testbenches[spec.id], simulator)))
         outcomes = build_pairs(spec.spec, spec.code, evals, pair_method,
-                               cap=config.max_pairs_per_spec)
+                               cap=sampling.max_pairs_per_spec)
         return evals, outcomes
 
     counts = Counter()
@@ -417,9 +417,14 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
 def cmd_similarity(method, file_a, file_b):
     """Score FILE_A (candidate) against FILE_B (reference)."""
     pair_method = PairMethod(method)
-    candidate = similarity_form(pair_method, _read_source(file_a))
-    reference = similarity_form(pair_method, _read_source(file_b))
-    score = form_similarity(pair_method, candidate, reference)
+
+    def form(path):
+        try:
+            return similarity_form(pair_method, _read_source(path))
+        except TbforgeError as exc:  # code the frontend rejects
+            raise TbforgeError(f"{path}: {exc}") from exc
+
+    score = form_similarity(pair_method, form(file_a), form(file_b))
     click.echo(f"{score.value:.6f}")
 
 

@@ -1,11 +1,10 @@
 """Toolkit configuration: a simple INI file with strict key validation.
 
 Each section fills the settings dataclass of the ``Config`` field of the
-same name, and that dataclass is the only place a key, its type and its
-default are written. Two keys sit in another section than their field:
-``[paths] workdir_root`` fills the simulator settings, and ``[sampling]
-max_pairs_per_spec`` fills ``Config`` itself. An empty value means the
-default.
+same name, and that dataclass is the only place a key, its type, its
+default and its range are written. One key sits in another section than
+its field: ``[paths] workdir_root`` fills the simulator settings. An empty
+value means the default.
 
 Secrets never live in the file; the LLM API key is read from the
 environment variable named by ``llm.api_key_env``. Mock backends are
@@ -19,7 +18,7 @@ import configparser
 import json
 import types
 from collections import defaultdict
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -27,7 +26,7 @@ from tbforge.corpus import json_string
 from tbforge.errors import ConfigError
 from tbforge.llm.client import HttpChatClient, LlmSettings, MockChatClient
 from tbforge.pipeline import PipelineConfig
-from tbforge.preference import DEFAULT_PAIR_CAP, SamplingParams
+from tbforge.preference import SamplingParams
 from tbforge.sim.backends import CommandSimulator, MockSimulator
 from tbforge.sim.config import SimulatorConfig
 from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
@@ -39,18 +38,14 @@ class Config:
     simulator: SimulatorConfig = field(default_factory=SimulatorConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     sampling: SamplingParams = field(default_factory=SamplingParams)
-    max_pairs_per_spec: int = DEFAULT_PAIR_CAP
 
 
 def ini_schema() -> dict[str, dict[str, tuple[str, object]]]:
     """Each INI section's keys, mapped to (the ``Config`` field whose
-    dataclass the key fills, or "" for a field of ``Config`` itself, the
-    key's type)."""
-    owners = get_type_hints(Config)
+    dataclass the key fills, the key's type)."""
     schema = {owner: {key: (owner, hint) for key, hint in get_type_hints(cls).items()}
-              for owner, cls in owners.items() if is_dataclass(cls)}
+              for owner, cls in get_type_hints(Config).items()}
     schema["paths"] = {"workdir_root": schema["simulator"].pop("workdir_root")}
-    schema["sampling"]["max_pairs_per_spec"] = ("", owners["max_pairs_per_spec"])
     return schema
 
 
@@ -92,19 +87,14 @@ def load_config(path) -> Config:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
 
-    found: dict[str, dict] = defaultdict(dict)
+    values: dict[str, dict] = defaultdict(dict)
     for section, keys in schema.items():
         for key, (owner, hint) in keys.items():
             raw = parser.get(section, key, fallback="")
             if raw:
-                found[owner][key] = (raw, hint)
-
-    def typed(owner: str) -> dict:
-        return {key: _typed(key, raw, hint) for key, (raw, hint) in found[owner].items()}
-
-    settings = {owner: cls(**typed(owner))
-                for owner, cls in get_type_hints(Config).items() if is_dataclass(cls)}
-    return Config(**settings, **typed(""))
+                values[owner][key] = _typed(key, raw, hint)
+    return Config(**{owner: cls(**values[owner])
+                     for owner, cls in get_type_hints(Config).items()})
 
 
 # -- backend factories --

@@ -1,4 +1,11 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the range check that
+every settings record raises its ConfigError from."""
+
+# The longest wait, in seconds, that every blocking call the toolkit makes
+# accepts: poll() takes its timeout as a C int of milliseconds, so a longer
+# subprocess timeout raises OverflowError and a longer socket timeout wraps
+# around to a short one.
+LONGEST_WAIT = (2**31 - 1) / 1000
 
 
 class TbforgeError(Exception):
@@ -50,6 +57,14 @@ class ScriptExhausted(TbforgeError):
 
 class ConfigError(TbforgeError):
     pass
+
+
+def check_settings(section: str, rules) -> None:
+    """Raise a ConfigError for the first ``(key, ok, rule)`` that is not ok,
+    worded ``<section> <key> must be <rule>``."""
+    for key, ok, rule in rules:
+        if not ok:
+            raise ConfigError(f"{section} {key} must be {rule}")
 
 
 # --- LLM client ---

@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import math
 import os
 import ssl
 import threading
@@ -22,11 +23,13 @@ from urllib.parse import unquote, urlsplit
 
 from tbforge.corpus import json_string
 from tbforge.errors import (
+    LONGEST_WAIT,
     ConfigError,
     RateLimited,
     RequestRejected,
     ScriptExhausted,
     TransportError,
+    check_settings,
 )
 
 _ROLES = ("system", "user", "assistant")
@@ -79,13 +82,14 @@ class LlmSettings:
             raise ConfigError(f"llm backend must be http or mock, got {self.backend!r}")
         if self.backend == "mock" and not self.mock_script:
             raise ConfigError("llm backend mock needs mock_script")
-        for key, ok, rule in (("retries", self.retries >= 1, ">= 1"),
-                              ("request_timeout", self.request_timeout > 0, "> 0"),
-                              ("backoff_seconds", self.backoff_seconds >= 0, ">= 0"),
-                              ("max_tokens", self.max_tokens >= 1, ">= 1"),
-                              ("temperature", self.temperature >= 0, ">= 0")):
-            if not ok:
-                raise ConfigError(f"llm {key} must be {rule}")
+        check_settings("llm", (
+            ("retries", self.retries >= 1, ">= 1"),
+            ("request_timeout", 0 < self.request_timeout <= LONGEST_WAIT,
+             f"in (0, {LONGEST_WAIT}]"),
+            ("backoff_seconds", 0 <= self.backoff_seconds <= LONGEST_WAIT,
+             f"in [0, {LONGEST_WAIT}]"),
+            ("max_tokens", self.max_tokens >= 1, ">= 1"),
+            ("temperature", 0 <= self.temperature < math.inf, ">= 0 and finite")))
 
 
 class HttpChatClient:

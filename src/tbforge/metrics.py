@@ -27,15 +27,16 @@ class TaskResults:
 @dataclass(frozen=True)
 class SequenceLogProb:
     token_logprobs: tuple[float, ...]
-    length: int = -1
 
     def __post_init__(self):
-        if self.length == -1:
-            object.__setattr__(self, "length", len(self.token_logprobs))
-        if self.length != len(self.token_logprobs) or self.length == 0:
-            raise ValueError("length must equal the number of token logprobs (> 0)")
+        if not self.token_logprobs:
+            raise ValueError("need at least one token logprob")
         if any(lp > 0 for lp in self.token_logprobs):
             raise ValueError("token log-probabilities must be <= 0")
+
+    @property
+    def length(self) -> int:
+        return len(self.token_logprobs)
 
 
 def pass_at_single(n: int, c: int, k: int) -> float:

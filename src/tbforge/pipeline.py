@@ -36,7 +36,7 @@ from enum import Enum
 from typing import Union
 
 from tbforge.corpus import SpecCodePair
-from tbforge.errors import ConfigError, MalformedJson
+from tbforge.errors import MalformedJson, check_settings
 from tbforge.llm.client import ChatRequest, LlmSettings, Message, complete
 from tbforge.llm.postprocess import (
     FunctionPoint,
@@ -94,12 +94,11 @@ class PipelineConfig:
     skip_coverage: bool = False
 
     def __post_init__(self):
-        for name in ("max_draft_attempts", "max_improve_attempts",
-                     "max_rectify_iterations"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not 0 < self.coverage_threshold <= 100:
-            raise ConfigError("coverage_threshold must be in (0, 100]")
+        check_settings("pipeline", (
+            ("max_draft_attempts", self.max_draft_attempts >= 1, ">= 1"),
+            ("max_improve_attempts", self.max_improve_attempts >= 1, ">= 1"),
+            ("max_rectify_iterations", self.max_rectify_iterations >= 1, ">= 1"),
+            ("coverage_threshold", 0 < self.coverage_threshold <= 100, "in (0, 100]")))
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,6 @@ class Provenance:
 class TestbenchRecord:
     testbench: str
     testcase_count: int
-    function_points: tuple[FunctionPoint, ...]
-    testcases: tuple[TestCaseSpec, ...]
     coverage_percent: float | None
     provenance: Provenance
 
@@ -372,7 +369,7 @@ class TestbenchPipeline:
         self._trace = []
         self._conversation = []
         try:
-            points, cases = self.analyze(pair.spec)
+            _, cases = self.analyze(pair.spec)
             tb, draft_attempts = self.draft(pair.spec, pair.code, cases)
             tb, coverage_percent, improve_rounds = self.improve(pair.code, tb)
             tb, final_report, rectify_iterations = self.rectify(pair.code, tb)
@@ -386,8 +383,6 @@ class TestbenchPipeline:
         record = TestbenchRecord(
             testbench=tb,
             testcase_count=testcase_count,
-            function_points=points,
-            testcases=cases,
             coverage_percent=coverage_percent,
             provenance=Provenance(draft_attempts=draft_attempts,
                                   improve_rounds=improve_rounds,

@@ -19,12 +19,13 @@ frontend rejects has no score, and every pair that needs it is discarded as
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
 
-from tbforge.errors import ConfigError, EmptyInput, LexError, ParseError
+from tbforge.errors import EmptyInput, LexError, ParseError, check_settings
 from tbforge.frontend import extract_dfg, lex, parse_module
 from tbforge.llm.client import ChatRequest, Message, complete
 from tbforge.llm.postprocess import extract_code_block
@@ -95,14 +96,17 @@ class SamplingParams:
     top_p: float | None = 0.95
     top_k: int | None = 50
     max_tokens: int = 4096
+    max_pairs_per_spec: int = DEFAULT_PAIR_CAP
 
     def __post_init__(self):
-        temperatures_ok = bool(self.temperatures) and min(self.temperatures) >= 0
-        for key, ok, rule in (("n", self.n >= 2, ">= 2"),
-                              ("temperatures", temperatures_ok, "one or more values >= 0"),
-                              ("max_tokens", self.max_tokens >= 1, ">= 1")):
-            if not ok:
-                raise ConfigError(f"sampling {key} must be {rule}")
+        temperatures_ok = bool(self.temperatures) and all(
+            0 <= t < math.inf for t in self.temperatures)
+        check_settings("sampling", (
+            ("n", self.n >= 2, ">= 2"),
+            ("temperatures", temperatures_ok, "one or more finite values >= 0"),
+            ("top_p", self.top_p is None or 0 <= self.top_p <= 1, "in [0, 1]"),
+            ("max_tokens", self.max_tokens >= 1, ">= 1"),
+            ("max_pairs_per_spec", self.max_pairs_per_spec >= 1, ">= 1")))
 
 
 def sample_candidates(client, spec: str, params: SamplingParams | None = None, *,

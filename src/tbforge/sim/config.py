@@ -14,7 +14,7 @@ import shlex
 import shutil
 from dataclasses import dataclass
 
-from tbforge.errors import ConfigError, ToolMissing
+from tbforge.errors import LONGEST_WAIT, ConfigError, ToolMissing, check_settings
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class SimulatorConfig:
     mock_script: str = ""
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ConfigError("simulator timeout must be > 0")
+        check_settings("simulator", (
+            ("timeout", 0 < self.timeout <= LONGEST_WAIT, f"in (0, {LONGEST_WAIT}]"),))
         for key, placeholders in (("compile_command", ("{dut}", "{tb}", "{out}")),
                                   ("run_command", ("{out}",)),
                                   ("coverage_command", ("{dut}", "{tb}"))):

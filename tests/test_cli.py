@@ -587,8 +587,16 @@ def test_collect_pairs_simulator_output_that_is_not_utf8_still_parses(tmp_path):
 
 @pytest.mark.parametrize("section,line,message", [
     ("sampling", "temperatures = 0.2, -0.5",
-     "sampling temperatures must be one or more values >= 0"),
+     "sampling temperatures must be one or more finite values >= 0"),
+    ("sampling", "temperatures = 0.2, nan",
+     "sampling temperatures must be one or more finite values >= 0"),
+    ("sampling", "top_p = 7", "sampling top_p must be in [0, 1]"),
     ("sampling", "max_tokens = 0", "sampling max_tokens must be >= 1"),
+    ("sampling", "max_pairs_per_spec = 0", "sampling max_pairs_per_spec must be >= 1"),
+    ("simulator", "timeout = inf", "simulator timeout must be in (0, 2147483.647]"),
+    ("llm", "request_timeout = 1e30", "llm request_timeout must be in (0, 2147483.647]"),
+    ("llm", "backoff_seconds = inf", "llm backoff_seconds must be in [0, 2147483.647]"),
+    ("llm", "temperature = inf", "llm temperature must be >= 0 and finite"),
     ("simulator", 'compile_command = cc "-o {out} {dut} {tb}',
      """bad compile_command 'cc "-o {out} {dut} {tb}': No closing quotation"""),
     ("simulator", "run_command = run {out} {log}",
@@ -1044,9 +1052,11 @@ def test_similarity_unparseable_ast_exit_1(tmp_path):
     good.write_text(AUDIO_ENCODER_DUT, encoding="utf-8")
     bad = tmp_path / "bad.v"
     bad.write_text("module m; generate endgenerate endmodule", encoding="utf-8")
-    proc = run_cli("similarity", "--method", "ast", str(bad), str(good))
-    assert proc.returncode == 1
-    assert "generate" in proc.stderr
+    for files in ((bad, good), (good, bad)):  # the candidate, then the reference
+        proc = run_cli("similarity", "--method", "ast", *map(str, files))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {bad}: L1: ")
+        assert "generate" in proc.stderr
 
 
 def test_similarity_file_that_is_not_utf8_is_an_io_error(tmp_path):
@@ -1185,6 +1195,18 @@ def test_simulate_tool_missing_exit_3(tmp_path):
                    "--config", str(config))
     assert proc.returncode == 3
     assert "backend unavailable" in proc.stderr
+
+
+def test_simulate_with_an_infinite_timeout_is_a_config_error(tmp_path):
+    dut = tmp_path / "dut.v"
+    dut.write_text("module m; endmodule", encoding="utf-8")
+    config = tmp_path / "config.ini"
+    config.write_text("[simulator]\ncompile_command = true {out} {dut} {tb}\n"
+                      "run_command = true {out}\ntimeout = inf\n", encoding="utf-8")
+    proc = run_cli("simulate", "--dut", str(dut), "--tb", str(dut),
+                   "--config", str(config))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: simulator timeout must be in (0, 2147483.647]\n"
 
 
 def test_only_the_process_entry_point_freezes_the_collector(capsys):

@@ -23,7 +23,7 @@ from tbforge.corpus import (
     read_jsonl,
     write_jsonl,
 )
-from tbforge.errors import ConfigError
+from tbforge.errors import LONGEST_WAIT, ConfigError
 from tbforge.sim import CompileError, Report
 
 
@@ -395,8 +395,6 @@ NON_DEFAULT = {
 
 def _with(config, section, key, value):
     """``config`` with the field an INI key fills set to ``value``."""
-    if key == "max_pairs_per_spec":
-        return dataclasses.replace(config, max_pairs_per_spec=value)
     owner = "simulator" if section == "paths" else section
     part = dataclasses.replace(getattr(config, owner), **{key: value})
     return dataclasses.replace(config, **{owner: part})
@@ -414,6 +412,29 @@ def test_each_key_lands_on_its_field(tmp_path, section, key):
     after = _with(before, section, key, value)
     assert after != before
     assert load_config(write_config(tmp_path, ini)) == after
+
+
+@pytest.mark.parametrize("section,key", [
+    (section, key) for section, keys in ini_schema().items()
+    for key, (_, hint) in keys.items() if hint in (float, float | None, tuple[float, ...])])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_every_float_key_refuses_a_value_that_is_not_finite(tmp_path, section, key, value):
+    path = write_config(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{section} {key} must be"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section,key,low", [("simulator", "timeout", "(0"),
+                                             ("llm", "request_timeout", "(0"),
+                                             ("llm", "backoff_seconds", "[0")])
+def test_a_wait_loads_up_to_the_longest_that_every_blocking_call_accepts(
+        tmp_path, section, key, low):
+    config = load_config(write_config(tmp_path, f"[{section}]\n{key} = {LONGEST_WAIT}\n"))
+    assert getattr(getattr(config, section), key) == LONGEST_WAIT
+    path = write_config(tmp_path, f"[{section}]\n{key} = 2147484\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{section} {key} must be in {low}, 2147483.647]"
 
 
 @pytest.mark.parametrize("section,key", [("paths", "compile_command"),

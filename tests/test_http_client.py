@@ -15,7 +15,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from tbforge import cli
-from tbforge.errors import ConfigError, RateLimited, RequestRejected, TransportError
+from tbforge.errors import (
+    LONGEST_WAIT,
+    ConfigError,
+    RateLimited,
+    RequestRejected,
+    TransportError,
+)
 from tbforge.llm import ChatRequest, HttpChatClient, LlmSettings, Message, complete
 
 from cli_fixtures import (
@@ -318,6 +324,15 @@ def test_request_timeout_bounds_a_silent_server(serve):
     finally:
         release.set()
     assert time.monotonic() - start < WAIT_S / 2
+
+
+def test_longest_request_timeout_waits_for_a_slow_reply(serve):
+    def slow(handler, payload):
+        time.sleep(0.3)
+        return echo(handler, payload)
+
+    _, client = serve(slow, request_timeout=LONGEST_WAIT)
+    assert client.complete_once(_req("slow")) == "slow"
 
 
 def test_close_closes_every_connection(serve):

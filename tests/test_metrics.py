@@ -146,6 +146,4 @@ def test_sequence_logprob_validation():
         SequenceLogProb(token_logprobs=())
     with pytest.raises(ValueError):
         SequenceLogProb(token_logprobs=(0.5,))
-    with pytest.raises(ValueError):
-        SequenceLogProb(token_logprobs=(-1.0,), length=5)
 

@@ -4,7 +4,13 @@ import threading
 
 import pytest
 
-from tbforge.errors import ConfigError, ScriptExhausted, ToolMissing, UnparseableReport
+from tbforge.errors import (
+    LONGEST_WAIT,
+    ConfigError,
+    ScriptExhausted,
+    ToolMissing,
+    UnparseableReport,
+)
 from tbforge.sim import (
     CaseLine,
     CommandSimulator,
@@ -183,6 +189,12 @@ def test_command_coverage_parses_report(fake_tools, tmp_path):
     report = CommandSimulator(config).coverage(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
     assert (report.total_lines, report.covered_lines, report.percent) == (3, 2, 66.7)
     assert _workdirs_left(tmp_path) == []
+
+
+def test_command_runs_under_the_longest_timeout(fake_tools, tmp_path):
+    sim = CommandSimulator(_config(fake_tools, tmp_path, timeout=LONGEST_WAIT))
+    outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert outcome == Report(1, 0, outcome.case_lines)
 
 
 def test_command_compile_timeout(fake_tools, tmp_path):

@@ -49,6 +49,7 @@ from tbforge.config import load_config, make_chat_client_factory, \
     make_simulator_factory
 from tbforge.errors import (
     ConfigError,
+    EmptyInput,
     NonPositiveBeta,
     RequestRejected,
     TbforgeError,
@@ -194,6 +195,15 @@ def _make_output_dirs(*paths) -> None:
     for path in paths:
         if path:
             Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
+def _write_report(report: dict, out_path) -> None:
+    """Write a report as indented JSON to ``out_path``, or echo it."""
+    text = json.dumps(report, indent=2)
+    if out_path:
+        Path(out_path).write_text(text + "\n", encoding="utf-8")
+    else:
+        click.echo(text)
 
 
 def _read_source(path) -> str:
@@ -400,11 +410,7 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
     summary = {"mode": mode, "tasks": len(tasks), "results": {}}
     for k in ks:
         summary["results"][f"pass@{k}"] = pass_at_k(tasks, k, mode)
-    text = json.dumps(summary, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
-    else:
-        click.echo(text)
+    _write_report(summary, out_path)
 
 
 # ---- similarity ----
@@ -420,7 +426,10 @@ def cmd_similarity(method, file_a, file_b):
 
     def form(path):
         try:
-            return similarity_form(pair_method, _read_source(path))
+            formed = similarity_form(pair_method, _read_source(path))
+            if pair_method is PairMethod.Bleu and not formed:
+                raise EmptyInput("empty input")
+            return formed
         except TbforgeError as exc:  # code the frontend rejects
             raise TbforgeError(f"{path}: {exc}") from exc
 
@@ -459,11 +468,7 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
         report["gradcheck"] = {"seeds": gradcheck_seeds, "max_rel_error": worst,
                                "tolerance": tolerance, "pass": worst < tolerance}
 
-    text = json.dumps(report, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n", encoding="utf-8")
-    else:
-        click.echo(text)
+    _write_report(report, out_path)
 
 
 # ---- simulate ----

@@ -1,19 +1,18 @@
 """Candidate sampling, testbench evaluation, and preference-pair construction.
 
-A pair prefers the candidate with more passed testcases (testbench rule) or
-higher similarity to the reference code (ablation rules). Ties are always
-discarded: preference needs a strict inequality, equal evidence carries no
-learning signal. Candidates that abort at runtime are discarded wherever a
-pass count or similarity is compared; the compile-status rule
-(tb-with-fails) looks at compile status alone, so a compiling-but-aborting
-candidate still beats one with syntax errors.
+Every method judges a pair by one rule over one key per candidate: its pass
+count (testbench, tb-with-fails) or its similarity to the reference code
+(bleu, ast, dfg). Under tb-with-fails a compile-status difference decides
+the pair by itself, so a compiling-but-aborting candidate beats one with
+syntax errors. Otherwise a compile failure, then an abort, then a missing
+key ("parse"), then equal keys ("tie") discard the pair: preference needs a
+strict inequality. Else the larger key is chosen.
 
-Similarity rules score a spec's candidates in one pass before any pair is
-built: the reference code is brought to the method's form once, and each
-candidate that compiles and does not abort is scored against it once, when
-at least two such candidates exist. A candidate or reference that the
-frontend rejects has no score, and every pair that needs it is discarded as
-"parse".
+Similarity keys are computed once per spec before any pair is judged: the
+reference is brought to the method's form once, and each candidate that
+compiles and does not abort is scored against it once, when at least two
+such candidates exist. A candidate or reference the frontend rejects has no
+key.
 """
 
 from __future__ import annotations
@@ -157,29 +156,34 @@ def evaluate_candidate(code: str, testbench: str,
                          passed=outcome.passed, total=outcome.total_cases)
 
 
-def _status_discard(a: CandidateEval, b: CandidateEval) -> Discard | None:
-    """The discard owed to a pair before any pass count or similarity is
-    compared: either candidate failed to compile, or aborted."""
-    if not a.compile_ok or not b.compile_ok:
+def _judge(spec: str, a: CandidateEval, b: CandidateEval, key_a: float | None,
+           key_b: float | None, method: PairMethod) -> PairOutcome:
+    """The one pair rule of the module docstring. A tb-with-fails pair
+    decided by pass counts is a testbench pair."""
+    if method is PairMethod.TestbenchWithFails and a.compile_ok != b.compile_ok:
+        a_wins = a.compile_ok
+    elif not (a.compile_ok and b.compile_ok):
         return Discard("compile_failure")
-    if a.aborted or b.aborted:
+    elif a.aborted or b.aborted:
         return Discard("aborted")
-    return None
+    elif key_a is None or key_b is None:
+        return Discard("parse")
+    elif key_a == key_b:
+        return Discard("tie")
+    else:
+        a_wins = key_a > key_b
+        if method is PairMethod.TestbenchWithFails:
+            method = PairMethod.Testbench
+    chosen, rejected = (a, b) if a_wins else (b, a)
+    return PreferencePair(spec=spec, chosen=chosen.code, rejected=rejected.code,
+                          chosen_passed=chosen.passed,
+                          rejected_passed=rejected.passed, method=method)
 
 
 def build_pair_testbench(spec: str, a: CandidateEval, b: CandidateEval) -> PairOutcome:
     """Prefer the candidate passing more testcases; discard compile
     failures, aborts, and ties."""
-    discard = _status_discard(a, b)
-    if discard is not None:
-        return discard
-    if a.passed == b.passed:
-        return Discard("tie")
-    chosen, rejected = (a, b) if a.passed > b.passed else (b, a)
-    return PreferencePair(spec=spec, chosen=chosen.code, rejected=rejected.code,
-                          chosen_passed=chosen.passed,
-                          rejected_passed=rejected.passed,
-                          method=PairMethod.Testbench)
+    return _judge(spec, a, b, a.passed, b.passed, PairMethod.Testbench)
 
 
 # Frontend failures that leave a code without a similarity score; a pair
@@ -243,57 +247,30 @@ def build_pair_similarity(spec: str, a: CandidateEval, b: CandidateEval,
                           method: PairMethod) -> PairOutcome:
     """Prefer the candidate more similar to the reference code. score_a and
     score_b are the candidates' similarities to the reference, None where
-    the candidate or the reference failed to lex or parse. Both candidates
-    must compile and not abort; a missing score or a tie discards the
-    pair."""
+    the candidate or the reference failed to lex or parse."""
     if method not in SIMILARITY_METHODS:
         raise ValueError(f"not a similarity method: {method}")
-    discard = _status_discard(a, b)
-    if discard is not None:
-        return discard
-    if score_a is None or score_b is None:
-        return Discard("parse")
-    if score_a == score_b:
-        return Discard("tie")
-    chosen, rejected = (a, b) if score_a > score_b else (b, a)
-    return PreferencePair(spec=spec, chosen=chosen.code, rejected=rejected.code,
-                          chosen_passed=chosen.passed,
-                          rejected_passed=rejected.passed,
-                          method=method)
+    return _judge(spec, a, b, score_a, score_b, method)
 
 
 def build_pair_with_fails(spec: str, a: CandidateEval, b: CandidateEval) -> PairOutcome:
     """Compile-status rule: a syntax-valid candidate is preferred over one
     with syntax errors; equal compile statuses fall back to the testbench
     rule (both ok) or discard (both failed)."""
-    if a.compile_ok != b.compile_ok:
-        chosen, rejected = (a, b) if a.compile_ok else (b, a)
-        return PreferencePair(spec=spec, chosen=chosen.code, rejected=rejected.code,
-                              chosen_passed=chosen.passed,
-                              rejected_passed=rejected.passed,
-                              method=PairMethod.TestbenchWithFails)
-    if not a.compile_ok:
-        return Discard("compile_failure")
-    return build_pair_testbench(spec, a, b)
+    return _judge(spec, a, b, a.passed, b.passed, PairMethod.TestbenchWithFails)
 
 
 def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],
                 method: PairMethod, cap: int = DEFAULT_PAIR_CAP) -> list[PairOutcome]:
-    """All strict pairs over the candidate set, capped per spec. Under a
-    similarity method, scoring is one pass before any pair is built: the
-    reference is formed once, and then each candidate that compiles and does
-    not abort is scored once, provided at least two such candidates exist."""
-    scores = (_reference_scores(method, reference_code, evals)
-              if method in SIMILARITY_METHODS else [])
+    """Every combination of the candidates judged in order, with at most
+    ``cap`` pairs kept; discards are all kept. Each candidate's key is
+    computed once, before any pair is judged."""
+    keys = (_reference_scores(method, reference_code, evals)
+            if method in SIMILARITY_METHODS else [e.passed for e in evals])
     outcomes: list[PairOutcome] = []
     emitted = 0
-    for (i, a), (j, b) in itertools.combinations(enumerate(evals), 2):
-        if method is PairMethod.Testbench:
-            outcome = build_pair_testbench(spec, a, b)
-        elif method is PairMethod.TestbenchWithFails:
-            outcome = build_pair_with_fails(spec, a, b)
-        else:
-            outcome = build_pair_similarity(spec, a, b, scores[i], scores[j], method)
+    for (a, key_a), (b, key_b) in itertools.combinations(zip(evals, keys), 2):
+        outcome = _judge(spec, a, b, key_a, key_b, method)
         if isinstance(outcome, PreferencePair):
             if emitted >= cap:
                 continue

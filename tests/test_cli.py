@@ -1059,6 +1059,21 @@ def test_similarity_unparseable_ast_exit_1(tmp_path):
         assert "generate" in proc.stderr
 
 
+@pytest.mark.parametrize("content", ["", "// nothing but a comment\n"],
+                         ids=["empty", "comment-only"])
+@pytest.mark.parametrize("method", ["bleu", "ast", "dfg"])
+def test_similarity_file_with_no_tokens_is_named(tmp_path, capsys, method, content):
+    good = tmp_path / "good.v"
+    good.write_text(AUDIO_ENCODER_DUT, encoding="utf-8")
+    empty = tmp_path / "empty.v"
+    empty.write_text(content, encoding="utf-8")
+    for files in ((empty, good), (good, empty)):  # the candidate, then the reference
+        assert cli.main(["similarity", "--method", method, *map(str, files)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {empty}: ")
+        assert err.endswith("empty input\n")
+
+
 def test_similarity_file_that_is_not_utf8_is_an_io_error(tmp_path):
     good = tmp_path / "good.v"
     good.write_text(AUDIO_ENCODER_DUT, encoding="utf-8")

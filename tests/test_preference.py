@@ -454,6 +454,43 @@ def test_build_pairs_cap():
     assert len(pairs) == 3
 
 
+def single_pair(a, b, score_a, score_b, method):
+    if method is PairMethod.Testbench:
+        return build_pair_testbench("s", a, b)
+    if method is PairMethod.TestbenchWithFails:
+        return build_pair_with_fails("s", a, b)
+    return build_pair_similarity("s", a, b, score_a, score_b, method)
+
+
+@settings(max_examples=150, deadline=None)
+@given(method=st.sampled_from(list(PairMethod)),
+       reference_code=st.sampled_from(_CODES + [REF_NO_PARSE, REF_NO_LEX]),
+       candidates=st.lists(st.tuples(st.sampled_from(_CODES),
+                                     st.sampled_from(["ok", "compile", "abort"]),
+                                     st.integers(0, 3)),
+                           max_size=7),
+       cap=st.integers(0, 6))
+def test_build_pairs_judges_each_combination_like_the_single_pair_builder(
+        method, reference_code, candidates, cap):
+    evals = [ev(passed, code=code, compile_ok=status != "compile",
+                aborted=status == "abort")
+             for code, status, passed in candidates]
+    scores = (preference._reference_scores(method, reference_code, evals)
+              if method in SIMILARITY_METHODS else [None] * len(evals))
+    judged = [single_pair(evals[i], evals[j], scores[i], scores[j], method)
+              for i, j in itertools.combinations(range(len(evals)), 2)]
+    assert build_pairs("s", reference_code, evals, method, cap=len(judged)) == judged
+    # The cap drops the pairs after the first ``cap`` and keeps every discard.
+    expected, kept = [], 0
+    for outcome in judged:
+        if isinstance(outcome, PreferencePair):
+            kept += 1
+            if kept > cap:
+                continue
+        expected.append(outcome)
+    assert build_pairs("s", reference_code, evals, method, cap=cap) == expected
+
+
 # ---- corpus filter ----
 
 def test_code_line_count_skips_blank_and_comments():

@@ -81,7 +81,8 @@ EXIT_BACKEND = 3
 METHOD_CHOICES = [m.value for m in PairMethod]
 
 # Errors that would fail every row the same way end the batch at once; any
-# other toolkit error ends only the row that raised it.
+# other toolkit error, a prompt the endpoint refuses included, ends only the
+# row that raised it.
 _BATCH_FATAL = (ConfigError, ToolMissing, RequestRejected)
 
 

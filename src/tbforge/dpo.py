@@ -15,16 +15,11 @@ reduction is the mean over pairs.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from tbforge.errors import EmptyInput, IndexOutOfRange, NonPositiveBeta
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported where it is used: importing this module, which every
-# CLI start does through the package, must not pay for it.
 
 DEFAULT_BETA = 0.1
 
@@ -84,34 +79,38 @@ def dpo_grad(pair: PairLogProbs, beta: float = DEFAULT_BETA) -> tuple[float, flo
 @dataclass(frozen=True)
 class TabularPolicy:
     """Softmax policy over (context, token) logits, dense enough to brute
-    force."""
+    force. Takes any 2-D numeric sequence and keeps it as float tuples."""
 
-    logits: np.ndarray  # shape (contexts, vocab)
+    logits: tuple[tuple[float, ...], ...]  # contexts x vocab
 
     def __post_init__(self):
-        import numpy as np
-
-        logits = np.asarray(self.logits, dtype=float)
-        if logits.ndim != 2:
+        try:
+            rows = tuple(tuple(float(x) for x in row) for row in self.logits)
+        except TypeError:
+            raise ValueError("logits must be 2-D (contexts x vocab)") from None
+        if len({len(row) for row in rows}) != 1 or not rows[0]:
             raise ValueError("logits must be 2-D (contexts x vocab)")
-        if not np.all(np.isfinite(logits)):
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("logits must be finite")
-        object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "logits", rows)
 
     @property
     def contexts(self) -> int:
-        return self.logits.shape[0]
+        return len(self.logits)
 
     @property
     def vocab(self) -> int:
-        return self.logits.shape[1]
+        return len(self.logits[0])
 
-    def log_probs(self) -> np.ndarray:
-        import numpy as np
-
-        row_max = self.logits.max(axis=1, keepdims=True)
-        shifted = self.logits - row_max
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    def log_probs(self) -> list[list[float]]:
+        """Row-wise log softmax, max-shifted so that no exp overflows."""
+        out = []
+        for row in self.logits:
+            top = max(row)
+            shifted = [x - top for x in row]
+            log_total = math.log(math.fsum(map(math.exp, shifted)))
+            out.append([x - log_total for x in shifted])
+        return out
 
 
 def sequence_logprob(policy: TabularPolicy, context_ids: Sequence[int],
@@ -124,8 +123,8 @@ def sequence_logprob(policy: TabularPolicy, context_ids: Sequence[int],
     for ctx, tok in zip(context_ids, token_ids):
         if not (0 <= ctx < policy.contexts and 0 <= tok < policy.vocab):
             raise IndexOutOfRange(f"(context={ctx}, token={tok}) out of range")
-        total += log_probs[ctx, tok]
-    return float(total)
+        total += log_probs[ctx][tok]
+    return total
 
 
 def sft_loss(policy: TabularPolicy,
@@ -147,15 +146,15 @@ def sft_loss(policy: TabularPolicy,
 
 
 def _seq_logprob_grad(policy: TabularPolicy, context_ids: Sequence[int],
-                      token_ids: Sequence[int]) -> np.ndarray:
+                      token_ids: Sequence[int]) -> list[list[float]]:
     """d sequence_logprob / d logits, via the softmax Jacobian."""
-    import numpy as np
-
-    probs = np.exp(policy.log_probs())
-    grad = np.zeros_like(policy.logits)
+    probs = [list(map(math.exp, row)) for row in policy.log_probs()]
+    grad = [[0.0] * policy.vocab for _ in range(policy.contexts)]
     for ctx, tok in zip(context_ids, token_ids):
-        grad[ctx, tok] += 1.0
-        grad[ctx] -= probs[ctx]
+        row = grad[ctx]
+        row[tok] += 1.0
+        for t, p in enumerate(probs[ctx]):
+            row[t] -= p
     return grad
 
 
@@ -174,16 +173,17 @@ def _pair_logprobs(policy: TabularPolicy, ref: TabularPolicy, chosen,
 def dpo_policy_grad(policy: TabularPolicy, ref: TabularPolicy,
                     chosen: tuple[Sequence[int], Sequence[int]],
                     rejected: tuple[Sequence[int], Sequence[int]],
-                    beta: float = DEFAULT_BETA) -> np.ndarray:
+                    beta: float = DEFAULT_BETA) -> list[list[float]]:
     """Analytic gradient of the pair loss w.r.t. every policy logit."""
     pair = _pair_logprobs(policy, ref, chosen, rejected)
     coeff_chosen, coeff_rejected = dpo_grad(pair, beta)
-    return (coeff_chosen * _seq_logprob_grad(policy, *chosen)
-            + coeff_rejected * _seq_logprob_grad(policy, *rejected))
+    return [[coeff_chosen * c + coeff_rejected * r for c, r in zip(row_c, row_r)]
+            for row_c, row_r in zip(_seq_logprob_grad(policy, *chosen),
+                                    _seq_logprob_grad(policy, *rejected))]
 
 
-def _pair_loss_at(policy_logits: np.ndarray, ref: TabularPolicy, chosen, rejected,
-                  beta: float) -> float:
+def _pair_loss_at(policy_logits: Sequence[Sequence[float]], ref: TabularPolicy,
+                  chosen, rejected, beta: float) -> float:
     pair = _pair_logprobs(TabularPolicy(logits=policy_logits), ref, chosen, rejected)
     return dpo_loss([pair], beta)
 
@@ -202,35 +202,34 @@ def dpo_policy_grad_check(policy: TabularPolicy, ref: TabularPolicy,
     """
     analytic = dpo_policy_grad(policy, ref, chosen, rejected, beta)
     worst = 0.0
-    base = policy.logits
     for ctx in range(policy.contexts):
         for tok in range(policy.vocab):
-            bumped = base.copy()
-            bumped[ctx, tok] += step
+            bumped = [list(row) for row in policy.logits]
+            bumped[ctx][tok] += step
             up = _pair_loss_at(bumped, ref, chosen, rejected, beta)
-            bumped[ctx, tok] -= 2 * step
+            bumped[ctx][tok] -= 2 * step
             down = _pair_loss_at(bumped, ref, chosen, rejected, beta)
             numeric = (up - down) / (2 * step)
-            scale = max(abs(analytic[ctx, tok]), abs(numeric), 1e-4)
-            worst = max(worst, abs(analytic[ctx, tok] - numeric) / scale)
-    return float(worst)
+            scale = max(abs(analytic[ctx][tok]), abs(numeric), 1e-4)
+            worst = max(worst, abs(analytic[ctx][tok] - numeric) / scale)
+    return worst
 
 
 def random_grad_check(seed: int, max_contexts: int = 5, max_vocab: int = 8,
                       beta: float = DEFAULT_BETA) -> float:
     """One randomized policy-gradient check; returns its max relative error."""
-    import numpy as np
+    rng = random.Random(seed)
+    contexts = rng.randint(2, max_contexts)
+    vocab = rng.randint(2, max_vocab)
 
-    rng = np.random.default_rng(seed)
-    contexts = int(rng.integers(2, max_contexts + 1))
-    vocab = int(rng.integers(2, max_vocab + 1))
-    policy = TabularPolicy(logits=rng.normal(0, 1.5, size=(contexts, vocab)))
-    ref = TabularPolicy(logits=rng.normal(0, 1.5, size=(contexts, vocab)))
+    def random_logits():
+        return [[rng.gauss(0, 1.5) for _ in range(vocab)] for _ in range(contexts)]
 
     def random_seq():
-        length = int(rng.integers(1, 7))
-        ctx = rng.integers(0, contexts, size=length).tolist()
-        tok = rng.integers(0, vocab, size=length).tolist()
-        return ctx, tok
+        length = rng.randint(1, 6)
+        return ([rng.randrange(contexts) for _ in range(length)],
+                [rng.randrange(vocab) for _ in range(length)])
 
+    policy = TabularPolicy(logits=random_logits())
+    ref = TabularPolicy(logits=random_logits())
     return dpo_policy_grad_check(policy, ref, random_seq(), random_seq(), beta)

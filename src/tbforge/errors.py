@@ -78,8 +78,15 @@ class RateLimited(TransportError):
 
 
 class RequestRejected(TransportError):
-    """The endpoint refused the request itself (a 4xx other than 408 and
-    429); sending it again gets the same answer."""
+    """The endpoint refused the request itself (a 4xx other than 408, 429
+    and those of ``PromptRejected``), as it would every row's request;
+    sending it again gets the same answer."""
+
+
+class PromptRejected(TransportError):
+    """The endpoint refused what one request carries (400, 413 or 422), as
+    it may for one row's oversized prompt; sending it again gets the same
+    answer, but another row's request may pass."""
 
 
 class MalformedJson(TbforgeError):

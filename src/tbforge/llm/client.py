@@ -25,6 +25,7 @@ from tbforge.corpus import json_string
 from tbforge.errors import (
     LONGEST_WAIT,
     ConfigError,
+    PromptRejected,
     RateLimited,
     RequestRejected,
     ScriptExhausted,
@@ -210,8 +211,12 @@ class HttpChatClient:
         if status >= 500:
             raise TransportError(f"chat endpoint error {status}")
         if status != 200:
-            error = RequestRejected if 400 <= status < 500 and status != 408 \
-                else TransportError
+            if status in (400, 413, 422):
+                error = PromptRejected
+            elif 400 <= status < 500 and status != 408:
+                error = RequestRejected
+            else:
+                error = TransportError
             raise error(f"chat endpoint rejected request ({status}): "
                         f"{body.decode('utf-8', 'replace')[:200]}")
         try:
@@ -254,13 +259,13 @@ def complete(client, request: ChatRequest, retries: int, backoff: float) -> str:
     """Issue a chat completion in at most ``retries`` attempts, retrying
     transport failures, rate limiting (429) included, with bounded
     exponential backoff; this is the one layer that retries. A rejected
-    request (a 4xx other than 408 and 429) would get the same answer again,
-    so it is re-raised at once."""
+    request or prompt (a 4xx other than 408 and 429) would get the same
+    answer again, so it is re-raised at once."""
     last: TransportError | None = None
     for attempt in range(retries):
         try:
             return client.complete_once(request)
-        except RequestRejected:
+        except (RequestRejected, PromptRejected):
             raise
         except TransportError as exc:
             last = exc

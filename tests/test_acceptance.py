@@ -144,7 +144,7 @@ def test_criterion_4_perplexity_equivalence():
                 ctx = rng.integers(0, contexts, size=length).tolist()
                 tok = rng.integers(0, vocab, size=length).tolist()
                 dataset.append((ctx, tok))
-                flat.extend(float(log_probs[c, t]) for c, t in zip(ctx, tok))
+                flat.extend(float(log_probs[c][t]) for c, t in zip(ctx, tok))
             seq = SequenceLogProb(token_logprobs=tuple(flat))
             lhs = math.exp(sft_loss(policy, dataset))
             rhs = perplexity(seq)

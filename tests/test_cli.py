@@ -1132,6 +1132,20 @@ def test_dpo_gradcheck(tmp_path):
     assert report["gradcheck"]["max_rel_error"] < 1e-5
 
 
+def test_dpo_gradcheck_is_byte_identical_across_runs_without_numpy():
+    # numpy blocked: the check runs on the standard library, and each seed
+    # draws from its own random.Random, whatever the process's hash seed.
+    probe = ("import sys; sys.modules['numpy'] = None; "
+             "sys.argv = ['tbforge', 'dpo', '--gradcheck', '3']; "
+             "from tbforge.cli import entry; entry()")
+    runs = [subprocess.run([sys.executable, "-c", probe], capture_output=True)
+            for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["gradcheck"]["pass"] is True
+
+
 @pytest.mark.parametrize("command", ["passk", "dpo"])
 def test_report_out_in_a_new_directory(tmp_path, command):
     results = tmp_path / "results.jsonl"
@@ -1238,8 +1252,8 @@ def test_only_the_process_entry_point_freezes_the_collector(capsys):
 
 
 def test_cli_import_loads_no_heavy_dependencies():
-    # Start-up time: the chat client is built on the standard library, and
-    # numpy loads only inside the dpo functions that use it.
+    # Start-up time: the chat client and the dpo math are built on the
+    # standard library, so nothing heavy loads with the CLI.
     heavy = ["requests", "urllib3", "charset_normalizer", "idna", "numpy"]
     probe = f"import sys, tbforge.cli; print([m for m in {heavy!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

@@ -168,6 +168,32 @@ def test_index_out_of_range():
         sequence_logprob(policy, [0], [5])
 
 
+TABLE = [[0.5, -1.0, 2.0], [3.0, 0.0, -0.25]]
+
+
+@pytest.mark.parametrize("make", [np.array, list, lambda rows: tuple(map(tuple, rows))],
+                         ids=["numpy", "lists", "tuples"])
+def test_policy_takes_any_2d_numeric_sequence(make):
+    policy = TabularPolicy(logits=make(TABLE))
+    assert policy.logits == tuple(map(tuple, TABLE))
+    assert policy.log_probs() == TabularPolicy(logits=TABLE).log_probs()
+
+
+@pytest.mark.parametrize("logits, message", [
+    ([[1.0, 2.0], [3.0]], r"2-D \(contexts x vocab\)"),
+    ([], r"2-D \(contexts x vocab\)"),
+    ([[]], r"2-D \(contexts x vocab\)"),
+    (np.zeros((0, 3)), r"2-D \(contexts x vocab\)"),
+    ([1.0, 2.0], r"2-D \(contexts x vocab\)"),
+    (np.zeros((2, 2, 2)), r"2-D \(contexts x vocab\)"),
+    ([[0.0, float("nan")]], "finite"),
+    (np.array([[np.inf, 0.0]]), "finite"),
+], ids=["ragged", "no-rows", "empty-row", "numpy-empty", "1-D", "3-D", "nan", "inf"])
+def test_policy_rejects_logits_that_are_not_a_finite_table(logits, message):
+    with pytest.raises(ValueError, match=f"^logits must be {message}$"):
+        TabularPolicy(logits=logits)
+
+
 def test_policy_probabilities_sum_to_one():
     rng = np.random.default_rng(0)
     policy = TabularPolicy(logits=rng.normal(size=(4, 6)) * 3)
@@ -194,7 +220,7 @@ def test_sft_exp_equals_perplexity():
         tok = rng.integers(0, 5, size=length).tolist()
         dataset.append((ctx, tok))
         log_probs = policy.log_probs()
-        flat.extend(float(log_probs[c, t]) for c, t in zip(ctx, tok))
+        flat.extend(float(log_probs[c][t]) for c, t in zip(ctx, tok))
     seq = SequenceLogProb(token_logprobs=tuple(flat))
     assert math.exp(sft_loss(policy, dataset)) == pytest.approx(
         perplexity(seq), rel=1e-12)

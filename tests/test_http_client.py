@@ -18,10 +18,12 @@ from tbforge import cli
 from tbforge.errors import (
     LONGEST_WAIT,
     ConfigError,
+    PromptRejected,
     RateLimited,
     RequestRejected,
     TransportError,
 )
+from tbforge.corpus import read_jsonl
 from tbforge.llm import ChatRequest, HttpChatClient, LlmSettings, Message, complete
 
 from cli_fixtures import (
@@ -152,8 +154,8 @@ def serve():
     (429, RateLimited),
     (500, TransportError), (503, TransportError),
     (408, TransportError), (302, TransportError),
-    (400, RequestRejected), (401, RequestRejected), (403, RequestRejected),
-    (404, RequestRejected), (413, RequestRejected), (422, RequestRejected),
+    (400, PromptRejected), (401, RequestRejected), (403, RequestRejected),
+    (404, RequestRejected), (413, PromptRejected), (422, PromptRejected),
 ])
 def test_status_maps_to_error(serve, status, error):
     _, client = serve(lambda handler, payload: (status, {"error": {"message": "no"}}))
@@ -172,7 +174,7 @@ def test_complete_retries_only_transient_statuses(serve, status, calls):
 
 def test_rejection_message_carries_status_and_body(serve):
     _, client = serve(lambda handler, payload: (400, b"prompt too long"))
-    with pytest.raises(RequestRejected, match=r"\(400\): prompt too long"):
+    with pytest.raises(PromptRejected, match=r"\(400\): prompt too long"):
         client.complete_once(_req())
 
 
@@ -393,15 +395,19 @@ def test_no_proxy_bypasses_the_proxy(serve, monkeypatch, no_proxy):
 
 # ---- through the CLI ----
 
-def _collect_pairs(tmp_path, endpoint, specs, jobs, n=3):
+def _collect_pairs(tmp_path, endpoint, specs, jobs, n=3, failures=None):
+    """collect-pairs with a mock simulator under which candidate k fails
+    ``failures[k]`` of 5 tests (1 each by default)."""
     config = tmp_path / "config.ini"
     config.write_text(
         f"[llm]\nendpoint = {endpoint}\nbackoff_seconds = 0\n\n"
         "[simulator]\nbackend = mock\nmock_script = "
         f"{tmp_path / 'sim.json'}\n\n[sampling]\nn = {n}\n", encoding="utf-8")
     (tmp_path / "sim.json").write_text(json.dumps(
-        [{"kind": "compile", "ok": True}, {"kind": "run", "total": 5, "failures": 1}]
-        * n), encoding="utf-8")
+        [entry for failed in failures or [1] * n
+         for entry in ({"kind": "compile", "ok": True},
+                       {"kind": "run", "total": 5, "failures": failed})]),
+        encoding="utf-8")
     rows = write_spec_rows(tmp_path / "specs.jsonl", specs)
     (tmp_path / "tb.jsonl").write_text("".join(
         json.dumps({"id": row["id"], "tb": "module tb; endmodule"}) + "\n"
@@ -409,6 +415,7 @@ def _collect_pairs(tmp_path, endpoint, specs, jobs, n=3):
     return cli.main(["collect-pairs", "--specs", str(tmp_path / "specs.jsonl"),
                      "--testbenches", str(tmp_path / "tb.jsonl"),
                      "--out", str(tmp_path / "pairs.jsonl"), "--method", "testbench",
+                     "--evals-out", str(tmp_path / "evals.jsonl"),
                      "--config", str(config), "--jobs", str(jobs)])
 
 
@@ -456,6 +463,33 @@ def test_cli_rejected_request_exits_3_without_retry(serve, tmp_path, capsys):
     assert _collect_pairs(tmp_path, server.url, specs=1, jobs=1) == cli.EXIT_BACKEND
     assert len(server.requests) == 1
     assert "rejected request (400)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("status, written", [
+    (413, ["design000", "design001", "design003", "design004"]),
+    (401, ["design000", "design001"]),
+])
+def test_cli_endpoint_refusing_one_spec(serve, tmp_path, capsys, status, written, jobs):
+    # A refused prompt (413) ends only its row: the other rows are written
+    # and summarised, and the run exits 3. A refused key (401) would fail
+    # every row, so it ends the batch, keeping the rows before it.
+    def reply(handler, payload):
+        if "variant 2." in payload["messages"][-1]["content"]:
+            return status, b"no"
+        return 200, {"choices": [{"message": {"content": CANDIDATE_A}}]}
+
+    server, _ = serve(reply)
+    assert _collect_pairs(tmp_path, server.url, specs=5, jobs=jobs,
+                          failures=[0, 2, 4]) == cli.EXIT_BACKEND
+    for name, per_spec in (("pairs.jsonl", 3), ("evals.jsonl", 3)):
+        ids = [row["id"].partition("#")[0] for row in read_jsonl(tmp_path / name)]
+        assert ids == [spec for spec in written for _ in range(per_spec)]
+    out, err = capsys.readouterr()
+    assert ("errored: 1" in out) is (status == 413)
+    assert f"rejected request ({status})" in err
+    assert sum("variant 2." in request["payload"]["messages"][-1]["content"]
+               for request in server.requests) == 1
 
 
 def test_cli_api_key_never_reaches_stderr(serve, tmp_path, monkeypatch, capsys):

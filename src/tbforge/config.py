@@ -118,11 +118,12 @@ def _sim_entry(entry):
     kind = entry.get("kind")
     if kind == "compile":
         return "ok" if entry.get("ok", True) \
-            else CompileError(log=entry.get("log", "compile failed"))
+            else CompileError(log=json_string(entry.get("log", "compile failed")))
     if kind == "run":
+        log = json_string(entry.get("log", ""))
         if "abort" in entry:
-            return RuntimeAbort(reason=entry["abort"], log=entry.get("log", ""))
-        return Report(total_cases=int(entry["total"]), failures=int(entry["failures"]))
+            return RuntimeAbort(reason=entry["abort"], log=log)
+        return Report(int(entry["total"]), int(entry["failures"]), log=log)
     if kind == "coverage":
         percent = float(entry["percent"])
         if not 0 <= percent <= 100:

@@ -182,12 +182,6 @@ def dpo_policy_grad(policy: TabularPolicy, ref: TabularPolicy,
                                     _seq_logprob_grad(policy, *rejected))]
 
 
-def _pair_loss_at(policy_logits: Sequence[Sequence[float]], ref: TabularPolicy,
-                  chosen, rejected, beta: float) -> float:
-    pair = _pair_logprobs(TabularPolicy(logits=policy_logits), ref, chosen, rejected)
-    return dpo_loss([pair], beta)
-
-
 def dpo_policy_grad_check(policy: TabularPolicy, ref: TabularPolicy,
                           chosen: tuple[Sequence[int], Sequence[int]],
                           rejected: tuple[Sequence[int], Sequence[int]],
@@ -201,15 +195,19 @@ def dpo_policy_grad_check(policy: TabularPolicy, ref: TabularPolicy,
     difference noise by noise.
     """
     analytic = dpo_policy_grad(policy, ref, chosen, rejected, beta)
+    ref_chosen, ref_rejected = (sequence_logprob(ref, *seq) for seq in (chosen, rejected))
     worst = 0.0
     for ctx in range(policy.contexts):
         for tok in range(policy.vocab):
             bumped = [list(row) for row in policy.logits]
-            bumped[ctx][tok] += step
-            up = _pair_loss_at(bumped, ref, chosen, rejected, beta)
-            bumped[ctx][tok] -= 2 * step
-            down = _pair_loss_at(bumped, ref, chosen, rejected, beta)
-            numeric = (up - down) / (2 * step)
+            losses = []  # at +step, then at -step
+            for delta in (step, -2 * step):
+                bumped[ctx][tok] += delta
+                at = TabularPolicy(logits=bumped)
+                losses.append(dpo_loss([PairLogProbs(
+                    sequence_logprob(at, *chosen), ref_chosen,
+                    sequence_logprob(at, *rejected), ref_rejected)], beta))
+            numeric = (losses[0] - losses[1]) / (2 * step)
             scale = max(abs(analytic[ctx][tok]), abs(numeric), 1e-4)
             worst = max(worst, abs(analytic[ctx][tok] - numeric) / scale)
     return worst

@@ -5,10 +5,13 @@ method, not incidental strings. Placeholders are written ``{Name}`` and are
 substituted textually, so literal braces in the prompt bodies (JSON
 examples, begin/end skeletons) need no escaping. Rendering fails when a
 placeholder in the body is left unfilled or an unknown one is supplied.
+Tool text longer than TOOL_TEXT_LIMIT characters keeps its head and tail
+around one line that says how many characters were cut.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 from importlib import resources
@@ -24,19 +27,31 @@ class TemplateName(Enum):
     RectifyTestbench = "rectify_testbench"
 
 
-PLACEHOLDERS = ("Code", "Specification", "Simulation", "CoverageReport",
-                "PreviousTestbench", "ErrorLog")
+TOOL_TEXT = ("Simulation", "CoverageReport", "ErrorLog")
+PLACEHOLDERS = ("Code", "Specification", "PreviousTestbench") + TOOL_TEXT
 
 _PLACEHOLDER_RE = re.compile("{(" + "|".join(PLACEHOLDERS) + ")}")
 
+# Far above the longest tool text a desk-scale design gives (about 1 KB).
+TOOL_TEXT_LIMIT = 20_000
 
+
+@functools.cache  # one entry per TemplateName
 def template_body(name: TemplateName) -> str:
     path = resources.files("tbforge.llm") / "templates" / f"{name.value}.txt"
     return path.read_text(encoding="utf-8")
 
 
+def _bounded(key: str, text: str) -> str:
+    """A placeholder's value; tool text is cut in the middle to TOOL_TEXT_LIMIT."""
+    if key not in TOOL_TEXT or len(text) <= TOOL_TEXT_LIMIT:
+        return text
+    keep = (TOOL_TEXT_LIMIT - 64) // 2  # 64 characters hold the marker line
+    return f"{text[:keep]}\n[... {len(text) - 2 * keep} characters cut ...]\n{text[-keep:]}"
+
+
 def render_text(body: str, **values: str) -> str:
-    """Substitute {Name} placeholders in a prompt body."""
+    """Substitute {Name} placeholders in a prompt body, tool text bounded."""
     present = set(_PLACEHOLDER_RE.findall(body))
     unknown = set(values) - set(PLACEHOLDERS)
     if unknown:
@@ -46,7 +61,7 @@ def render_text(body: str, **values: str) -> str:
         raise TemplateError(f"unfilled placeholders: {sorted(missing)}")
     out = body
     for key in present:
-        out = out.replace("{" + key + "}", values[key])
+        out = out.replace("{" + key + "}", _bounded(key, values[key]))
     return out
 
 

@@ -15,9 +15,9 @@ ends the row when its attempt bound is hit:
            measurement.
   Rectify  makes sure the testbench reports a final score (one render pass
            adds the error_count epilogue when missing), then runs the
-           simulator and re-prompts with the simulation output until the
-           log says the design passed, for at most the configured number of
-           rectification loops.
+           simulator and re-prompts with its output as printed, as Improve
+           does with the coverage report, until the design passes, for at
+           most the configured number of rectification loops.
 
 A stage that hits its bound raises StageTerminated, and run() turns it into
 the row's Terminated outcome. One pipeline instance is strictly sequential:
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -55,13 +54,8 @@ from tbforge.llm.prompts import (
     render_text,
 )
 from tbforge.sim.backends import SimulatorBackend
-from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
-from tbforge.sim.logparse import PASS_MARKER, render_sim_log
-
-TESTCASE_BANNER = "===========TestCases==========="
-_EXPECTED_LINE = re.compile(r"Test Case \d+\.\s*Expected")
-_ACTUAL_LINE = re.compile(r"Test Case \d+\.\s*Actual")
-_CASE_MARKER = re.compile(r"Test Case (\d+)\.")
+from tbforge.sim.logparse import CASE_MARKER, has_scaffold, has_score_epilogue
+from tbforge.sim.outcomes import Report, RuntimeAbort, SimOutcome
 
 
 class Stage(Enum):
@@ -157,32 +151,10 @@ _TERMINATES_AT = {
 }
 
 
-def has_scaffold(tb: str) -> tuple[bool, str]:
-    """Textual lint for the reporting scaffolding a draft must carry."""
-    missing = []
-    if TESTCASE_BANNER not in tb:
-        missing.append("TestCases banner")
-    if not _EXPECTED_LINE.search(tb):
-        missing.append("Expected display line")
-    if not _ACTUAL_LINE.search(tb):
-        missing.append("Actual display line")
-    if "$finish" not in tb:
-        missing.append("$finish")
-    return (not missing, ", ".join(missing))
-
-
-def has_score_epilogue(tb: str) -> bool:
-    return "error_count" in tb and PASS_MARKER in tb
-
-
-def _outcome_log(outcome) -> str:
-    if isinstance(outcome, Report):
-        return render_sim_log(outcome)
-    if isinstance(outcome, CompileError):
-        return outcome.log
+def _outcome_log(outcome: SimOutcome) -> str:
     if isinstance(outcome, RuntimeAbort):
         return f"simulation aborted ({outcome.reason}): {outcome.log}"
-    return str(outcome)
+    return outcome.log
 
 
 class TestbenchPipeline:
@@ -378,7 +350,7 @@ class TestbenchPipeline:
 
         testcase_count = final_report.total_cases
         if testcase_count < 1:
-            markers = {int(m.group(1)) for m in _CASE_MARKER.finditer(tb)}
+            markers = {int(m.group(1)) for m in CASE_MARKER.finditer(tb)}
             testcase_count = max(markers) if markers else 1
         record = TestbenchRecord(
             testbench=tb,

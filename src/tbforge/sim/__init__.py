@@ -8,7 +8,7 @@ from tbforge.sim.outcomes import (
     RuntimeAbort,
     SimOutcome,
 )
-from tbforge.sim.logparse import parse_coverage, parse_sim_log, render_sim_log
+from tbforge.sim.logparse import parse_coverage, parse_sim_log
 from tbforge.sim.config import SimulatorConfig
 from tbforge.sim.backends import CommandSimulator, MockSimulator, SimulatorBackend
 
@@ -21,7 +21,6 @@ __all__ = [
     "SimOutcome",
     "parse_coverage",
     "parse_sim_log",
-    "render_sim_log",
     "SimulatorConfig",
     "CommandSimulator",
     "MockSimulator",

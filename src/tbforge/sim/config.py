@@ -9,12 +9,16 @@ The mock backend replays a JSON script instead of running commands.
 
 from __future__ import annotations
 
+import functools
 import os
 import shlex
 import shutil
 from dataclasses import dataclass
 
 from tbforge.errors import LONGEST_WAIT, ConfigError, ToolMissing, check_settings
+
+# Each template is split once per process; callers only read the list.
+_split = functools.lru_cache(maxsize=64)(shlex.split)
 
 
 @dataclass(frozen=True)
@@ -69,4 +73,4 @@ class SimulatorConfig:
     def argv(self, template: str, workdir: str = "") -> list[str]:
         """The template split as a shell would, its placeholders filled."""
         return [part.format(dut="dut.v", tb="tb.v", out="sim.out", workdir=workdir)
-                for part in shlex.split(template)]
+                for part in _split(template)]

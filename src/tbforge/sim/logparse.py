@@ -1,10 +1,11 @@
-"""Parsers for simulator stdout and line-coverage reports.
+"""The testbench report format: the scaffold a testbench must print, and
+parsers for simulator stdout and line-coverage reports.
 
-The testbenches the pipeline produces report one "Test Case N. Expected ..."
-/ "Test Case N. Actual ..." line pair per case and finish with either
-"Your Design Passed" or a failure-count line. Both failure phrasings seen in
-the wild ("Test with N failures", "Test completed with N failure") are
-accepted, singular or plural.
+Testbenches print a TestCases banner, one "Test Case N. Expected ..." /
+"Test Case N. Actual ..." line pair per case, and finish with either "Your
+Design Passed" or a failure-count line. Both failure phrasings seen in the
+wild ("Test with N failures", "Test completed with N failure") are accepted,
+singular or plural.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from tbforge.sim.outcomes import CaseLine, CoverageReport, Report
 _CASE_LINE = re.compile(r"Test Case (\d+)\.(?:\s*(Expected|Actual)\s?(.*))?")
 _FAILURES = re.compile(r"^\s*Test (?:completed )?with (\d+) failures?\.?\s*$")
 PASS_MARKER = "Your Design Passed"
+TESTCASE_BANNER = "===========TestCases==========="
+_EXPECTED_LINE = re.compile(r"Test Case \d+\.\s*Expected")
+_ACTUAL_LINE = re.compile(r"Test Case \d+\.\s*Actual")
+CASE_MARKER = re.compile(r"Test Case (\d+)\.")
 
 _COVERAGE_TOTAL = re.compile(r"^TOTAL\s+(\d+)\s+(\d+)\s+(\d+(?:\.(\d+))?)\s*$")
 _COVERAGE_MODULE = re.compile(r"^Line Coverage for Module\s*:\s*(\S+)")
@@ -64,21 +69,25 @@ def parse_sim_log(stdout: str) -> Report:
         for i in sorted(indices)
     )
     return Report(total_cases=total, failures=failures, case_lines=case_lines,
-                  inconsistent=inconsistent)
+                  inconsistent=inconsistent, log=stdout)
 
 
-def render_sim_log(report: Report) -> str:
-    """Render a Report back into the display format parse_sim_log reads."""
-    lines = ["===========TestCases==========="]
-    for case in report.case_lines:
-        lines.append(f"Test Case {case.case}. Expected {case.expected}")
-        lines.append(f"Test Case {case.case}. Actual {case.actual}")
-    lines.append("===========End===========")
-    if report.failures == 0:
-        lines.append(PASS_MARKER)
-    else:
-        lines.append(f"Test with {report.failures} failures")
-    return "\n".join(lines) + "\n"
+def has_scaffold(tb: str) -> tuple[bool, str]:
+    """Textual lint for the reporting scaffolding a draft must carry."""
+    missing = []
+    if TESTCASE_BANNER not in tb:
+        missing.append("TestCases banner")
+    if not _EXPECTED_LINE.search(tb):
+        missing.append("Expected display line")
+    if not _ACTUAL_LINE.search(tb):
+        missing.append("Actual display line")
+    if "$finish" not in tb:
+        missing.append("$finish")
+    return (not missing, ", ".join(missing))
+
+
+def has_score_epilogue(tb: str) -> bool:
+    return "error_count" in tb and PASS_MARKER in tb
 
 
 def parse_coverage(report: str) -> CoverageReport:

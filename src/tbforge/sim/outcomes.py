@@ -26,6 +26,7 @@ class Report:
     failures: int
     case_lines: tuple[CaseLine, ...] = ()
     inconsistent: bool = False
+    log: str = field(default="", compare=False)  # the run's output as printed
 
     def __post_init__(self):
         if self.total_cases < 0 or self.failures < 0:

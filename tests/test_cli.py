@@ -633,6 +633,10 @@ def test_bad_setting_fails_before_any_chat_call(tmp_path, monkeypatch, capsys,
     ("simulator", [], "not a nonempty JSON list"),
     ("llm", [], "not a nonempty JSON list"),
     ("llm", ["ok", 1], "not a string: 1"),
+    ("simulator", [{"kind": "run", "total": 1, "failures": 1, "log": 5}],
+     "not a string: 5"),
+    ("simulator", [{"kind": "compile", "ok": False, "log": ["e"]}],
+     "not a string: ['e']"),
 ])
 def test_bad_mock_script_is_a_config_error_naming_it(pipeline_workspace, backend,
                                                      script, problem):

@@ -23,8 +23,10 @@ from tbforge.llm import (
     parse_json_points,
     parse_testcases,
     render,
+    render_text,
     template_body,
 )
+from tbforge.llm.prompts import PLACEHOLDERS, TOOL_TEXT, TOOL_TEXT_LIMIT
 
 
 def _req(text="hello"):
@@ -117,6 +119,21 @@ def test_render_deterministic():
     a = render(TemplateName.GenerateFunctionPoints, Specification="spec text")
     b = render(TemplateName.GenerateFunctionPoints, Specification="spec text")
     assert a == b
+
+
+@pytest.mark.parametrize("key", PLACEHOLDERS)
+def test_only_tool_text_is_cut_and_only_past_the_limit(key):
+    body = "<{" + key + "}>"
+    at_limit = "".join(chr(33 + i % 90) for i in range(TOOL_TEXT_LIMIT))
+    assert render_text(body, **{key: at_limit}) == f"<{at_limit}>"
+    longer = "head " + "x" * (3 * TOOL_TEXT_LIMIT) + " tail"
+    rendered = render_text(body, **{key: longer})
+    if key not in TOOL_TEXT:  # the code, the spec and the testbench stay whole
+        assert rendered == f"<{longer}>"
+        return
+    assert len(rendered) <= TOOL_TEXT_LIMIT + 2
+    assert rendered.startswith("<head x") and rendered.endswith("x tail>")
+    assert rendered.count(" characters cut ...]\n") == 1
 
 
 def test_json_braces_in_bodies_survive_rendering():

@@ -1,10 +1,13 @@
 import json
+import re
 
 import pytest
 
+from tbforge.config import Config, make_simulator_factory
 from tbforge.corpus import SpecCodePair
 from tbforge.errors import ConfigError
-from tbforge.llm import LlmSettings, MockChatClient
+from tbforge.llm import LlmSettings, MockChatClient, TemplateName, template_body
+from tbforge.llm.prompts import TOOL_TEXT_LIMIT
 from tbforge.pipeline import (
     PipelineConfig,
     Stage,
@@ -277,6 +280,69 @@ def test_rectify_abort_consumes_iteration():
     assert iterations == 1
     prompt = p.client.calls[-1].messages[-1].content
     assert "timeout" in prompt
+
+
+def _command_standin(tmp_path, run_body):
+    """A command simulator whose compile succeeds and whose run is the
+    shell script ``run_body``."""
+    tool = tmp_path / "run"
+    tool.write_text("#!/bin/sh\n" + run_body, encoding="utf-8")
+    tool.chmod(0o755)
+    return CommandSimulator(SimulatorConfig(compile_command="true {out} {dut} {tb}",
+                                            run_command=f"{tool} {{out}}"))
+
+
+def _rectify_once(simulator):
+    """Rectify with one loop, which fails; returns (the last log, the one
+    Rectify request's prompt)."""
+    p = TestbenchPipeline(MockChatClient([fenced(TESTBENCH_SKELETON)]), simulator,
+                          PipelineConfig(max_rectify_iterations=1), llm=NO_BACKOFF)
+    with pytest.raises(StageTerminated) as exc:
+        p.rectify(PAIR.code, TESTBENCH_SKELETON)
+    (request,) = p.client.calls
+    return exc.value.outcome.last_log, request.messages[-1].content
+
+
+def test_rectify_quotes_the_run_as_printed(tmp_path):
+    printed = ("VCD info: dumpfile dump.vcd opened for output.\n"
+               "debug: state=2 count=7\n"
+               "Test Case 1. Expected out: 1\nTest Case 1. Actual out: 0\n"
+               "Test completed with 1 failure\n")
+    simulator = _command_standin(tmp_path, f"printf '{printed}'\n")
+    last_log, prompt = _rectify_once(simulator)
+    assert last_log == printed
+    assert printed in prompt
+
+
+def test_rectify_quotes_a_mock_run_entrys_log(tmp_path):
+    script = tmp_path / "sim.json"
+    script.write_text(json.dumps([
+        {"kind": "compile"},
+        {"kind": "run", "total": 5, "failures": 1, "log": "Test Case 3. Actual out: 7"},
+        {"kind": "compile"}, {"kind": "run", "total": 5, "failures": 1}]),
+        encoding="utf-8")
+    config = Config(simulator=SimulatorConfig(backend="mock", mock_script=str(script)))
+    _, prompt = _rectify_once(make_simulator_factory(config)())
+    assert prompt.endswith("Below is the simulation output: Test Case 3. Actual out: 7\n")
+
+
+def test_rectify_request_cuts_a_run_that_prints_in_a_loop(tmp_path):
+    simulator = _command_standin(tmp_path, (
+        "echo 'first line'\n"
+        "yes 'debug: tick' | head -n 90000\n"  # 12 bytes a line, about 1 MB
+        "echo 'Test Case 1. Expected out: 1'\necho 'Test Case 1. Actual out: 0'\n"
+        "echo 'Test with 1 failures'\n"))
+    last_log, prompt = _rectify_once(simulator)
+    assert len(last_log) > 1_000_000
+    template = template_body(TemplateName.RectifyTestbench)
+    assert len(prompt) <= TOOL_TEXT_LIMIT + len(template)
+    assert prompt.count("first line\n") == 1
+    assert prompt.rstrip().endswith("\nTest with 1 failures")
+    markers = re.findall(r"\n\[\.\.\. (\d+) characters cut \.\.\.\]\n", prompt)
+    assert len(markers) == 1
+    marker = f"\n[... {markers[0]} characters cut ...]\n"
+    kept = len(prompt) - len(template.replace("{Simulation}", "")) - len(marker)
+    assert kept + int(markers[0]) == len(last_log)
 
 
 # ---- full runs ----

@@ -1,3 +1,7 @@
+import os
+import subprocess
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -8,7 +12,6 @@ from tbforge.sim import (
     Report,
     parse_coverage,
     parse_sim_log,
-    render_sim_log,
 )
 
 from fixture_data import COVERAGE_REPORT_SAMPLE, SIM_LOG_ALL_PASS, SIM_LOG_FIVE_FAILURES
@@ -84,6 +87,21 @@ def test_pass_marker_in_case_line_is_not_a_verdict():
         parse_sim_log("Test Case 1. Actual Your Design Passed\n")
 
 
+def render_sim_log(report: Report) -> str:
+    """The reference renderer: a Report in the display format the generated
+    testbenches print and parse_sim_log reads."""
+    lines = ["===========TestCases==========="]
+    for case in report.case_lines:
+        lines.append(f"Test Case {case.case}. Expected {case.expected}")
+        lines.append(f"Test Case {case.case}. Actual {case.actual}")
+    lines.append("===========End===========")
+    if report.failures == 0:
+        lines.append("Your Design Passed")
+    else:
+        lines.append(f"Test with {report.failures} failures")
+    return "\n".join(lines) + "\n"
+
+
 _case_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),
     min_size=0, max_size=30,
@@ -118,6 +136,30 @@ def test_passed_formula(report):
     parsed = parse_sim_log(render_sim_log(report))
     assert parsed.passed == parsed.total_cases - parsed.failures
     assert parsed.passed >= 0
+
+
+def test_report_keeps_the_output_as_printed():
+    out = "VCD info: dumpfile dump.vcd opened for output.\n" + SIM_LOG_FIVE_FAILURES
+    report = parse_sim_log(out)
+    assert report.log == out
+    bare = Report(report.total_cases, report.failures, report.case_lines,
+                  report.inconsistent)
+    assert bare.log == "" and bare == report and hash(bare) == hash(report)
+
+
+@pytest.mark.parametrize("fails", [0, 2])
+def test_reference_renderer_reproduces_the_benchmark_standin(tmp_path, fails):
+    # The benchmark's stand-in prints exactly this format, so a Rectify
+    # prompt that quotes its output reads as the re-rendered report did.
+    compiled = tmp_path / "sim.out"
+    compiled.write_text(f"// bench: fails={fails} total=5\n", encoding="utf-8")
+    standin = Path(__file__).resolve().parents[1] / "bench" / "standin.sh"
+    proc = subprocess.run(
+        ["bash", str(standin), "run", str(compiled)], capture_output=True, text=True,
+        env={**os.environ, "TBBENCH_SIMLOG": str(tmp_path / "simlog")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_sim_log(proc.stdout).failures == fails
+    assert render_sim_log(parse_sim_log(proc.stdout)) == proc.stdout
 
 
 # ---- coverage reports ----

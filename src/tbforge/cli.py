@@ -406,7 +406,7 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
 
     tasks = corpus.read_fields(
         results_path, {"task": str, "n": int, "c_syntax": int, "c_function": int},
-        make=TaskResults, defaults={"n": default_n})
+        make=TaskResults, defaults={"n": default_n}, key="task")
 
     summary = {"mode": mode, "tasks": len(tasks), "results": {}}
     for k in ks:

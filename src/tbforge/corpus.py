@@ -1,9 +1,9 @@
 """Corpus row schemas and JSONL persistence.
 
-Every dataset is a JSONL file: one UTF-8 JSON object per line, unique ids
+Every dataset is a JSONL file: one UTF-8 JSON object per line, unique keys
 per file. JSONL keeps long batch runs streamable and append-safe, and
 fixture diffs readable. ``read_fields`` reads every row file, and reports a
-bad row, a repeated id included, at its line.
+bad row, a repeated key included, at its line.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ def read_jsonl(path) -> list[dict]:
 
 
 def read_fields(path, casts: dict[str, Callable], make: Callable = dict,
-                defaults: dict | None = None, on_error=None) -> list:
+                defaults: dict | None = None, on_error=None, key: str = "id") -> list:
     """Each row as ``make(**{field: cast(row[field])})`` for the fields of
-    ``casts``, a missing field taking its value from ``defaults``; an ``id``
+    ``casts``, a missing field taking its value from ``defaults``; the ``key``
     field is the row's key, compared after its cast. A malformed line, a
     missing field with no default, a value its cast rejects, a ValueError
-    from ``make`` or a repeated id raises JsonlError, or, when on_error is
+    from ``make`` or a repeated key raises JsonlError, or, when on_error is
     given, is reported as on_error(lineno, message) and skipped."""
     defaults = defaults or {}
     records, ids = [], set()
@@ -73,13 +73,13 @@ def read_fields(path, casts: dict[str, Callable], make: Callable = dict,
                 row[field] = cast(value)
             except (TypeError, ValueError, OverflowError):
                 return f"bad value for field {field!r}: {value!r}"
-        if "id" in row and row["id"] in ids:
-            return f"duplicate id {row['id']!r}"
+        if key in row and row[key] in ids:
+            return f"duplicate {key} {row[key]!r}"
         try:
             records.append(make(**row))
         except ValueError as exc:
             return f"bad row: {exc}"
-        ids.add(row.get("id"))
+        ids.add(row.get(key))
 
     for lineno, obj in iter_jsonl(path, on_error):
         problem = accept(obj)

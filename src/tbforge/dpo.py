@@ -113,18 +113,23 @@ class TabularPolicy:
         return out
 
 
-def sequence_logprob(policy: TabularPolicy, context_ids: Sequence[int],
-                     token_ids: Sequence[int]) -> float:
-    """Sum over positions of log softmax(logits[context])[token]."""
+def _table_logprob(log_probs: list[list[float]], context_ids: Sequence[int],
+                   token_ids: Sequence[int]) -> float:
+    """Sum of log_probs[context][token] over positions, left to right."""
     if len(context_ids) != len(token_ids):
         raise ValueError("context and token sequences must align")
-    log_probs = policy.log_probs()
     total = 0.0
     for ctx, tok in zip(context_ids, token_ids):
-        if not (0 <= ctx < policy.contexts and 0 <= tok < policy.vocab):
+        if not (0 <= ctx < len(log_probs) and 0 <= tok < len(log_probs[0])):
             raise IndexOutOfRange(f"(context={ctx}, token={tok}) out of range")
         total += log_probs[ctx][tok]
     return total
+
+
+def sequence_logprob(policy: TabularPolicy, context_ids: Sequence[int],
+                     token_ids: Sequence[int]) -> float:
+    """Sum over positions of log softmax(logits[context])[token]."""
+    return _table_logprob(policy.log_probs(), context_ids, token_ids)
 
 
 def sft_loss(policy: TabularPolicy,
@@ -203,10 +208,10 @@ def dpo_policy_grad_check(policy: TabularPolicy, ref: TabularPolicy,
             losses = []  # at +step, then at -step
             for delta in (step, -2 * step):
                 bumped[ctx][tok] += delta
-                at = TabularPolicy(logits=bumped)
+                table = TabularPolicy(logits=bumped).log_probs()
                 losses.append(dpo_loss([PairLogProbs(
-                    sequence_logprob(at, *chosen), ref_chosen,
-                    sequence_logprob(at, *rejected), ref_rejected)], beta))
+                    _table_logprob(table, *chosen), ref_chosen,
+                    _table_logprob(table, *rejected), ref_rejected)], beta))
             numeric = (losses[0] - losses[1]) / (2 * step)
             scale = max(abs(analytic[ctx][tok]), abs(numeric), 1e-4)
             worst = max(worst, abs(analytic[ctx][tok] - numeric) / scale)

@@ -10,8 +10,6 @@ from tbforge.llm.client import (
 )
 from tbforge.llm.prompts import TemplateName, render, render_text, template_body
 from tbforge.llm.postprocess import (
-    FunctionPoint,
-    TestCaseSpec,
     extract_code_block,
     parse_function_points,
     parse_json_points,
@@ -29,8 +27,6 @@ __all__ = [
     "render",
     "render_text",
     "template_body",
-    "FunctionPoint",
-    "TestCaseSpec",
     "extract_code_block",
     "parse_function_points",
     "parse_json_points",

@@ -1,15 +1,21 @@
-"""Post-processing of chat responses: code-block and JSON extraction."""
+"""Post-processing of chat responses: code-block and JSON extraction.
+
+Analyze's entries parse to dicts of the keys their template asks for, in
+template order, and Draft quotes the test cases as they were parsed.
+"""
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from tbforge.errors import MalformedJson
 
 FUNCTION_POINT_CAP = 3
 TESTCASE_CAP = 5
+FUNCTION_POINT_KEYS = ("Point", "Scenario", "Application")
+TESTCASE_KEYS = ("Title", "Objective", "Setup", "Coverage")
+CODE_LANGUAGE = "verilog"
 
 _FENCE = re.compile(r"```([A-Za-z0-9_+-]*)[ \t]*\n(.*?)```", re.DOTALL)
 _MODULE_SPAN = re.compile(r"\bmodule\b.*\bendmodule\b", re.DOTALL)
@@ -17,29 +23,14 @@ _MODULE_SPAN = re.compile(r"\bmodule\b.*\bendmodule\b", re.DOTALL)
 _BARE_INT_KEY = re.compile(r"([{,]\s*)(\d+)\s*:")
 
 
-@dataclass(frozen=True)
-class FunctionPoint:
-    point: str
-    scenario: str
-    application: str
-
-
-@dataclass(frozen=True)
-class TestCaseSpec:
-    title: str
-    objective: str
-    setup: str
-    coverage: str
-
-
-def extract_code_block(response: str, language: str = "verilog") -> str:
-    """Return the first fenced block matching the language hint, else the
-    first fenced block, else a bare module...endmodule span, else "" (also
-    returned for a blank block)."""
+def extract_code_block(response: str) -> str:
+    """Return the first fenced block tagged verilog, else the first fenced
+    block, else a bare module...endmodule span, else "" (also returned for a
+    blank block)."""
     fences = _FENCE.findall(response)
     body = None
     for lang, content in fences:
-        if lang.lower() == language.lower():
+        if lang.lower() == CODE_LANGUAGE:
             body = content
             break
     if body is None and fences:
@@ -81,24 +72,16 @@ def parse_json_points(response: str, cap: int) -> list[dict]:
     return [value for _, value in entries[:cap]]
 
 
-def parse_function_points(response: str) -> list[FunctionPoint]:
-    return [
-        FunctionPoint(
-            point=str(entry.get("Point", "")),
-            scenario=str(entry.get("Scenario", "")),
-            application=str(entry.get("Application", "")),
-        )
-        for entry in parse_json_points(response, FUNCTION_POINT_CAP)
-    ]
+def _entries(response: str, cap: int, keys: tuple[str, ...]) -> list[dict]:
+    """The first ``cap`` entries, each as ``keys`` in order with its values
+    as strings; a missing key gives "" and any other key is dropped."""
+    return [{key: str(entry.get(key, "")) for key in keys}
+            for entry in parse_json_points(response, cap)]
 
 
-def parse_testcases(response: str) -> list[TestCaseSpec]:
-    return [
-        TestCaseSpec(
-            title=str(entry.get("Title", "")),
-            objective=str(entry.get("Objective", "")),
-            setup=str(entry.get("Setup", "")),
-            coverage=str(entry.get("Coverage", "")),
-        )
-        for entry in parse_json_points(response, TESTCASE_CAP)
-    ]
+def parse_function_points(response: str) -> list[dict]:
+    return _entries(response, FUNCTION_POINT_CAP, FUNCTION_POINT_KEYS)
+
+
+def parse_testcases(response: str) -> list[dict]:
+    return _entries(response, TESTCASE_CAP, TESTCASE_KEYS)

@@ -2,9 +2,10 @@
 
 The five stage prompts ship verbatim as template files; they are part of the
 method, not incidental strings. Placeholders are written ``{Name}`` and are
-substituted textually, so literal braces in the prompt bodies (JSON
-examples, begin/end skeletons) need no escaping. Rendering fails when a
-placeholder in the body is left unfilled or an unknown one is supplied.
+substituted textually in one pass, so literal braces in the prompt bodies
+(JSON examples, begin/end skeletons) need no escaping and a value holding
+``{Name}`` goes in verbatim. Rendering fails when a placeholder in the body
+is left unfilled or an unknown one is supplied.
 Tool text longer than TOOL_TEXT_LIMIT characters keeps its head and tail
 around one line that says how many characters were cut.
 """
@@ -51,7 +52,7 @@ def _bounded(key: str, text: str) -> str:
 
 
 def render_text(body: str, **values: str) -> str:
-    """Substitute {Name} placeholders in a prompt body, tool text bounded."""
+    """Fill every {Name} placeholder of a prompt body in one pass, tool text bounded."""
     present = set(_PLACEHOLDER_RE.findall(body))
     unknown = set(values) - set(PLACEHOLDERS)
     if unknown:
@@ -59,10 +60,7 @@ def render_text(body: str, **values: str) -> str:
     missing = present - set(values)
     if missing:
         raise TemplateError(f"unfilled placeholders: {sorted(missing)}")
-    out = body
-    for key in present:
-        out = out.replace("{" + key + "}", _bounded(key, values[key]))
-    return out
+    return _PLACEHOLDER_RE.sub(lambda m: _bounded(m[1], values[m[1]]), body)
 
 
 def render(name: TemplateName, **values: str) -> str:

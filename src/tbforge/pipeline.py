@@ -5,8 +5,9 @@ ends the row when its attempt bound is hit:
 
   Analyze  extracts top-3 function points and top-5 test cases from the
            specification only (the code is never shown at this stage).
-  Draft    renders the testbench prompt with the DUT code and re-prompts
-           with the compiler log until the draft compiles.
+  Draft    renders the testbench prompt with the DUT code and Analyze's
+           test cases, quoted as they were parsed, and re-prompts with the
+           compiler log until the draft compiles.
   Improve  measures line coverage and re-prompts with the report as the
            coverage tool printed it, uncovered lines marked, until coverage
            reaches the threshold. Attempts are consumed by below-threshold
@@ -38,8 +39,6 @@ from tbforge.corpus import SpecCodePair
 from tbforge.errors import MalformedJson, check_settings
 from tbforge.llm.client import ChatRequest, LlmSettings, Message, complete
 from tbforge.llm.postprocess import (
-    FunctionPoint,
-    TestCaseSpec,
     extract_code_block,
     parse_function_points,
     parse_testcases,
@@ -202,8 +201,7 @@ class TestbenchPipeline:
 
     # -- stages --
 
-    def analyze(self, spec: str) -> tuple[
-            tuple[FunctionPoint, ...], tuple[TestCaseSpec, ...]]:
+    def analyze(self, spec: str) -> tuple[tuple[dict, ...], tuple[dict, ...]]:
         """Derive function points then test cases, sharing one conversation.
 
         Only the specification is shown, keeping the focus on intended
@@ -236,16 +234,13 @@ class TestbenchPipeline:
         return tuple(points), tuple(cases)
 
     def draft(self, spec: str, code: str,
-              testcases: tuple[TestCaseSpec, ...]) -> tuple[str, int]:
+              testcases: tuple[dict, ...]) -> tuple[str, int]:
         """Generate a compiling testbench draft; returns (tb, attempts used).
 
         A draft that lacks the reporting scaffold gets one corrective
         re-prompt per row; a second such draft terminates the row."""
-        cases_json = json.dumps(
-            {str(i + 1): {"Title": c.title, "Objective": c.objective,
-                          "Setup": c.setup, "Coverage": c.coverage}
-             for i, c in enumerate(testcases)},
-            ensure_ascii=False, indent=2)
+        cases_json = json.dumps({str(i + 1): case for i, case in enumerate(testcases)},
+                                ensure_ascii=False, indent=2)
         prompt = (
             f"Design specification:\n{spec}\n\n"
             f"Selected test cases:\n{cases_json}\n\n"

@@ -1029,6 +1029,18 @@ def test_passk_record_error_is_an_io_error_at_its_line(tmp_path):
                            "<= c_syntax <= n, got (1, 6, 5)\n")
 
 
+def test_passk_repeated_task_is_an_io_error_at_its_line(tmp_path):
+    # task rows are keyed by task, so a second row for one task must not
+    # count that task twice in pass@k
+    results = tmp_path / "results.jsonl"
+    write_task_results(results, [{"task": "a", "n": 2, "c_syntax": 2, "c_function": 2},
+                                 {"task": "a", "n": 2, "c_syntax": 0, "c_function": 0}])
+    proc = run_cli("passk", "--results", str(results), "--k", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"io error: {results}:2: duplicate task 'a'\n"
+
+
 def test_passk_line_that_is_not_utf8_is_an_io_error_at_its_line(tmp_path):
     results = tmp_path / "results.jsonl"
     results.write_bytes(b'{"task": "t", "n": 5, "c_syntax": 3, "c_function": 1}\n'

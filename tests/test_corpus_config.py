@@ -158,6 +158,19 @@ def test_read_fields_reports_a_record_value_error_at_its_line(tmp_path):
     assert errors == [(2, "bad row: value must be > 0, got -2")]
 
 
+def test_read_fields_checks_only_the_named_key(tmp_path):
+    path = _write_lines(tmp_path / "rows.jsonl", [
+        '{"task": "a", "id": 1}', '{"task": "b", "id": 1}', '{"task": "a", "id": 2}'])
+    errors = []
+    rows = read_fields(path, {"task": str, "id": int}, key="task",
+                       on_error=lambda n, m: errors.append((n, m)))
+    assert rows == [{"task": "a", "id": 1}, {"task": "b", "id": 1}]
+    assert errors == [(3, "duplicate task 'a'")]
+    with pytest.raises(JsonlError) as exc:
+        read_fields(path, {"task": str, "id": int})
+    assert str(exc.value) == f"{path}:2: duplicate id 1"
+
+
 def test_spec_loader_skips_a_repeated_id_at_the_repeat(tmp_path):
     path = _write_lines(tmp_path / "specs.jsonl", [
         json.dumps({"id": 5, "spec": "s", "code": "first"}),

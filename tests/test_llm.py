@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -26,7 +27,14 @@ from tbforge.llm import (
     render_text,
     template_body,
 )
-from tbforge.llm.prompts import PLACEHOLDERS, TOOL_TEXT, TOOL_TEXT_LIMIT
+from tbforge.llm import prompts
+from tbforge.llm.prompts import (
+    DRAFT_COMPILE_FEEDBACK,
+    IMPROVE_COMPILE_FEEDBACK,
+    PLACEHOLDERS,
+    TOOL_TEXT,
+    TOOL_TEXT_LIMIT,
+)
 
 
 def _req(text="hello"):
@@ -136,6 +144,36 @@ def test_only_tool_text_is_cut_and_only_past_the_limit(key):
     assert rendered.count(" characters cut ...]\n") == 1
 
 
+@pytest.mark.parametrize("feedback,first,second", [
+    (DRAFT_COMPILE_FEEDBACK, "PreviousTestbench", "ErrorLog"),
+    (IMPROVE_COMPILE_FEEDBACK, "CoverageReport", "ErrorLog"),
+])
+def test_a_value_naming_another_placeholder_goes_in_verbatim(feedback, first, second):
+    # Verilog concatenations and model text can hold "{Name}"; a value is
+    # never searched for placeholders, whatever the hash seed.
+    values = {first: f"A {{{second}}} A", second: f"B {{{first}}} B"}
+    rendered = render_text(feedback, **values)
+    for value in values.values():
+        assert rendered.count(value) == 1
+    head, tail = feedback.split("{" + first + "}")
+    middle, end = tail.split("{" + second + "}")
+    assert rendered == head + values[first] + middle + values[second] + end
+
+
+def test_every_placeholder_token_is_known_and_every_placeholder_used():
+    # render leaves an unknown token in the prompt without error, so a
+    # misspelled {Name} in a template or feedback constant must fail here.
+    bodies = {name.value: template_body(name) for name in TemplateName}
+    bodies.update((name, value) for name, value in vars(prompts).items()
+                  if name.isupper() and isinstance(value, str))
+    used = set()
+    for name, body in bodies.items():
+        tokens = set(re.findall(r"{([A-Z][A-Za-z]*)}", body))
+        assert tokens <= set(PLACEHOLDERS), (name, sorted(tokens - set(PLACEHOLDERS)))
+        used |= tokens
+    assert used == set(PLACEHOLDERS)
+
+
 def test_json_braces_in_bodies_survive_rendering():
     text = render(TemplateName.GenerateFunctionPoints, Specification="s")
     assert '"Point"' in text
@@ -185,7 +223,7 @@ def _points_json(n):
 def test_parse_three_points():
     points = parse_function_points(_points_json(3))
     assert len(points) == 3
-    assert points[0].point == "p1"
+    assert points[0]["Point"] == "p1"
 
 
 def test_parse_truncates_to_cap():
@@ -195,7 +233,7 @@ def test_parse_truncates_to_cap():
     })
     parsed = parse_testcases(cases)
     assert len(parsed) == 5
-    assert [c.title for c in parsed] == ["t1", "t2", "t3", "t4", "t5"]
+    assert [c["Title"] for c in parsed] == ["t1", "t2", "t3", "t4", "t5"]
 
 
 def test_parse_tolerates_prose_and_bare_int_keys():
@@ -206,7 +244,20 @@ def test_parse_tolerates_prose_and_bare_int_keys():
     }
     Hope that helps."""
     points = parse_function_points(response)
-    assert [p.point for p in points] == ["reset", "shift"]
+    assert [p["Point"] for p in points] == ["reset", "shift"]
+
+
+def test_parsed_entries_hold_the_template_keys_in_template_order():
+    response = ('{"1": {"Coverage": 7, "Extra": "x", "Title": "t", "Setup": null}, '
+                '"2": {"Point": ["p"], "Application": "a"}}')
+    assert parse_testcases(response) == [
+        {"Title": "t", "Objective": "", "Setup": "None", "Coverage": "7"},
+        {"Title": "", "Objective": "", "Setup": "", "Coverage": ""}]
+    assert [list(case) for case in parse_testcases(response)] == [
+        ["Title", "Objective", "Setup", "Coverage"]] * 2
+    points = parse_function_points(response)
+    assert points[1] == {"Point": "['p']", "Scenario": "", "Application": "a"}
+    assert list(points[0]) == ["Point", "Scenario", "Application"]
 
 
 def test_parse_no_braces_raises():

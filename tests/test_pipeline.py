@@ -6,7 +6,14 @@ import pytest
 from tbforge.config import Config, make_simulator_factory
 from tbforge.corpus import SpecCodePair
 from tbforge.errors import ConfigError
-from tbforge.llm import LlmSettings, MockChatClient, TemplateName, template_body
+from tbforge.llm import (
+    ChatRequest,
+    LlmSettings,
+    Message,
+    MockChatClient,
+    TemplateName,
+    template_body,
+)
 from tbforge.llm.prompts import TOOL_TEXT_LIMIT
 from tbforge.pipeline import (
     PipelineConfig,
@@ -28,6 +35,7 @@ from tbforge.sim import (
     parse_coverage,
 )
 
+import cli_fixtures
 from fixture_data import AUDIO_ENCODER_DUT, COVERAGE_REPORT_SAMPLE, TESTBENCH_SKELETON
 
 POINTS_JSON = json.dumps({
@@ -143,6 +151,83 @@ def test_draft_scaffold_missing_after_one_retry():
         p.draft(PAIR.spec, PAIR.code, cases)
     assert exc.value.outcome.last_log == "scaffold missing: $finish"
     assert len(p.client.calls) == 4  # 2 analyze + draft + one corrective re-prompt
+
+
+# The head of the whole Draft request, pinned byte for byte: for the
+# cli_fixtures replies, and for a reply whose entries miss keys, carry an
+# extra key and hold non-string and non-ASCII values.
+ODD_CASES_JSON = ('{"2": {"Coverage": 7, "Title": "d\u00e9bit \u2713", "Extra": "x"}, '
+                  '1: {"Setup": ["a", 1], "Objective": null}}')
+DRAFT_HEADS = {cli_fixtures.CASES_JSON: """\
+Design specification:
+A serial audio encoder.
+
+Selected test cases:
+{
+  "1": {
+    "Title": "case 1",
+    "Objective": "check",
+    "Setup": "drive",
+    "Coverage": "dims"
+  },
+  "2": {
+    "Title": "case 2",
+    "Objective": "check",
+    "Setup": "drive",
+    "Coverage": "dims"
+  },
+  "3": {
+    "Title": "case 3",
+    "Objective": "check",
+    "Setup": "drive",
+    "Coverage": "dims"
+  },
+  "4": {
+    "Title": "case 4",
+    "Objective": "check",
+    "Setup": "drive",
+    "Coverage": "dims"
+  },
+  "5": {
+    "Title": "case 5",
+    "Objective": "check",
+    "Setup": "drive",
+    "Coverage": "dims"
+  }
+}
+
+""", ODD_CASES_JSON: """\
+Design specification:
+A serial audio encoder.
+
+Selected test cases:
+{
+  "1": {
+    "Title": "",
+    "Objective": "None",
+    "Setup": "['a', 1]",
+    "Coverage": ""
+  },
+  "2": {
+    "Title": "d\u00e9bit \u2713",
+    "Objective": "",
+    "Setup": "",
+    "Coverage": "7"
+  }
+}
+
+"""}
+
+
+@pytest.mark.parametrize("cases_json", list(DRAFT_HEADS), ids=["cli_fixtures", "odd"])
+def test_draft_request_is_pinned(cases_json):
+    p = pipeline([cli_fixtures.POINTS_JSON, cases_json, fenced(TESTBENCH_SKELETON)], ["ok"])
+    _, cases = p.analyze(PAIR.spec)
+    p.draft(PAIR.spec, PAIR.code, cases)
+    prompt = DRAFT_HEADS[cases_json] + template_body(TemplateName.DraftTestbench).replace(
+        "{Code}", AUDIO_ENCODER_DUT)
+    assert p.client.calls[2] == ChatRequest(messages=(Message("user", prompt),),
+                                            temperature=0.0, max_tokens=4096)
 
 
 # ---- improve ----

@@ -207,6 +207,18 @@ def _write_report(report: dict, out_path) -> None:
         click.echo(text)
 
 
+def _load_specs(path, tag: str) -> tuple[list, int]:
+    """The spec rows of ``path`` and how many lines were skipped, each one
+    logged under ``tag``."""
+    skipped = []
+
+    def skip(lineno, msg):
+        log.error("[%s] line %s skipped: %s", tag, lineno, msg)
+        skipped.append(lineno)
+    pairs = corpus.load_spec_code_pairs(path, on_error=skip)
+    return pairs, len(skipped)
+
+
 def _read_source(path) -> str:
     """The UTF-8 text of a Verilog file; text that is not UTF-8 is an IO
     error that names the file."""
@@ -253,12 +265,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
         config.simulator.check_programs(config.simulator.coverage_command)
     run_rows = _row_runner(config, jobs)
 
-    skipped_rows = []
-    pairs = corpus.load_spec_code_pairs(
-        input_path,
-        on_error=lambda lineno, msg: skipped_rows.append((lineno, msg)))
-    for lineno, msg in skipped_rows:
-        log.error("[input] line %s skipped: %s", lineno, msg)
+    pairs, skipped = _load_specs(input_path, "input")
 
     if min_code_lines > 0:
         before = len(pairs)
@@ -294,7 +301,7 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 
     click.echo(f"rows: {len(pairs)}  finished: {counts['finished']}  "
                f"terminated: {termination_counts.total()}  errored: {len(errors)}  "
-               f"skipped_input_lines: {len(skipped_rows)}")
+               f"skipped_input_lines: {skipped}")
     for stage in sorted(termination_counts):
         click.echo(f"  terminated at {stage}: {termination_counts[stage]}")
     if errors:
@@ -326,9 +333,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
     run_rows = _row_runner(config, jobs)
     pair_method = PairMethod(method)
 
-    specs = corpus.load_spec_code_pairs(
-        specs_path, on_error=lambda lineno, msg: log.error(
-            "[specs] line %s skipped: %s", lineno, msg))
+    specs, skipped = _load_specs(specs_path, "specs")
     testbenches = corpus.load_testbench_rows(tb_path)
 
     sampling = dataclasses.replace(config.sampling, n=n_candidates or config.sampling.n)
@@ -373,7 +378,7 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
 
     click.echo(f"specs: {len(joined)}  pairs: {counts['pairs']}  "
                f"discards: {discard_counts.total()}  errored: {len(errors)}  "
-               f"method: {method}")
+               f"method: {method}  skipped_input_lines: {skipped}")
     for reason in sorted(discard_counts):
         click.echo(f"  discarded ({reason}): {discard_counts[reason]}")
     if errors:

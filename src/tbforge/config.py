@@ -4,7 +4,7 @@ Each section fills the settings dataclass of the ``Config`` field of the
 same name, and that dataclass is the only place a key, its type, its
 default and its range are written. One key sits in another section than
 its field: ``[paths] workdir_root`` fills the simulator settings. An empty
-value means the default.
+value means the default, and ``none`` leaves an optional field unset.
 
 Secrets never live in the file; the LLM API key is read from the
 environment variable named by ``llm.api_key_env``. Mock backends are
@@ -51,7 +51,9 @@ def ini_schema() -> dict[str, dict[str, tuple[str, object]]]:
 
 def _typed(key: str, raw: str, hint):
     """Cast one non-empty INI value to its field's type."""
-    if isinstance(hint, types.UnionType):  # ``T | None``: the value is a T
+    if isinstance(hint, types.UnionType):  # ``T | None``: ``none`` or a T
+        if raw.strip().lower() == "none":
+            return None
         hint = next(arg for arg in get_args(hint) if arg is not type(None))
     try:
         if hint == tuple[float, ...]:  # comma-separated sampling temperatures
@@ -99,14 +101,14 @@ def load_config(path) -> Config:
 
 # -- backend factories --
 
-def _load_script(path, backend: str, read_entry) -> list:
+def _load_script(path, backend: str, read_entry) -> tuple:
     """A mock script: a nonempty JSON list, each entry read by ``read_entry``.
     Any fault, a bad entry included, is a ConfigError that names the file."""
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(entries, list) or not entries:
             raise ValueError("not a nonempty JSON list")
-        return [read_entry(entry) for entry in entries]
+        return tuple(read_entry(entry) for entry in entries)
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         problem = f"entry lacks {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"bad {backend} mock script {path}: {problem}") from exc
@@ -138,7 +140,7 @@ def make_simulator_factory(config: Config):
     from the top. A missing compile or run program fails now."""
     if config.simulator.backend == "mock":
         script = _load_script(config.simulator.mock_script, "simulator", _sim_entry)
-        return lambda: MockSimulator(list(script))
+        return lambda: MockSimulator(script)
     config.simulator.check_programs(config.simulator.compile_command,
                                     config.simulator.run_command)
     shared = CommandSimulator(config.simulator)
@@ -162,7 +164,7 @@ def make_chat_client_factory(config: Config) -> ChatClientFactory:
     shares one HTTP client and its pool of idle connections."""
     if config.llm.backend == "mock":
         script = _load_script(config.llm.mock_script, "llm", json_string)
-        return ChatClientFactory(lambda: MockChatClient(list(script)))
+        return ChatClientFactory(lambda: MockChatClient(script))
     if not config.llm.endpoint:
         raise ConfigError("llm backend http needs an endpoint URL")
     shared = HttpChatClient(config.llm)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from tbforge.errors import EmptyInput, IndexOutOfRange, NonPositiveBeta
@@ -76,12 +76,21 @@ def dpo_grad(pair: PairLogProbs, beta: float = DEFAULT_BETA) -> tuple[float, flo
     return -coefficient, coefficient
 
 
+def _log_softmax(row: Sequence[float]) -> tuple[float, ...]:
+    """One row's log softmax, max-shifted so that no exp overflows."""
+    top = max(row)
+    shifted = [x - top for x in row]
+    log_total = math.log(math.fsum(map(math.exp, shifted)))
+    return tuple(x - log_total for x in shifted)
+
+
 @dataclass(frozen=True)
 class TabularPolicy:
     """Softmax policy over (context, token) logits, dense enough to brute
     force. Takes any 2-D numeric sequence and keeps it as float tuples."""
 
     logits: tuple[tuple[float, ...], ...]  # contexts x vocab
+    _log_probs: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -93,6 +102,7 @@ class TabularPolicy:
         if not all(math.isfinite(x) for row in rows for x in row):
             raise ValueError("logits must be finite")
         object.__setattr__(self, "logits", rows)
+        object.__setattr__(self, "_log_probs", tuple(map(_log_softmax, rows)))
 
     @property
     def contexts(self) -> int:
@@ -102,18 +112,12 @@ class TabularPolicy:
     def vocab(self) -> int:
         return len(self.logits[0])
 
-    def log_probs(self) -> list[list[float]]:
-        """Row-wise log softmax, max-shifted so that no exp overflows."""
-        out = []
-        for row in self.logits:
-            top = max(row)
-            shifted = [x - top for x in row]
-            log_total = math.log(math.fsum(map(math.exp, shifted)))
-            out.append([x - log_total for x in shifted])
-        return out
+    def log_probs(self) -> tuple[tuple[float, ...], ...]:
+        """Row-wise log softmax, computed once when the policy is made."""
+        return self._log_probs
 
 
-def _table_logprob(log_probs: list[list[float]], context_ids: Sequence[int],
+def _table_logprob(log_probs: Sequence[Sequence[float]], context_ids: Sequence[int],
                    token_ids: Sequence[int]) -> float:
     """Sum of log_probs[context][token] over positions, left to right."""
     if len(context_ids) != len(token_ids):
@@ -163,24 +167,16 @@ def _seq_logprob_grad(policy: TabularPolicy, context_ids: Sequence[int],
     return grad
 
 
-def _pair_logprobs(policy: TabularPolicy, ref: TabularPolicy, chosen,
-                   rejected) -> PairLogProbs:
-    """The chosen and rejected sequences' log-probabilities under the policy
-    and the reference."""
-    return PairLogProbs(
-        policy_chosen=sequence_logprob(policy, *chosen),
-        ref_chosen=sequence_logprob(ref, *chosen),
-        policy_rejected=sequence_logprob(policy, *rejected),
-        ref_rejected=sequence_logprob(ref, *rejected),
-    )
-
-
 def dpo_policy_grad(policy: TabularPolicy, ref: TabularPolicy,
                     chosen: tuple[Sequence[int], Sequence[int]],
                     rejected: tuple[Sequence[int], Sequence[int]],
                     beta: float = DEFAULT_BETA) -> list[list[float]]:
     """Analytic gradient of the pair loss w.r.t. every policy logit."""
-    pair = _pair_logprobs(policy, ref, chosen, rejected)
+    pair = PairLogProbs(
+        policy_chosen=sequence_logprob(policy, *chosen),
+        ref_chosen=sequence_logprob(ref, *chosen),
+        policy_rejected=sequence_logprob(policy, *rejected),
+        ref_rejected=sequence_logprob(ref, *rejected))
     coeff_chosen, coeff_rejected = dpo_grad(pair, beta)
     return [[coeff_chosen * c + coeff_rejected * r for c, r in zip(row_c, row_r)]
             for row_c, row_r in zip(_seq_logprob_grad(policy, *chosen),
@@ -204,11 +200,12 @@ def dpo_policy_grad_check(policy: TabularPolicy, ref: TabularPolicy,
     worst = 0.0
     for ctx in range(policy.contexts):
         for tok in range(policy.vocab):
-            bumped = [list(row) for row in policy.logits]
+            bumped = list(policy.logits[ctx])
+            table = list(policy.log_probs())
             losses = []  # at +step, then at -step
             for delta in (step, -2 * step):
-                bumped[ctx][tok] += delta
-                table = TabularPolicy(logits=bumped).log_probs()
+                bumped[tok] += delta
+                table[ctx] = _log_softmax(bumped)  # the only row the bump moves
                 losses.append(dpo_loss([PairLogProbs(
                     _table_logprob(table, *chosen), ref_chosen,
                     _table_logprob(table, *rejected), ref_rejected)], beta))

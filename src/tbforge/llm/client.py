@@ -18,7 +18,6 @@ import threading
 import time
 import urllib.request
 from dataclasses import dataclass
-from typing import Sequence, Union
 from urllib.parse import unquote, urlsplit
 
 from tbforge.corpus import json_string
@@ -28,10 +27,10 @@ from tbforge.errors import (
     PromptRejected,
     RateLimited,
     RequestRejected,
-    ScriptExhausted,
     TransportError,
     check_settings,
 )
+from tbforge.script import Replay
 
 _ROLES = ("system", "user", "assistant")
 
@@ -225,31 +224,15 @@ class HttpChatClient:
             raise TransportError(f"malformed chat response: {exc}") from exc
 
 
-ScriptItem = Union[str, Exception]
-
-
-class MockChatClient:
+class MockChatClient(Replay):
     """Returns scripted responses in order; Exception entries are raised.
 
     Records every request in ``calls`` so tests can assert call counts and
     prompt contents.
     """
 
-    def __init__(self, script: Sequence[ScriptItem]):
-        if not script:
-            raise ValueError("mock chat script must be nonempty")
-        self._script = list(script)
-        self._cursor = 0
-        self._lock = threading.Lock()
-        self.calls: list[ChatRequest] = []
-
     def complete_once(self, request: ChatRequest) -> str:
-        with self._lock:
-            self.calls.append(request)
-            if self._cursor >= len(self._script):
-                raise ScriptExhausted("mock chat script exhausted")
-            item = self._script[self._cursor]
-            self._cursor += 1
+        item = self._next(request)
         if isinstance(item, Exception):
             raise item
         return item

@@ -3,28 +3,29 @@
 Every call writes its sources into a fresh private working directory and
 removes that directory before it returns, so any number of concurrent
 calls never share files and none are left behind. Every external process
-is bounded by the configured timeout. The mock consumes a fixed script of
-outcomes under a lock, which makes pipeline state-machine tests fully
-deterministic with zero external tools.
+is bounded by the configured timeout. The mock replays a fixed script of
+outcomes, which makes pipeline state-machine tests fully deterministic with
+zero external tools.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
+import signal
 import subprocess
 import tempfile
-import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, Union, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from tbforge.errors import (
     ConfigError,
-    ScriptExhausted,
     ToolMissing,
     UnparseableLog,
     UnparseableReport,
 )
+from tbforge.script import Replay
 from tbforge.sim.config import SimulatorConfig
 from tbforge.sim.logparse import parse_coverage, parse_sim_log
 from tbforge.sim.outcomes import (
@@ -77,17 +78,25 @@ class CommandSimulator:
             shutil.rmtree(workdir, ignore_errors=True)
 
     def _invoke(self, template: str, workdir: str) -> tuple[int, str]:
-        """Run one command; raises subprocess.TimeoutExpired past the
-        configured timeout."""
+        """Run one command in a session of its own; raises
+        subprocess.TimeoutExpired past the configured timeout. A call that
+        does not wait the command out kills its whole process group."""
         argv = self.config.argv(template, workdir)
         try:  # a byte that is not UTF-8 must not cost the log
-            proc = subprocess.run(
-                argv, capture_output=True, encoding="utf-8", errors="replace",
-                timeout=self.config.timeout, cwd=workdir,
-            )
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=workdir,
+                encoding="utf-8", errors="replace", start_new_session=True)
         except FileNotFoundError as exc:
             raise ToolMissing(f"simulator command not found: {argv[0]}") from exc
-        return proc.returncode, (proc.stdout or "") + (proc.stderr or "")
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=self.config.timeout)
+            except BaseException:
+                with suppress(ProcessLookupError):  # the group has exited
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                raise
+        return proc.returncode, stdout + stderr
 
     def _compile_in(self, workdir: str) -> CompileError | None:
         try:
@@ -135,41 +144,19 @@ class CommandSimulator:
         return parse_coverage(log)
 
 
-_COMPILE_OK = "ok"
-
-ScriptEntry = Union[str, CompileError, Report, RuntimeAbort, CoverageReport, float]
-
-
-class MockSimulator:
+class MockSimulator(Replay):
     """Replays a fixed script of outcomes.
 
     Script entries are consumed one per backend call, in order:
     ``"ok"``/CompileError for compile calls, Report/RuntimeAbort for run
-    calls, CoverageReport or a bare percentage for coverage calls (its
-    report text is the header and TOTAL rows alone). A ``run_test``
-    consumes a compile entry and, if it compiled, a run entry.
+    calls, CoverageReport or a bare percentage for coverage calls (read as
+    the header and TOTAL rows of a report printed at two decimals). A
+    ``run_test`` consumes a compile entry and, if it compiled, a run entry.
     """
-
-    def __init__(self, script: Sequence[ScriptEntry]):
-        if not script:
-            raise ValueError("mock simulator script must be nonempty")
-        self._script = list(script)
-        self._cursor = 0
-        self._lock = threading.Lock()
-        self.calls: list[str] = []
-
-    def _next(self, call: str) -> ScriptEntry:
-        with self._lock:
-            self.calls.append(call)
-            if self._cursor >= len(self._script):
-                raise ScriptExhausted(f"mock script exhausted at call {call!r}")
-            entry = self._script[self._cursor]
-            self._cursor += 1
-            return entry
 
     def compile(self, dut: str, tb: str) -> CompileError | None:
         entry = self._next("compile")
-        if entry == _COMPILE_OK:
+        if entry == "ok":
             return None
         if isinstance(entry, CompileError):
             return entry
@@ -189,12 +176,10 @@ class MockSimulator:
         if isinstance(entry, CoverageReport):
             return entry
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            # 10000 lines keeps two-decimal percentages exactly consistent.
-            covered = round(100.0 * float(entry))
-            text = ("Line Coverage for Module : mock\n"
-                    "Line No.\tTotal\tCovered\tPercent\n"
-                    f"TOTAL\t\t10000\t{covered}\t{float(entry):.2f}")
-            return CoverageReport(module_name="mock", total_lines=10000,
-                                  covered_lines=covered, percent=float(entry),
-                                  text=text)
+            # Out of 10,000 lines, a two-decimal percentage is an exact count.
+            percent = f"{entry:.2f}"
+            covered = round(float(percent) * 100)
+            return parse_coverage("Line Coverage for Module : mock\n"
+                                  "Line No.\tTotal\tCovered\tPercent\n"
+                                  f"TOTAL\t\t10000\t{covered}\t{percent}")
         raise ConfigError(f"mock script expected coverage entry, got {entry!r}")

@@ -585,6 +585,24 @@ def test_collect_pairs_simulator_output_that_is_not_utf8_still_parses(tmp_path):
         [(1, 2), (0, 2)] * 3
 
 
+def test_collect_pairs_counts_the_spec_lines_it_skips(tmp_path):
+    specs = tmp_path / "specs.jsonl"
+    rows = write_spec_rows(specs, 2)
+    with open(specs, "a", encoding="utf-8") as handle:
+        handle.write("this is not json\n")
+    testbenches = tmp_path / "tb.jsonl"
+    testbenches.write_text("".join(json.dumps({"id": row["id"], "tb": "module tb; endmodule"})
+                                   + "\n" for row in rows), encoding="utf-8")
+    config = write_config(tmp_path, *write_collect_scripts(tmp_path))
+    proc = run_cli("collect-pairs", "--specs", str(specs), "--testbenches", str(testbenches),
+                   "--out", str(tmp_path / "pairs.jsonl"), "--method", "testbench",
+                   "--config", str(config))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ("specs: 2  pairs: 2  discards: 0  errored: 0  "
+                                           "method: testbench  skipped_input_lines: 1")
+    assert "[specs] line 3 skipped: bad JSON" in proc.stderr
+
+
 @pytest.mark.parametrize("section,line,message", [
     ("sampling", "temperatures = 0.2, -0.5",
      "sampling temperatures must be one or more finite values >= 0"),

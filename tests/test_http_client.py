@@ -15,6 +15,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from tbforge import cli
+from tbforge.config import load_config
 from tbforge.errors import (
     LONGEST_WAIT,
     ConfigError,
@@ -25,6 +26,7 @@ from tbforge.errors import (
 )
 from tbforge.corpus import read_jsonl
 from tbforge.llm import ChatRequest, HttpChatClient, LlmSettings, Message, complete
+from tbforge.preference import sample_candidates
 
 from cli_fixtures import (
     CANDIDATE_A,
@@ -206,6 +208,19 @@ def test_payload_fields(serve):
     assert (second["top_p"], second["top_k"]) == (0.9, 40)
     assert server.requests[0]["path"] == "/v1/chat/completions"
     assert server.requests[0]["headers"]["Content-Type"] == "application/json"
+
+
+@pytest.mark.parametrize("value", ["none", "None", " NONE "])
+def test_sampling_key_set_to_none_is_left_out_of_the_request(serve, tmp_path, value):
+    config = tmp_path / "tbforge.ini"
+    config.write_text(f"[sampling]\ntop_k = {value}\n", encoding="utf-8")
+    sampling = load_config(config).sampling
+    assert (sampling.top_p, sampling.top_k) == (0.95, None)
+    server, client = serve()
+    sample_candidates(client, "spec", sampling, retries=1, backoff=0)
+    payloads = [r["payload"] for r in server.requests]
+    assert len(payloads) == sampling.n
+    assert all("top_k" not in p and p["top_p"] == 0.95 for p in payloads)
 
 
 def test_model_left_out_when_empty(serve):

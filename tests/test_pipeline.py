@@ -292,6 +292,19 @@ def test_improve_prompt_shows_the_uncovered_source_lines():
         assert line in prompt
 
 
+def test_coverage_that_prints_as_full_passes_a_full_threshold(tmp_path):
+    # A config script's percent is read back at two decimals: 99.999 is 100.00.
+    script = tmp_path / "sim.json"
+    script.write_text(json.dumps([{"kind": "coverage", "percent": 99.999}]),
+                      encoding="utf-8")
+    config = Config(simulator=SimulatorConfig(backend="mock", mock_script=str(script)))
+    p = TestbenchPipeline(MockChatClient(["unused"]), make_simulator_factory(config)(),
+                          PipelineConfig(coverage_threshold=100))
+    assert p.improve(PAIR.code, TESTBENCH_SKELETON) == (TESTBENCH_SKELETON, 100.0, 0)
+    assert p._trace == [TraceEntry(Stage.IMPROVE, "coverage", "pass")]
+    assert p.client.calls == []
+
+
 def test_improve_skip_coverage():
     p = pipeline(["unused"], ["ok"], PipelineConfig(skip_coverage=True))
     tb, percent, rounds = p.improve(PAIR.code, TESTBENCH_SKELETON)

@@ -1,6 +1,11 @@
+import contextlib
 import dataclasses
+import os
+import signal
 import stat
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -66,9 +71,16 @@ def test_mock_coverage_from_float():
     assert cov.percent == 83.87
 
 
-def test_mock_coverage_text_is_a_report_that_parses_back():
-    cov = MockSimulator([83.87]).coverage("d", "t")
+@pytest.mark.parametrize("percent", [0, 83.87, 99.999, 100])
+def test_mock_coverage_text_is_a_report_that_parses_back(percent):
+    cov = MockSimulator([percent]).coverage("d", "t")
     assert parse_coverage(cov.text) == cov
+    assert cov.text.endswith(f"TOTAL\t\t10000\t{cov.covered_lines}\t{percent:.2f}")
+
+
+def test_mock_coverage_past_100_percent_is_an_unparseable_report():
+    with pytest.raises(UnparseableReport, match="out of range"):
+        MockSimulator([150]).coverage("d", "t")
 
 
 def test_mock_wrong_entry_type_is_an_error():
@@ -213,6 +225,38 @@ def test_command_timeout(fake_tools, tmp_path):
     outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
     assert outcome == RuntimeAbort(reason="timeout", log=outcome.log)
     assert _workdirs_left(tmp_path) == []
+
+
+def test_command_timeout_kills_what_the_command_started(tmp_path):
+    # The run command leaves a background sleep holding its output pipe and
+    # writes the sleep's pid outside the work dir, which is removed.
+    pid_file = tmp_path / "sleep.pid"
+    sim = CommandSimulator(SimulatorConfig(
+        compile_command="true {out} {dut} {tb}",
+        run_command=f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' {{out}}",
+        timeout=0.5, workdir_root=str(tmp_path / "work")))
+    try:
+        outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+        assert outcome == RuntimeAbort(reason="timeout", log=outcome.log)
+        pid = int(pid_file.read_text())
+        deadline = time.monotonic() + 2.0  # SIGKILL is delivered, not awaited
+        while _process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _process_state(pid) in (None, "Z")
+    finally:  # a failing run leaves nothing behind
+        with contextlib.suppress(OSError, ValueError):
+            pid = int(pid_file.read_text())
+            if _process_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _process_state(pid):
+    """The one-letter state of a process, or None when it is gone."""
+    try:
+        stat_line = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat_line.rpartition(")")[2].split()[0]
 
 
 def test_command_coverage_timeout(fake_tools, tmp_path):

@@ -27,6 +27,9 @@ from tbforge.errors import ParseError
 from tbforge.frontend.ast_nodes import AstNode, NodeKind
 
 _ASSIGN_KINDS = (NodeKind.ContAssign, NodeKind.BlockingAssign, NodeKind.NonblockingAssign)
+# The declarations whose names may appear as endpoints, each with the
+# qualifiers of the ones an instance may drive.
+_DRIVABLE = {NodeKind.PortDecl: ("output",), NodeKind.NetDecl: ("wire", "logic")}
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,26 @@ def extract_dfg(ast: AstNode) -> Dfg:
     if ast.kind is not NodeKind.Module:
         raise ParseError("dataflow extraction needs a Module root", 1)
 
-    declared = {
-        child.label
-        for child in ast.children
-        if child.kind in (NodeKind.PortDecl, NodeKind.NetDecl)
-    }
+    declared: set[str] = set()
+    drivable: set[str] = set()
+    instances: list[AstNode] = []
+    # (statement, signals of the conditions that enclose it); a work list,
+    # not recursion, so no nesting depth is too deep.
+    work: list[tuple[AstNode, frozenset[str]]] = []
+    for child in ast.children:
+        kind = child.kind
+        drivable_qualifiers = _DRIVABLE.get(kind)
+        if drivable_qualifiers is not None:
+            declared.add(child.label)
+            if child.qualifier in drivable_qualifiers:
+                drivable.add(child.label)
+        elif kind in (NodeKind.ContAssign, NodeKind.AlwaysBlock):
+            work.append((child, frozenset()))
+        elif kind is NodeKind.Instance:
+            instances.append(child)
 
     edges: set[tuple[str, str]] = set()
     assigned: set[str] = set()
-
-    # (statement, signals of the conditions that enclose it); a work list,
-    # not recursion, so no nesting depth is too deep.
-    work = [(child, frozenset()) for child in ast.children
-            if child.kind in (NodeKind.ContAssign, NodeKind.AlwaysBlock)]
     while work:
         node, conds = work.pop()
         kind = node.kind
@@ -100,40 +110,21 @@ def extract_dfg(ast: AstNode) -> Dfg:
         elif kind in (NodeKind.SeqBlock, NodeKind.AlwaysBlock):
             work.extend((child, conds) for child in node.children)
 
-    for child in ast.children:
-        if child.kind is NodeKind.Instance:
-            _instance_edges(child, ast, assigned, edges)
+    drivable -= assigned
+    for inst in instances:
+        outputs: list[str] = []
+        inputs: set[str] = set()
+        for conn in inst.children:
+            if conn.kind is not NodeKind.PortConn or not conn.children:
+                continue
+            expr = base = conn.children[0]
+            while base.kind in (NodeKind.BitSelect, NodeKind.PartSelect):
+                base = base.children[0]
+            if base.kind is NodeKind.IdentRef and base.label in drivable:
+                outputs.append(base.label)
+            else:
+                inputs |= _ident_names(expr)
+        edges.update((s, t) for t in outputs for s in inputs)
 
-    filtered = frozenset(
-        (s, t) for s, t in edges if s in declared and t in declared
-    )
-    return Dfg(edges=filtered)
-
-
-def _instance_edges(inst: AstNode, module: AstNode, assigned: set[str],
-                    edges: set[tuple[str, str]]) -> None:
-    output_ok: set[str] = set()
-    for child in module.children:
-        if child.kind is NodeKind.NetDecl and child.qualifier in ("wire", "logic"):
-            output_ok.add(child.label)
-        elif child.kind is NodeKind.PortDecl and child.qualifier == "output":
-            output_ok.add(child.label)
-
-    outputs: list[str] = []
-    input_sigs: set[str] = set()
-    for conn in inst.children:
-        if conn.kind is not NodeKind.PortConn or not conn.children:
-            continue
-        expr = conn.children[0]
-        base = expr
-        while base.kind in (NodeKind.BitSelect, NodeKind.PartSelect):
-            base = base.children[0]
-        if (base.kind is NodeKind.IdentRef and base.label in output_ok
-                and base.label not in assigned):
-            outputs.append(base.label)
-        else:
-            input_sigs |= _ident_names(expr)
-
-    for target in outputs:
-        for source in input_sigs:
-            edges.add((source, target))
+    return Dfg(edges=frozenset(
+        (s, t) for s, t in edges if s in declared and t in declared))

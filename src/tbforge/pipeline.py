@@ -197,7 +197,7 @@ class TestbenchPipeline:
         """Ask for a draft; returns (testbench, what its scaffold lacks, or
         "" when it is complete)."""
         tb = extract_code_block(self._ask(self._conversation, text))
-        return tb, has_scaffold(tb)[1] if tb else "no code in response"
+        return tb, has_scaffold(tb) if tb else "no code in response"
 
     # -- stages --
 

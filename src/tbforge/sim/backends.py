@@ -78,25 +78,24 @@ class CommandSimulator:
             shutil.rmtree(workdir, ignore_errors=True)
 
     def _invoke(self, template: str, workdir: str) -> tuple[int, str]:
-        """Run one command in a session of its own; raises
-        subprocess.TimeoutExpired past the configured timeout. A call that
-        does not wait the command out kills its whole process group."""
+        """Run one command in a session of its own and return its exit code
+        and its stdout and stderr as one log, in printed order; raises
+        subprocess.TimeoutExpired past the configured timeout. However the
+        call ends, it kills the command's whole process group."""
         argv = self.config.argv(template, workdir)
         try:  # a byte that is not UTF-8 must not cost the log
             proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=workdir,
+                argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, cwd=workdir,
                 encoding="utf-8", errors="replace", start_new_session=True)
         except FileNotFoundError as exc:
             raise ToolMissing(f"simulator command not found: {argv[0]}") from exc
-        with proc:
+        with proc:  # reaps the group leader on the way out
             try:
-                stdout, stderr = proc.communicate(timeout=self.config.timeout)
-            except BaseException:
+                log, _ = proc.communicate(timeout=self.config.timeout)
+            finally:
                 with suppress(ProcessLookupError):  # the group has exited
                     os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-                raise
-        return proc.returncode, stdout + stderr
+        return proc.returncode, log
 
     def _compile_in(self, workdir: str) -> CompileError | None:
         try:

@@ -72,8 +72,9 @@ def parse_sim_log(stdout: str) -> Report:
                   inconsistent=inconsistent, log=stdout)
 
 
-def has_scaffold(tb: str) -> tuple[bool, str]:
-    """Textual lint for the reporting scaffolding a draft must carry."""
+def has_scaffold(tb: str) -> str:
+    """Textual lint for the reporting scaffolding a draft must carry: names
+    what the testbench lacks, or "" when it is complete."""
     missing = []
     if TESTCASE_BANNER not in tb:
         missing.append("TestCases banner")
@@ -83,7 +84,7 @@ def has_scaffold(tb: str) -> tuple[bool, str]:
         missing.append("Actual display line")
     if "$finish" not in tb:
         missing.append("$finish")
-    return (not missing, ", ".join(missing))
+    return ", ".join(missing)
 
 
 def has_score_epilogue(tb: str) -> bool:

@@ -112,6 +112,30 @@ def test_instance_driven_wire_is_input():
     assert ("a", "w") in dfg.edges
 
 
+def test_several_instances_edge_set():
+    dfg = dfg_of("""
+        module top(input [3:0] a, input b, output [3:0] y, output z);
+        wire [3:0] w;
+        logic [1:0] l;
+        reg r;
+        wire d;
+        assign d = b;
+        adder u1 (.x(a), .cin(r), .s(w[1:0]), .c(), .ovf(l));
+        inv u2 (w[3], d, z);
+        mux u3 (.sel(r), .in(ghost), .en(a[0] & b), .out(y[2]));
+        endmodule
+    """)
+    # Outputs are the bare or selected output ports and wire/logic nets no
+    # assignment drives (w, l, z, y); the reg r, the assigned wire d and
+    # every other expression are inputs; the undeclared ghost is dropped.
+    assert dfg.edges == {
+        ("b", "d"),
+        ("a", "w"), ("r", "w"), ("a", "l"), ("r", "l"),
+        ("d", "w"), ("d", "z"),
+        ("r", "y"), ("a", "y"), ("b", "y"),
+    }
+
+
 def test_concat_target_fans_out():
     dfg = dfg_of("""
         module m(input [1:0] d, input clk, output reg h, l);

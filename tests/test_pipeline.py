@@ -111,7 +111,7 @@ def test_draft_first_try():
     _, cases = p.analyze(PAIR.spec)
     tb, attempts = p.draft(PAIR.spec, PAIR.code, cases)
     assert attempts == 1
-    assert has_scaffold(tb)[0]
+    assert has_scaffold(tb) == ""
 
 
 def test_draft_terminates_after_max_attempts():

@@ -1,6 +1,7 @@
 """One process runner: ``CommandSimulator._invoke`` alone starts processes,
-so every command runs in its own session and a timed-out one takes its
-whole process group with it."""
+so every command runs in its own session, its stderr joins its stdout in
+printed order, and every call, timed out or not, ends with the command's
+whole process group killed."""
 
 import ast
 from pathlib import Path

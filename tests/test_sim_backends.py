@@ -235,19 +235,78 @@ def test_command_timeout_kills_what_the_command_started(tmp_path):
         compile_command="true {out} {dut} {tb}",
         run_command=f"sh -c 'sleep 30 & echo $! > {pid_file}; wait' {{out}}",
         timeout=0.5, workdir_root=str(tmp_path / "work")))
-    try:
+    with _killed_on_exit(pid_file):
         outcome = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
         assert outcome == RuntimeAbort(reason="timeout", log=outcome.log)
-        pid = int(pid_file.read_text())
-        deadline = time.monotonic() + 2.0  # SIGKILL is delivered, not awaited
-        while _process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert _process_state(pid) in (None, "Z")
-    finally:  # a failing run leaves nothing behind
+        assert _settled_state(int(pid_file.read_text())) in (None, "Z")
+
+
+@pytest.mark.parametrize("call, then", [
+    ("compile", "true"),
+    ("run_test", 'echo "Your Design Passed"'),
+    ("coverage", 'printf "TOTAL 3 2 66.7\\n"'),
+], ids=["compile", "run_test", "coverage"])
+def test_command_that_exits_on_time_ends_what_it_started(tmp_path, call, then):
+    # The command leaves a background sleep that does not hold its output
+    # pipe, so the call returns at once; the sleep must not outlive it.
+    pid_file = tmp_path / "sleep.pid"
+    starts_sleep = f"sh -c 'sleep 30 >/dev/null 2>&1 & echo $! > {pid_file}; {then}'"
+    commands = {"compile": "true {out} {dut} {tb}", "run_test": "true {out}",
+                "coverage": "true {dut} {tb}"}
+    commands[call] = f"{starts_sleep} {commands[call]}"
+    sim = CommandSimulator(SimulatorConfig(
+        compile_command=commands["compile"], run_command=commands["run_test"],
+        coverage_command=commands["coverage"], workdir_root=str(tmp_path / "work")))
+    with _killed_on_exit(pid_file):
+        outcome = getattr(sim, call)(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+        assert not isinstance(outcome, (CompileError, RuntimeAbort))
+        assert _settled_state(int(pid_file.read_text())) in (None, "Z")
+
+
+def test_command_log_keeps_stdout_and_stderr_in_printed_order(tmp_path):
+    lines = ["Test Case 1. Expected 1", "runtime error at tb.v:9",
+             "Test Case 1. Actual 2", "Test with 1 failures"]
+    prints = 'echo "{}"; echo "{}" >&2; echo "{}"; echo "{}"'.format(*lines)
+    sim = CommandSimulator(SimulatorConfig(
+        compile_command="true {out} {dut} {tb}",
+        run_command=f"sh -c '{prints}' {{out}}", workdir_root=str(tmp_path / "work")))
+    report = sim.run_test(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert report == Report(1, 1, report.case_lines, log=report.log)
+    assert report.log.splitlines() == lines
+
+
+def test_compile_log_keeps_stdout_and_stderr_in_printed_order(tmp_path):
+    lines = ["tb.v:3: warning: implicit net", "tb.v:9: error: no such port",
+             "1 error(s) during elaboration."]
+    prints = 'echo "{}"; echo "{}" >&2; echo "{}"; exit 1'.format(*lines)
+    sim = CommandSimulator(SimulatorConfig(
+        compile_command=f"sh -c '{prints}' {{out}} {{dut}} {{tb}}",
+        workdir_root=str(tmp_path / "work")))
+    error = sim.compile(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
+    assert isinstance(error, CompileError)
+    assert error.log.splitlines() == lines
+
+
+@contextlib.contextmanager
+def _killed_on_exit(pid_file):
+    """Kill the process whose pid the command wrote, if it is still alive,
+    so a failing test leaves nothing behind."""
+    try:
+        yield
+    finally:
         with contextlib.suppress(OSError, ValueError):
             pid = int(pid_file.read_text())
             if _process_state(pid) not in (None, "Z"):
                 os.kill(pid, signal.SIGKILL)
+
+
+def _settled_state(pid, wait=2.0):
+    """The state of a process once it is gone or a zombie, or after
+    ``wait`` seconds: SIGKILL is delivered, not awaited."""
+    deadline = time.monotonic() + wait
+    while _process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _process_state(pid)
 
 
 def _process_state(pid):

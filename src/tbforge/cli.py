@@ -13,15 +13,15 @@ command only says what one row does with them.
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Outside input is checked where it enters: a bad row of ``--testbenches``,
 ``passk --results`` or ``dpo --pairs`` is an IO error at its path and line,
-and a bad spec row is logged and skipped. A bad setting or flag, two output
-flags that name one file included, is a config error before any input is
-read or any output file is opened. So are settings under which the simulator
-cannot run what the command needs: coverage that cannot be measured, or a
-program that is not on PATH (which exits 3). A ValueError that reaches
-``main`` is a bug. Batch output lines are appended
-in input order and flushed after each row, so a batch that stops keeps every
-row that finished before the stop; as nothing is fsynced, a SIGKILL in the
-middle of a write can leave one partial last line. Per-row pipeline
+and a bad spec row is logged and skipped. A bad setting or flag, an output
+flag that names the file of another output or input flag included, is a
+config error before any input is read or any output file is opened. So are
+settings under which the simulator cannot run what the command needs:
+coverage that cannot be measured, or a program that is not on PATH (which
+exits 3). A ValueError that reaches ``main`` is a bug. Batch output lines
+are appended in input order and flushed after each row, so a batch that
+stops keeps every row that finished before the stop; as nothing is fsynced,
+a SIGKILL in the middle of a write can leave one partial last line. Per-row pipeline
 terminations are reported in the summary, never as a nonzero exit. A row
 that raises any other toolkit error is errored: it is left out of the
 outputs and counted in the summary, the other rows are still written, and
@@ -49,7 +49,6 @@ from tbforge.config import load_config, make_chat_client_factory, \
     make_simulator_factory
 from tbforge.errors import (
     ConfigError,
-    EmptyInput,
     NonPositiveBeta,
     RequestRejected,
     TbforgeError,
@@ -131,9 +130,10 @@ class _Slotted:
         return call
 
 
-def _row_runner(config, jobs):
-    """Build the config's backend factories now, so a bad backend setting
-    fails before any input is read; the chat factory closes with the command.
+def _row_runner(config, jobs, coverage=False):
+    """Build the config's backend factories now, so a bad backend setting, or
+    with ``coverage`` a simulator that cannot measure it, fails before any
+    input is read; the chat factory closes with the command.
     Returns ``run_rows(items, work)``, which yields ``(item, work(item, chat,
     simulator))`` in input order from ``2 * jobs`` threads, so one row
     simulates while another waits on the endpoint. Each row gets its own
@@ -142,7 +142,7 @@ def _row_runner(config, jobs):
     ends the batch and cancels the rows not yet started."""
     make_client = click.get_current_context().with_resource(
         closing(make_chat_client_factory(config)))
-    make_simulator = make_simulator_factory(config)
+    make_simulator = make_simulator_factory(config, coverage=coverage)
     chat_slots, sim_slots = _Slots(jobs), _Slots(jobs)
 
     def run_rows(items, work):
@@ -184,10 +184,13 @@ def _write_rows(results, emit, *outputs) -> list[TbforgeError]:
     return errors
 
 
-def _check_distinct(flag, path, other_flag, other_path) -> None:
-    """Two output flags may not name one file."""
-    if other_path and Path(path).resolve() == Path(other_path).resolve():
-        raise ConfigError(f"{flag} and {other_flag} name one file: {path}")
+def _check_distinct(outputs, inputs) -> None:
+    """No output flag may name the file of another output flag or of an
+    input flag. Each is a ``(flag, path)``; a flag given no path is skipped."""
+    for i, (flag, path) in enumerate(outputs):
+        for other_flag, other_path in (*outputs[i + 1:], *inputs):
+            if path and other_path and Path(path).resolve() == Path(other_path).resolve():
+                raise ConfigError(f"{flag} and {other_flag} name one file: {path}")
 
 
 def _make_output_dirs(*paths) -> None:
@@ -256,14 +259,10 @@ def cli(verbose):
 def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
                       trace_path):
     """Run the testbench pipeline over a spec/code corpus."""
-    _check_distinct("--out", out_path, "--trace-log", trace_path)
+    _check_distinct((("--out", out_path), ("--trace-log", trace_path)),
+                    (("--input", input_path), ("--config", config_path)))
     config = load_config(config_path)
-    if not config.pipeline.skip_coverage:
-        if not config.simulator.supports_coverage:
-            raise ConfigError("coverage measurement unavailable; configure a "
-                              "coverage command or set skip_coverage")
-        config.simulator.check_programs(config.simulator.coverage_command)
-    run_rows = _row_runner(config, jobs)
+    run_rows = _row_runner(config, jobs, coverage=not config.pipeline.skip_coverage)
 
     pairs, skipped = _load_specs(input_path, "input")
 
@@ -328,7 +327,9 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
 def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
                       config_path, evals_path, jobs):
     """Sample candidate codes and build preference pairs against testbenches."""
-    _check_distinct("--out", out_path, "--evals-out", evals_path)
+    _check_distinct((("--out", out_path), ("--evals-out", evals_path)),
+                    (("--specs", specs_path), ("--testbenches", tb_path),
+                     ("--config", config_path)))
     config = load_config(config_path)
     run_rows = _row_runner(config, jobs)
     pair_method = PairMethod(method)
@@ -407,6 +408,7 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
     if not all(part.isdecimal() and int(part) >= 1 for part in parts):
         raise ConfigError(f"bad --k list: {k_list!r}")
     ks = [int(part) for part in parts]
+    _check_distinct((("--out", out_path),), (("--results", results_path),))
     _make_output_dirs(out_path)
 
     tasks = corpus.read_fields(
@@ -432,10 +434,7 @@ def cmd_similarity(method, file_a, file_b):
 
     def form(path):
         try:
-            formed = similarity_form(pair_method, _read_source(path))
-            if pair_method is PairMethod.Bleu and not formed:
-                raise EmptyInput("empty input")
-            return formed
+            return similarity_form(pair_method, _read_source(path))
         except TbforgeError as exc:  # code the frontend rejects
             raise TbforgeError(f"{path}: {exc}") from exc
 
@@ -459,6 +458,7 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
         raise NonPositiveBeta(f"--beta must be > 0 and finite, got {beta}")
     if pairs_path is None and gradcheck_seeds is None:
         raise ConfigError("nothing to do: pass --pairs and/or --gradcheck")
+    _check_distinct((("--out", out_path),), (("--pairs", pairs_path),))
     _make_output_dirs(out_path)
 
     report = {"beta": beta}

@@ -134,16 +134,23 @@ def _sim_entry(entry):
     raise ValueError(f"unknown entry kind {kind!r}")
 
 
-def make_simulator_factory(config: Config):
+def make_simulator_factory(config: Config, coverage: bool = False):
     """Returns a zero-arg callable producing a simulator backend. Mock
     backends are fresh per call so each pipeline row replays the script
-    from the top. A missing compile or run program fails now."""
-    if config.simulator.backend == "mock":
-        script = _load_script(config.simulator.mock_script, "simulator", _sim_entry)
+    from the top. A missing compile or run program fails now; with
+    ``coverage``, so do a command backend with no coverage command and a
+    missing coverage program."""
+    settings = config.simulator
+    if settings.backend == "mock":
+        script = _load_script(settings.mock_script, "simulator", _sim_entry)
         return lambda: MockSimulator(script)
-    config.simulator.check_programs(config.simulator.compile_command,
-                                    config.simulator.run_command)
-    shared = CommandSimulator(config.simulator)
+    if coverage:
+        if settings.coverage_command is None:
+            raise ConfigError("coverage measurement unavailable; configure a "
+                              "coverage command or set skip_coverage")
+        settings.check_programs(settings.coverage_command)
+    settings.check_programs(settings.compile_command, settings.run_command)
+    shared = CommandSimulator(settings)
     return lambda: shared
 
 

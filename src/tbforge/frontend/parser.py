@@ -34,6 +34,7 @@ raises ParseError "nested too deeply", never RecursionError.
 from __future__ import annotations
 
 from functools import partial
+from typing import Callable, TypeVar
 
 from tbforge.errors import ParseError, ParseUnsupported
 from tbforge.frontend.ast_nodes import AstNode, NodeKind
@@ -88,24 +89,24 @@ _BINARY_TIER = {op: tier for tier, ops in enumerate(_BINARY_TIERS) for op in ops
 # AstNode.__new__, for the node kinds built once per operand or operator.
 _node = partial(tuple.__new__, AstNode)
 
+_T = TypeVar("_T")
+
 
 class _Parser:
     __slots__ = ("tokens", "pos", "eof")
 
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        # What the cursor reads past the last token; on that token's line,
-        # so an error at the end of input names the line where it ends.
+        # The list ends in the token the cursor reads past the last one; on
+        # that token's line, so an error at the end of input names the line
+        # where it ends. No rule takes it except to raise.
         self.eof = Token(TokenKind.Punctuation, "<eof>", tokens[-1].line)
+        self.tokens = [*tokens, self.eof]
+        self.pos = 0
 
     # -- token navigation --
 
     def cur(self) -> Token:
-        try:
-            return self.tokens[self.pos]
-        except IndexError:
-            return self.eof
+        return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
         return self.cur().text == text
@@ -136,6 +137,14 @@ class _Parser:
         if tok.text.startswith(("$", "`")):
             raise ParseUnsupported(f"system or macro identifier {tok.text!r}", tok.line)
         return self.take()
+
+    def _comma_list(self, item: Callable[[], _T], *first: _T) -> list[_T]:
+        """``item()``, or ``first`` when the first item is already read, and
+        one more ``item()`` after each comma."""
+        items = list(first) or [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
     def reject_unsupported(self) -> None:
         tok = self.cur()
@@ -228,11 +237,9 @@ class _Parser:
     def _opt_range(self) -> tuple[AstNode, ...]:
         if not self.accept("["):
             return ()
-        msb = self._expr()
-        self.expect(":")
-        lsb = self._expr()
+        rng = (self._expr(), self._expr_after(":"))
         self.expect("]")
-        return (msb, lsb)
+        return rng
 
     # -- module body --
 
@@ -263,27 +270,17 @@ class _Parser:
         self.accept("signed")
         if self.at("["):
             self._skip_range()
-        decls = []
-        while True:
-            name = self.expect_ident().text
-            self.expect("=")
-            value = self._expr()
-            decls.append(AstNode(NodeKind.ParamDecl, label=name, children=(value,),
-                                 qualifier=flavor))
-            if not self.accept(","):
-                break
+        decls = self._comma_list(lambda: AstNode(
+            NodeKind.ParamDecl, label=self.expect_ident().text,
+            children=(self._expr_after("="),), qualifier=flavor))
         self.expect(";")
         return decls
 
     def _port_decls(self) -> list[AstNode]:
         direction, rng = self._port_header()
-        decls = []
-        while True:
-            name = self.expect_ident().text
-            decls.append(AstNode(NodeKind.PortDecl, label=name, children=rng,
-                                 qualifier=direction))
-            if not self.accept(","):
-                break
+        decls = self._comma_list(lambda: AstNode(
+            NodeKind.PortDecl, label=self.expect_ident().text, children=rng,
+            qualifier=direction))
         self.expect(";")
         return decls
 
@@ -311,14 +308,8 @@ class _Parser:
         self.expect("assign")
         if self.at("#"):
             raise ParseUnsupported("assignment delay", self.cur().line)
-        assigns = []
-        while True:
-            lhs = self._lvalue()
-            self.expect("=")
-            rhs = self._expr()
-            assigns.append(AstNode(NodeKind.ContAssign, children=(lhs, rhs)))
-            if not self.accept(","):
-                break
+        assigns = self._comma_list(lambda: AstNode(
+            NodeKind.ContAssign, children=(self._lvalue(), self._expr_after("="))))
         self.expect(";")
         return assigns
 
@@ -413,9 +404,7 @@ class _Parser:
             self.accept(":")
             body = self._statement() or AstNode(NodeKind.SeqBlock)
             return AstNode(NodeKind.CaseItem, label="default", children=(body,))
-        labels = [self._expr()]
-        while self.accept(","):
-            labels.append(self._expr())
+        labels = self._comma_list(self._expr)
         self.expect(":")
         body = self._statement() or AstNode(NodeKind.SeqBlock)
         return AstNode(NodeKind.CaseItem, children=(*labels, body))
@@ -438,9 +427,7 @@ class _Parser:
 
     def _lvalue(self) -> AstNode:
         if self.accept("{"):
-            parts = [self._lvalue()]
-            while self.accept(","):
-                parts.append(self._lvalue())
+            parts = self._comma_list(self._lvalue)
             self.expect("}")
             return AstNode(NodeKind.Concat, children=tuple(parts))
         name = self.expect_ident()
@@ -460,7 +447,8 @@ class _Parser:
         if self.at("["):
             raise ParseUnsupported("instance array", self.cur().line)
         self.expect("(")
-        conns = self._connection_list()
+        conns = [] if self.at(")") else self._comma_list(
+            lambda: self._binding(NodeKind.PortConn, ""))
         self.expect(")")
         self.expect(";")
         return AstNode(NodeKind.Instance, label=module_name,
@@ -472,15 +460,6 @@ class _Parser:
             overrides.append(self._binding(NodeKind.ParamDecl, "override"))
             self.accept(",")
         return overrides
-
-    def _connection_list(self) -> list[AstNode]:
-        conns: list[AstNode] = []
-        if self.at(")"):
-            return conns
-        while True:
-            conns.append(self._binding(NodeKind.PortConn, ""))
-            if not self.accept(","):
-                return conns
 
     def _binding(self, kind: NodeKind, qualifier: str) -> AstNode:
         """A named ``.name(expr)``, whose expression may be empty, or a
@@ -504,6 +483,11 @@ class _Parser:
         self.expect(":")
         return AstNode(NodeKind.TernaryOp, "?:", (cond, then, self._expr()))
 
+    def _expr_after(self, text: str) -> AstNode:
+        """The token ``text``, then an expression."""
+        self.expect(text)
+        return self._expr()
+
     def _binary(self, min_tier: int) -> AstNode:
         """Precedence climbing: an operand, then every operator of tier
         min_tier or above with its right operand, which takes only
@@ -511,10 +495,7 @@ class _Parser:
         node = self._unary()
         tokens = self.tokens
         while True:
-            try:
-                op = tokens[self.pos].text
-            except IndexError:
-                return node
+            op = tokens[self.pos].text
             tier = _BINARY_TIER.get(op)
             if tier is None or tier < min_tier:
                 return node
@@ -575,9 +556,7 @@ class _Parser:
             inner = self._concat_or_replicate()
             self.expect("}")
             return AstNode(NodeKind.Replicate, children=(first, inner))
-        parts = [first]
-        while self.accept(","):
-            parts.append(self._expr())
+        parts = self._comma_list(self._expr, first)
         self.expect("}")
         return AstNode(NodeKind.Concat, children=tuple(parts))
 

@@ -2,11 +2,13 @@
 
 Every method judges a pair by one rule over one key per candidate: its pass
 count (testbench, tb-with-fails) or its similarity to the reference code
-(bleu, ast, dfg). Under tb-with-fails a compile-status difference decides
-the pair by itself, so a compiling-but-aborting candidate beats one with
-syntax errors. Otherwise a compile failure, then an abort, then a missing
-key ("parse"), then equal keys ("tie") discard the pair: preference needs a
-strict inequality. Else the larger key is chosen.
+(bleu, ast, dfg). A reply with no code is never a side of a pair: such a
+candidate discards the pair ("no_code") under every method. Then, under
+tb-with-fails, a compile-status difference decides the pair by itself, so a
+compiling-but-aborting candidate beats one with syntax errors. Otherwise a
+compile failure, then an abort, then a missing key ("parse"), then equal
+keys ("tie") discard the pair: preference needs a strict inequality. Else
+the larger key is chosen.
 
 Similarity keys are computed once per spec before any pair is judged: the
 reference is brought to the method's form once, and each candidate that
@@ -82,7 +84,7 @@ class PreferencePair:
 
 @dataclass(frozen=True)
 class Discard:
-    reason: str  # compile_failure | aborted | tie | parse
+    reason: str  # no_code | compile_failure | aborted | tie | parse
 
 
 PairOutcome = Union[PreferencePair, Discard]
@@ -112,7 +114,7 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None, *
                       retries: int, backoff: float,
                       on_code: Callable[[str], None] | None = None) -> list[str]:
     """Draw n independent completions for a specification and extract the
-    code. A response with no code yields ""; it evaluates as non-compiling.
+    code. A response with no code yields ""; it evaluates as ``no_code``.
 
     ``on_code``, when given, receives each extracted code (or "") in
     candidate order, before the next request goes out, so a caller can
@@ -160,6 +162,8 @@ def _judge(spec: str, a: CandidateEval, b: CandidateEval, key_a: float | None,
            key_b: float | None, method: PairMethod) -> PairOutcome:
     """The one pair rule of the module docstring. A tb-with-fails pair
     decided by pass counts is a testbench pair."""
+    if a.no_code or b.no_code:
+        return Discard("no_code")
     if method is PairMethod.TestbenchWithFails and a.compile_ok != b.compile_ok:
         a_wins = a.compile_ok
     elif not (a.compile_ok and b.compile_ok):
@@ -194,11 +198,14 @@ _UNSCORABLE = (ParseError, LexError, EmptyInput)
 def similarity_form(method: PairMethod, code: str):
     """Bring code to the form a similarity method compares: its tokens
     (BLEU), its module AST, or that module's dataflow graph. Raises LexError
-    or ParseError on code the frontend rejects."""
+    or ParseError on code the frontend rejects, and code with no tokens is
+    ``empty input`` under every method."""
     if method not in SIMILARITY_METHODS:
         raise ValueError(f"not a similarity method: {method}")
     tokens = lex(code)
     if method is PairMethod.Bleu:
+        if not tokens:
+            raise EmptyInput("empty input")
         return tokens
     tree = parse_module(tokens)
     if method is PairMethod.Ast:

@@ -55,10 +55,6 @@ class SimulatorConfig:
         if self.backend == "mock" and not self.mock_script:
             raise ConfigError("simulator backend mock needs mock_script")
 
-    @property
-    def supports_coverage(self) -> bool:
-        return self.backend == "mock" or self.coverage_command is not None
-
     def check_programs(self, *templates: str) -> None:
         """Raise ToolMissing for a command program named without a path that
         is not on PATH; a path is left to the call, which runs in its own

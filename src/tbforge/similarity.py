@@ -19,10 +19,6 @@ from tbforge.frontend.tokens import Token
 
 BLEU_MAX_NGRAM = 4
 
-# Depth of the structural signature: 1 means (node kind, child kinds).
-# Deeper signatures explode on large modules.
-AST_SIGNATURE_DEPTH = 1
-
 
 @dataclass(frozen=True)
 class SimilarityScore:
@@ -70,20 +66,15 @@ def bleu(candidate: list[Token], reference: list[Token]) -> SimilarityScore:
     return SimilarityScore(min(1.0, bp * math.exp(log_sum)))
 
 
-def _signature(node: AstNode, depth: int) -> tuple:
-    if depth == 0:
-        return (node.kind.name,)
-    return (node.kind.name,
-            tuple(_signature(c, depth - 1) for c in node.children))
-
-
-def ast_signatures(root: AstNode, depth: int = AST_SIGNATURE_DEPTH) -> Counter:
-    """Multiset of depth-limited structural signatures over all nodes.
+def ast_signatures(root: AstNode) -> Counter:
+    """Multiset of each node's kind with its children's kinds: depth 1, as
+    deeper structural signatures explode on large modules.
 
     Identifiers and literals contribute only their node kinds; labels are
     abstracted away, so consistent renaming leaves the multiset unchanged.
     """
-    return Counter(_signature(node, depth) for node in root.walk())
+    return Counter((node.kind.name, tuple((c.kind.name,) for c in node.children))
+                   for node in root.walk())
 
 
 def _multiset_jaccard(a: Counter, b: Counter) -> float:

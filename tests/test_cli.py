@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import click
 import pytest
@@ -198,6 +199,40 @@ def test_two_output_flags_naming_one_file_is_a_usage_error(
     assert capsys.readouterr().err == f"error: --out and {option} name one file: {out}\n"
     assert client.calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,output,input_flag", [
+    ("gen-testbench", "--out", "--input"), ("gen-testbench", "--trace-log", "--config"),
+    ("collect-pairs", "--out", "--specs"), ("collect-pairs", "--evals-out", "--testbenches"),
+    ("collect-pairs", "--out", "--config"), ("passk", "--out", "--results"),
+    ("dpo", "--out", "--pairs")])
+def test_an_output_flag_naming_an_input_file_is_a_usage_error(
+        pipeline_workspace, monkeypatch, capsys, command, output, input_flag):
+    tmp_path, specs, config = pipeline_workspace
+    client = MockChatClient(["unused"])
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: ChatClientFactory(lambda: client))
+    results = tmp_path / "results.jsonl"
+    results.write_text(json.dumps({"task": "t", "n": 2, "c_syntax": 1, "c_function": 1})
+                       + "\n", encoding="utf-8")
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps({"policy_chosen": -1.0, "ref_chosen": -1.0,
+                                 "policy_rejected": -2.0, "ref_rejected": -2.0})
+                     + "\n", encoding="utf-8")
+    if command in ("gen-testbench", "collect-pairs"):
+        args = [*batch_inputs(command, tmp_path, specs), "--config", str(config),
+                "--out", str(tmp_path / "out.jsonl")]
+    else:
+        args = {"passk": ["--results", str(results), "--k", "1"],
+                "dpo": ["--pairs", str(pairs)]}[command]
+    target = Path(dict(zip(args[::2], args[1::2]))[input_flag])
+    before = target.read_bytes()
+    alias = str(tmp_path / "sub" / ".." / target.name)
+    assert cli.main([command, *args, output, alias]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: {output} and {input_flag} name one file: {alias}\n"
+    assert target.read_bytes() == before
+    assert client.calls == []
 
 
 KILL_WHEN_WRITTEN = """\

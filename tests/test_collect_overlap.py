@@ -50,7 +50,8 @@ def collect(monkeypatch, tmp_path, chat_factory, sim_factory, specs=1, n=2,
     tmp_path.mkdir(parents=True, exist_ok=True)
     monkeypatch.setattr(cli, "make_chat_client_factory",
                         lambda config: ChatClientFactory(chat_factory))
-    monkeypatch.setattr(cli, "make_simulator_factory", lambda config: sim_factory)
+    monkeypatch.setattr(cli, "make_simulator_factory",
+                        lambda config, coverage: sim_factory)
     llm_script, sim_script = write_collect_scripts(tmp_path)
     config = tmp_path / "config.ini"
     config.write_text(CONFIG.format(llm_script=llm_script, sim_script=sim_script,

@@ -52,7 +52,8 @@ def generate(monkeypatch, tmp_path, chat_factory, sim_factory, rows=4, jobs=1,
     line names its id; outputs go to tb.jsonl and trace.log."""
     monkeypatch.setattr(cli, "make_chat_client_factory",
                         lambda config: ChatClientFactory(chat_factory))
-    monkeypatch.setattr(cli, "make_simulator_factory", lambda config: sim_factory)
+    monkeypatch.setattr(cli, "make_simulator_factory",
+                        lambda config, coverage: sim_factory)
     tmp_path.mkdir(exist_ok=True)
     llm_script, sim_script = write_pipeline_scripts(tmp_path)
     config = tmp_path / "config.ini"

@@ -313,13 +313,18 @@ def test_improve_skip_coverage():
     assert rounds == 0
 
 
-def test_improve_without_coverage_support_is_config_error():
-    # The settings say whether coverage can be measured, and gen-testbench
-    # asks them before any row runs. A library caller that improves anyway
-    # gets the simulator's own ConfigError, before any chat call.
+def test_improve_without_coverage_support_is_config_error(tmp_path):
+    # gen-testbench builds its simulator factory with coverage, which refuses
+    # settings that cannot measure it before any row runs. A library caller
+    # that improves anyway gets the simulator's own ConfigError, before any
+    # chat call.
     settings = SimulatorConfig(coverage_command=None)
-    assert not settings.supports_coverage
-    assert SimulatorConfig(backend="mock", mock_script="sim.json").supports_coverage
+    with pytest.raises(ConfigError, match="coverage measurement unavailable"):
+        make_simulator_factory(Config(simulator=settings), coverage=True)
+    script = tmp_path / "sim.json"
+    script.write_text('[{"kind": "coverage", "percent": 50}]', encoding="utf-8")
+    mock = SimulatorConfig(backend="mock", mock_script=str(script))
+    assert make_simulator_factory(Config(simulator=mock), coverage=True)() is not None
     client = MockChatClient(["x"])
     p = TestbenchPipeline(client, CommandSimulator(settings), PipelineConfig())
     with pytest.raises(ConfigError, match="no coverage_command configured"):

@@ -28,7 +28,11 @@ from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort
 from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
 
-def ev(passed, total=5, compile_ok=True, aborted=False, code=None):
+def ev(passed, total=5, compile_ok=True, aborted=False, code=None, no_code=False):
+    if no_code:
+        # As evaluate_candidate marks a reply with no code.
+        return CandidateEval(code="", compile_ok=False, outcome=None,
+                             passed=0, total=0, no_code=True)
     if aborted or not compile_ok:
         passed, total = 0, 0
     return CandidateEval(code=code or f"module c_{passed}_{compile_ok}; endmodule",
@@ -249,7 +253,9 @@ def pairwise_reference(spec, reference_code, evals, method, cap):
     outcomes = []
     emitted = 0
     for a, b in itertools.combinations(evals, 2):
-        if not a.compile_ok or not b.compile_ok:
+        if a.no_code or b.no_code:
+            outcome = Discard("no_code")
+        elif not a.compile_ok or not b.compile_ok:
             outcome = Discard("compile_failure")
         elif a.aborted or b.aborted:
             outcome = Discard("aborted")
@@ -279,7 +285,7 @@ def pairwise_reference(spec, reference_code, evals, method, cap):
 MIXED = [
     ev(3, code=NEAR), ev(1, code=FAR), ev(2, code=MID), ev(4, code=NO_PARSE),
     ev(0, compile_ok=False, code=NEAR), ev(2, code=NEAR), ev(0, aborted=True, code=MID),
-    ev(5, code=NO_LEX), ev(1, code=NO_TOKENS), ev(2, code=FAR),
+    ev(5, code=NO_LEX), ev(1, code=NO_TOKENS), ev(2, code=FAR), ev(0, no_code=True),
 ]
 
 CASES = {
@@ -304,21 +310,25 @@ def test_build_pairs_matches_pairwise_reference(method, case, cap):
 
 
 _CODES = [REF, NEAR, FAR, MID, NO_PARSE, NO_LEX, NO_TOKENS]
+STATUSES = ["ok", "compile", "abort", "no_code"]
+
+
+def status_ev(passed, code, status):
+    return ev(passed, code=code, compile_ok=status != "compile",
+              aborted=status == "abort", no_code=status == "no_code")
 
 
 @settings(max_examples=60, deadline=None)
 @given(method=st.sampled_from(SIMILARITY_METHODS),
        reference_code=st.sampled_from(_CODES + [REF_NO_PARSE, REF_NO_LEX]),
        candidates=st.lists(st.tuples(st.sampled_from(_CODES),
-                                     st.sampled_from(["ok", "compile", "abort"]),
+                                     st.sampled_from(STATUSES),
                                      st.integers(0, 5)),
                            max_size=7),
        cap=st.integers(0, 6))
 def test_build_pairs_matches_pairwise_reference_random(method, reference_code,
                                                        candidates, cap):
-    evals = [ev(passed, code=code, compile_ok=status != "compile",
-                aborted=status == "abort")
-             for code, status, passed in candidates]
+    evals = [status_ev(passed, code, status) for code, status, passed in candidates]
     expected = pairwise_reference("s", reference_code, evals, method, cap)
     assert build_pairs("s", reference_code, evals, method, cap=cap) == expected
 
@@ -393,6 +403,16 @@ def test_with_fails_both_ok_falls_back_to_testbench_rule():
     assert pair.method is PairMethod.Testbench
 
 
+@pytest.mark.parametrize("method", list(PairMethod), ids=lambda m: m.value)
+def test_a_reply_with_no_code_is_never_a_side_of_a_pair(method):
+    empty = ev(0, no_code=True)
+    # A compiling candidate that passes 0 of 4 cases, one that fails to
+    # compile and one that passes 3 of 4, each on either side.
+    for other in (ev(0, total=4, code=NEAR), ev(0, compile_ok=False), ev(3, total=4, code=FAR)):
+        for pair in ([other, empty], [empty, other]):
+            assert build_pairs("s", REF, pair, method) == [Discard("no_code")]
+
+
 def test_with_fails_aborting_compiler_still_wins():
     pair = build_pair_with_fails("s", ev(0, aborted=True), ev(0, compile_ok=False))
     assert isinstance(pair, PreferencePair)
@@ -403,6 +423,8 @@ def test_with_fails_aborting_compiler_still_wins():
 
 def random_eval(rng):
     roll = rng.random()
+    if roll < 0.05:
+        return ev(0, no_code=True)
     if roll < 0.2:
         return ev(0, compile_ok=False, code=f"module x{rng.random()}; endmodule")
     if roll < 0.3:
@@ -427,9 +449,12 @@ def test_randomized_pair_properties():
             assert tb_pair == Discard("tie")
             assert a.passed == b.passed
 
+        if a.no_code or b.no_code:
+            assert tb_pair == wf_pair == Discard("no_code")
         emitted_wf = isinstance(wf_pair, PreferencePair) and \
             wf_pair.method is PairMethod.TestbenchWithFails
-        assert emitted_wf == (a.compile_ok != b.compile_ok)
+        assert emitted_wf == (a.compile_ok != b.compile_ok
+                              and not (a.no_code or b.no_code))
 
         # symmetry
         assert build_pair_testbench("s", b, a) == tb_pair
@@ -466,15 +491,13 @@ def single_pair(a, b, score_a, score_b, method):
 @given(method=st.sampled_from(list(PairMethod)),
        reference_code=st.sampled_from(_CODES + [REF_NO_PARSE, REF_NO_LEX]),
        candidates=st.lists(st.tuples(st.sampled_from(_CODES),
-                                     st.sampled_from(["ok", "compile", "abort"]),
+                                     st.sampled_from(STATUSES),
                                      st.integers(0, 3)),
                            max_size=7),
        cap=st.integers(0, 6))
 def test_build_pairs_judges_each_combination_like_the_single_pair_builder(
         method, reference_code, candidates, cap):
-    evals = [ev(passed, code=code, compile_ok=status != "compile",
-                aborted=status == "abort")
-             for code, status, passed in candidates]
+    evals = [status_ev(passed, code, status) for code, status, passed in candidates]
     scores = (preference._reference_scores(method, reference_code, evals)
               if method in SIMILARITY_METHODS else [None] * len(evals))
     judged = [single_pair(evals[i], evals[j], scores[i], scores[j], method)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from tbforge.config import Config, make_simulator_factory
 from tbforge.errors import (
     LONGEST_WAIT,
     ConfigError,
@@ -197,7 +198,7 @@ def test_command_output_that_is_not_utf8_still_parses(fake_tools, tmp_path):
 
 def test_command_coverage_parses_report(fake_tools, tmp_path):
     config = _config(fake_tools, tmp_path)
-    assert config.supports_coverage
+    assert make_simulator_factory(Config(simulator=config), coverage=True)() is not None
     report = CommandSimulator(config).coverage(AUDIO_ENCODER_DUT, TESTBENCH_SKELETON)
     assert (report.total_lines, report.covered_lines, report.percent) == (3, 2, 66.7)
     assert _workdirs_left(tmp_path) == []
@@ -365,7 +366,8 @@ def test_backends_satisfy_the_protocol(fake_tools, tmp_path):
 
 def test_coverage_requires_configuration(fake_tools, tmp_path):
     config = dataclasses.replace(_config(fake_tools, tmp_path), coverage_command=None)
-    assert not config.supports_coverage
+    with pytest.raises(ConfigError, match="coverage measurement unavailable"):
+        make_simulator_factory(Config(simulator=config), coverage=True)
     with pytest.raises(ConfigError):
         CommandSimulator(config).coverage("module m; endmodule", "module tb; endmodule")
 

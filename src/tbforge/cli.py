@@ -412,7 +412,8 @@ def cmd_passk(results_path, k_list, default_n, mode, out_path):
     _make_output_dirs(out_path)
 
     tasks = corpus.read_fields(
-        results_path, {"task": str, "n": int, "c_syntax": int, "c_function": int},
+        results_path, {"task": corpus.json_id, "n": corpus.json_int,
+                       "c_syntax": corpus.json_int, "c_function": corpus.json_int},
         make=TaskResults, defaults={"n": default_n}, key="task")
 
     summary = {"mode": mode, "tasks": len(tasks), "results": {}}
@@ -463,7 +464,8 @@ def cmd_dpo(pairs_path, beta, gradcheck_seeds, out_path):
 
     report = {"beta": beta}
     if pairs_path is not None:
-        fields = {field.name: float for field in dataclasses.fields(PairLogProbs)}
+        fields = {field.name: corpus.json_number
+                  for field in dataclasses.fields(PairLogProbs)}
         batch = corpus.read_fields(pairs_path, fields, make=PairLogProbs)
         report["pairs"] = len(batch)
         report["mean_loss"] = dpo_loss(batch, beta=beta)

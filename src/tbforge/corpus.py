@@ -101,7 +101,7 @@ def load_testbench_rows(path) -> dict[str, str]:
     """Each row's tb keyed by its id, a string as in ``load_spec_code_pairs``
     (``5`` and ``"5"`` are one id); any bad row raises, as in ``read_fields``."""
     return {row["id"]: row["tb"]
-            for row in read_fields(path, {"id": _id, "tb": json_string})}
+            for row in read_fields(path, {"id": json_id, "tb": json_string})}
 
 
 def testbench_row(pair_id: str, record) -> dict:
@@ -186,7 +186,7 @@ def json_string(value) -> str:
     return value
 
 
-def _id(value) -> str:
+def json_id(value) -> str:
     """A string or integer id as a string. Any other value, ``true``
     included, is rejected: its text would join or collide with a string
     id, as ``null`` would with ``"None"``."""
@@ -195,9 +195,25 @@ def _id(value) -> str:
     return json_string(str(value))
 
 
+def json_int(value) -> int:
+    """A JSON integer as is; ``true``, ``4.0`` and ``"4"`` are rejected, not
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def json_number(value) -> float:
+    """A JSON number as a float; ``true`` and ``"-3.5"`` are rejected, not
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def load_spec_code_pairs(path, on_error=None) -> list[SpecCodePair]:
     """Spec/code rows, read as in ``read_fields``: ids as strings (integer
     ids are valid), while an id that is neither, or a spec or code that is
     not a string, is a bad value, and a repeated id a bad row."""
-    return read_fields(path, {"id": _id, "spec": json_string, "code": json_string},
+    return read_fields(path, {"id": json_id, "spec": json_string, "code": json_string},
                        make=SpecCodePair, on_error=on_error)

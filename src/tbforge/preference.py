@@ -58,13 +58,17 @@ class CandidateEval:
     passed: int
     total: int
     aborted: bool = False
-    no_code: bool = False
 
     def __post_init__(self):
         if not self.compile_ok and self.passed != 0:
             raise ValueError("non-compiling candidate cannot pass testcases")
         if self.passed > self.total:
             raise ValueError("passed exceeds total")
+
+    @property
+    def no_code(self) -> bool:
+        """The reply held no code, so the candidate was never simulated."""
+        return not self.code.strip()
 
 
 @dataclass(frozen=True)
@@ -110,20 +114,16 @@ class SamplingParams:
             ("max_pairs_per_spec", self.max_pairs_per_spec >= 1, ">= 1")))
 
 
-def sample_candidates(client, spec: str, params: SamplingParams | None = None, *,
-                      retries: int, backoff: float,
-                      on_code: Callable[[str], None] | None = None) -> list[str]:
+def sample_candidates(client, spec: str, params: SamplingParams, *, retries: int,
+                      backoff: float, on_code: Callable[[str], None]) -> None:
     """Draw n independent completions for a specification and extract the
     code. A response with no code yields ""; it evaluates as ``no_code``.
 
-    ``on_code``, when given, receives each extracted code (or "") in
-    candidate order, before the next request goes out, so a caller can
-    evaluate candidate k before k+1 is requested; an error it raises ends
-    the sampling."""
-    params = params or SamplingParams()
+    ``on_code`` receives each extracted code (or "") in candidate order,
+    before the next request goes out, so a caller can evaluate candidate k
+    before k+1 is requested; an error it raises ends the sampling."""
     if not spec.strip():
         raise EmptyInput("empty specification")
-    codes = []
     for i in range(params.n):
         temperature = params.temperatures[i % len(params.temperatures)]
         request = ChatRequest(
@@ -133,12 +133,8 @@ def sample_candidates(client, spec: str, params: SamplingParams | None = None, *
             top_p=params.top_p,
             top_k=params.top_k,
         )
-        code = extract_code_block(
-            complete(client, request, retries=retries, backoff=backoff))
-        codes.append(code)
-        if on_code is not None:
-            on_code(code)
-    return codes
+        on_code(extract_code_block(
+            complete(client, request, retries=retries, backoff=backoff)))
 
 
 def evaluate_candidate(code: str, testbench: str,
@@ -146,7 +142,7 @@ def evaluate_candidate(code: str, testbench: str,
     """Compile and run one candidate under a pipeline-produced testbench."""
     if not code.strip():
         return CandidateEval(code=code, compile_ok=False, outcome=None,
-                             passed=0, total=0, no_code=True)
+                             passed=0, total=0)
     outcome = simulator.run_test(code, testbench)
     if isinstance(outcome, CompileError):
         return CandidateEval(code=code, compile_ok=False, outcome=outcome,
@@ -182,12 +178,6 @@ def _judge(spec: str, a: CandidateEval, b: CandidateEval, key_a: float | None,
     return PreferencePair(spec=spec, chosen=chosen.code, rejected=rejected.code,
                           chosen_passed=chosen.passed,
                           rejected_passed=rejected.passed, method=method)
-
-
-def build_pair_testbench(spec: str, a: CandidateEval, b: CandidateEval) -> PairOutcome:
-    """Prefer the candidate passing more testcases; discard compile
-    failures, aborts, and ties."""
-    return _judge(spec, a, b, a.passed, b.passed, PairMethod.Testbench)
 
 
 # Frontend failures that leave a code without a similarity score; a pair
@@ -247,24 +237,6 @@ def _reference_scores(method: PairMethod, reference_code: str,
         except _UNSCORABLE:
             pass
     return scores
-
-
-def build_pair_similarity(spec: str, a: CandidateEval, b: CandidateEval,
-                          score_a: float | None, score_b: float | None,
-                          method: PairMethod) -> PairOutcome:
-    """Prefer the candidate more similar to the reference code. score_a and
-    score_b are the candidates' similarities to the reference, None where
-    the candidate or the reference failed to lex or parse."""
-    if method not in SIMILARITY_METHODS:
-        raise ValueError(f"not a similarity method: {method}")
-    return _judge(spec, a, b, score_a, score_b, method)
-
-
-def build_pair_with_fails(spec: str, a: CandidateEval, b: CandidateEval) -> PairOutcome:
-    """Compile-status rule: a syntax-valid candidate is preferred over one
-    with syntax errors; equal compile statuses fall back to the testbench
-    rule (both ok) or discard (both failed)."""
-    return _judge(spec, a, b, a.passed, b.passed, PairMethod.TestbenchWithFails)
 
 
 def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],

@@ -29,8 +29,7 @@ from tbforge.preference import (
     Discard,
     PairMethod,
     PreferencePair,
-    build_pair_testbench,
-    build_pair_with_fails,
+    build_pairs,
 )
 from tbforge.sim import (
     CommandSimulator,
@@ -247,8 +246,8 @@ def test_criterion_8_pair_construction_rules():
         for i in range(1000):
             a = random_eval(f"{i}a")
             b = random_eval(f"{i}b")
-            tb_outcome = build_pair_testbench("s", a, b)
-            wf_outcome = build_pair_with_fails("s", a, b)
+            [tb_outcome] = build_pairs("s", "", [a, b], PairMethod.Testbench)
+            [wf_outcome] = build_pairs("s", "", [a, b], PairMethod.TestbenchWithFails)
 
             if isinstance(tb_outcome, PreferencePair):
                 assert a.compile_ok and b.compile_ok

@@ -1184,6 +1184,40 @@ def test_dpo_bad_row_is_an_io_error(tmp_path, row, problem):
     assert proc.stderr == f"io error: {pairs}:1: {problem}\n"
 
 
+GOOD_TASK = {"task": "a", "n": 4, "c_syntax": 2, "c_function": 1}
+GOOD_LOGPROBS = {"policy_chosen": -5.0, "ref_chosen": -5, "policy_rejected": -7.0,
+                 "ref_rejected": -7.0}
+
+
+@pytest.mark.parametrize("command,row,problem", [
+    ("passk", {"task": None}, "bad value for field 'task': None"),
+    ("passk", {"task": [1, 2]}, "bad value for field 'task': [1, 2]"),
+    ("passk", {"task": True}, "bad value for field 'task': True"),
+    ("passk", {"n": "4"}, "bad value for field 'n': '4'"),
+    ("passk", {"n": 4.0}, "bad value for field 'n': 4.0"),
+    ("passk", {"c_syntax": 2.9}, "bad value for field 'c_syntax': 2.9"),
+    ("passk", {"c_syntax": True}, "bad value for field 'c_syntax': True"),
+    ("passk", {"c_function": False}, "bad value for field 'c_function': False"),
+    ("dpo", {"policy_chosen": "-3.5"}, "bad value for field 'policy_chosen': '-3.5'"),
+    ("dpo", {"ref_rejected": True}, "bad value for field 'ref_rejected': True"),
+], ids=["task-null", "task-list", "task-true", "n-string", "n-float", "c_syntax-float",
+       "c_syntax-true", "c_function-false", "logprob-string", "logprob-true"])
+def test_field_of_the_wrong_json_type_is_an_io_error(tmp_path, command, row, problem):
+    # The bad row follows a good one, so its line is 2; an integer is a
+    # JSON number, so the good dpo row's -5 is read.
+    path = tmp_path / "rows.jsonl"
+    if command == "passk":
+        rows = [GOOD_TASK, {**GOOD_TASK, "task": "b", **row}]
+        args = ["passk", "--results", str(path), "--k", "1"]
+    else:
+        rows = [GOOD_LOGPROBS, {**GOOD_LOGPROBS, **row}]
+        args = ["dpo", "--pairs", str(path)]
+    write_task_results(path, rows)
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"io error: {path}:2: {problem}\n"
+
+
 def test_dpo_record_error_is_an_io_error_at_its_line(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text('{"policy_chosen": NaN, "ref_chosen": -5.0, '

@@ -217,7 +217,8 @@ def test_sampling_key_set_to_none_is_left_out_of_the_request(serve, tmp_path, va
     sampling = load_config(config).sampling
     assert (sampling.top_p, sampling.top_k) == (0.95, None)
     server, client = serve()
-    sample_candidates(client, "spec", sampling, retries=1, backoff=0)
+    sample_candidates(client, "spec", sampling, retries=1, backoff=0,
+                      on_code=lambda code: None)
     payloads = [r["payload"] for r in server.requests]
     assert len(payloads) == sampling.n
     assert all("top_k" not in p and p["top_p"] == 0.95 for p in payloads)

@@ -16,13 +16,11 @@ from tbforge.preference import (
     PreferencePair,
     SIMILARITY_METHODS,
     SamplingParams,
-    build_pair_similarity,
-    build_pair_testbench,
-    build_pair_with_fails,
     build_pairs,
     code_line_count,
     evaluate_candidate,
     sample_candidates,
+    similarity_form,
 )
 from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort
 from tbforge.similarity import ast_similarity, bleu, dfg_similarity
@@ -30,9 +28,9 @@ from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
 def ev(passed, total=5, compile_ok=True, aborted=False, code=None, no_code=False):
     if no_code:
-        # As evaluate_candidate marks a reply with no code.
+        # A reply with no code, as evaluate_candidate returns it.
         return CandidateEval(code="", compile_ok=False, outcome=None,
-                             passed=0, total=0, no_code=True)
+                             passed=0, total=0)
     if aborted or not compile_ok:
         passed, total = 0, 0
     return CandidateEval(code=code or f"module c_{passed}_{compile_ok}; endmodule",
@@ -42,12 +40,19 @@ def ev(passed, total=5, compile_ok=True, aborted=False, code=None, no_code=False
 
 # ---- sampling ----
 
+def sample(client, params):
+    codes = []
+    sample_candidates(client, "spec", params, retries=3, backoff=0,
+                      on_code=codes.append)
+    return codes
+
+
 def test_sample_two_candidates():
     client = MockChatClient([
         "```verilog\nmodule a; endmodule\n```",
         "```verilog\nmodule b; endmodule\n```",
     ])
-    codes = sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
+    codes = sample(client, SamplingParams(n=2))
     assert len(codes) == 2
     assert "module a" in codes[0]
     assert "module b" in codes[1]
@@ -55,7 +60,7 @@ def test_sample_two_candidates():
 
 def test_sample_prose_yields_empty_marker():
     client = MockChatClient(["module only; endmodule", "no code at all"])
-    codes = sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
+    codes = sample(client, SamplingParams(n=2))
     assert codes[1] == ""
 
 
@@ -70,27 +75,23 @@ def test_sample_on_code_fires_in_order_before_next_request():
     def on_code(code):
         seen.append((code, len(client.calls)))
 
-    codes = sample_candidates(client, "spec", SamplingParams(n=3), retries=3, backoff=0,
-                              on_code=on_code)
-    assert [code for code, _ in seen] == codes
-    assert codes[1] == ""
-    assert [calls for _, calls in seen] == [1, 2, 3]
+    assert sample_candidates(client, "spec", SamplingParams(n=3), retries=3,
+                             backoff=0, on_code=on_code) is None
+    assert seen == [("module a; endmodule\n", 1), ("", 2), ("module c; endmodule\n", 3)]
 
 
 def test_sample_call_count_over_batch():
     client = MockChatClient(["module m; endmodule"] * 20)
     for _ in range(10):
-        sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
+        sample(client, SamplingParams(n=2))
     assert len(client.calls) == 20
     with pytest.raises(ScriptExhausted):
-        sample_candidates(client, "spec", SamplingParams(n=2), retries=3, backoff=0)
+        sample(client, SamplingParams(n=2))
 
 
 def test_sample_forwards_sampling_params():
     client = MockChatClient(["module m; endmodule"] * 2)
-    sample_candidates(client, "spec",
-                      SamplingParams(n=2, temperatures=(0.2, 0.5), top_p=0.95, top_k=50),
-                      retries=3, backoff=0)
+    sample(client, SamplingParams(n=2, temperatures=(0.2, 0.5), top_p=0.95, top_k=50))
     assert [c.temperature for c in client.calls] == [0.2, 0.5]
     assert all(c.top_p == 0.95 and c.top_k == 50 for c in client.calls)
 
@@ -127,16 +128,30 @@ def test_evaluate_abort_flagged():
 
 def test_evaluate_empty_code_marker():
     sim = MockSimulator(["ok"])
-    result = evaluate_candidate("", "tb", sim)
-    assert result.no_code
-    assert not result.compile_ok
+    for code in ("", " \n\t"):
+        result = evaluate_candidate(code, "tb", sim)
+        assert result.no_code
+        assert not result.compile_ok
     assert sim.calls == []
+    assert not evaluate_candidate("module m; endmodule", "tb",
+                                  MockSimulator([CompileError("nope")])).no_code
+
+
+# ---- one pair ----
+
+REF = "module r(input a, b, output y); assign y = a & b; endmodule"
+
+
+def judge(a, b, method, reference_code=REF):
+    """build_pairs on the two candidates a and b: its one outcome."""
+    [outcome] = build_pairs("s", reference_code, [a, b], method)
+    return outcome
 
 
 # ---- testbench rule ----
 
 def test_testbench_rule_prefers_more_passes():
-    pair = build_pair_testbench("s", ev(5), ev(3))
+    pair = judge(ev(5), ev(3), PairMethod.Testbench)
     assert isinstance(pair, PreferencePair)
     assert pair.chosen_passed == 5
     assert pair.rejected_passed == 3
@@ -144,28 +159,27 @@ def test_testbench_rule_prefers_more_passes():
 
 
 def test_testbench_rule_discards_compile_failure():
-    assert build_pair_testbench("s", ev(0, compile_ok=False), ev(5)) == \
+    assert judge(ev(0, compile_ok=False), ev(5), PairMethod.Testbench) == \
         Discard("compile_failure")
 
 
 def test_testbench_rule_discards_tie():
-    assert build_pair_testbench("s", ev(4), ev(4)) == Discard("tie")
+    assert judge(ev(4), ev(4), PairMethod.Testbench) == Discard("tie")
 
 
 def test_testbench_rule_discards_abort():
-    assert build_pair_testbench("s", ev(0, aborted=True), ev(5)) == Discard("aborted")
+    assert judge(ev(0, aborted=True), ev(5), PairMethod.Testbench) == Discard("aborted")
 
 
 def test_symmetry_in_argument_order():
     a, b = ev(5), ev(3)
-    x = build_pair_testbench("s", a, b)
-    y = build_pair_testbench("s", b, a)
+    x = judge(a, b, PairMethod.Testbench)
+    y = judge(b, a, PairMethod.Testbench)
     assert x == y
 
 
 # ---- similarity rules ----
 
-REF = "module r(input a, b, output y); assign y = a & b; endmodule"
 NEAR = "module c(input a, b, output y); assign y = a & b; endmodule"
 FAR = "module c(input p, q, output z); wire t; assign t = p | q; assign z = ~t; endmodule"
 
@@ -182,59 +196,45 @@ def pairwise_score(method, candidate_code, reference_code):
                           extract_dfg(parse_module(lex(reference_code)))).value
 
 
-def score_or_none(method, code, reference_code=REF):
-    try:
-        return pairwise_score(method, code, reference_code)
-    except (ParseError, LexError, EmptyInput):
-        return None
-
-
-def similarity_pair(a, b, method):
-    return build_pair_similarity("s", a, b, score_or_none(method, a.code),
-                                 score_or_none(method, b.code), method)
-
-
 def test_similarity_rule_prefers_higher_score():
     a = ev(2, code=NEAR)
     b = ev(4, code=FAR)
     for method in SIMILARITY_METHODS:
-        pair = similarity_pair(a, b, method)
+        pair = judge(a, b, method)
         assert isinstance(pair, PreferencePair), method
         assert pair.chosen == NEAR
         assert pair.method is method
 
 
 def test_similarity_rule_requires_compiling_candidates():
-    outcome = similarity_pair(ev(0, compile_ok=False, code=NEAR),
-                              ev(3, code=FAR), PairMethod.Bleu)
+    outcome = judge(ev(0, compile_ok=False, code=NEAR), ev(3, code=FAR),
+                    PairMethod.Bleu)
     assert outcome == Discard("compile_failure")
 
 
 def test_similarity_rule_parse_failure_discards():
     broken = "module c; generate endgenerate endmodule"
-    outcome = similarity_pair(ev(1, code=broken), ev(2, code=FAR), PairMethod.Ast)
+    outcome = judge(ev(1, code=broken), ev(2, code=FAR), PairMethod.Ast)
     assert outcome == Discard("parse")
 
 
 def test_similarity_rule_tie_discards():
-    outcome = similarity_pair(ev(1, code=NEAR), ev(2, code=NEAR), PairMethod.Dfg)
+    outcome = judge(ev(1, code=NEAR), ev(2, code=NEAR), PairMethod.Dfg)
     assert outcome == Discard("tie")
 
 
 def test_bleu_fixture_chooses_higher():
     # NEAR shares the reference token stream exactly; FAR shares little.
-    pair = similarity_pair(ev(0, total=5, code=FAR), ev(5, code=NEAR),
-                           PairMethod.Bleu)
+    pair = judge(ev(0, total=5, code=FAR), ev(5, code=NEAR), PairMethod.Bleu)
     assert isinstance(pair, PreferencePair)
     assert pair.chosen == NEAR
 
 
 def test_similarity_rule_compile_status_before_missing_score():
-    outcome = build_pair_similarity("s", ev(0, aborted=True, code=NEAR),
-                                    ev(2, code=FAR), None, 0.5, PairMethod.Dfg)
+    outcome = judge(ev(0, aborted=True, code=NO_PARSE), ev(2, code=FAR), PairMethod.Dfg)
     assert outcome == Discard("aborted")
     with pytest.raises(ValueError):
-        build_pair_similarity("s", ev(1), ev(2), 0.1, 0.2, PairMethod.Testbench)
+        similarity_form(PairMethod.Testbench, NEAR)
 
 
 # ---- per-spec scoring against the pairwise rule ----
@@ -248,38 +248,46 @@ REF_NO_LEX = "module r; \\ endmodule"
 
 
 def pairwise_reference(spec, reference_code, evals, method, cap):
-    """build_pairs under a similarity method as it stood before per-spec
-    scoring: both candidates and the reference re-scored for every pair."""
+    """build_pairs as it stood before per-spec scoring: each pair judged on
+    its own, under a similarity method with both candidates and the
+    reference re-scored for every pair."""
     outcomes = []
     emitted = 0
     for a, b in itertools.combinations(evals, 2):
-        if a.no_code or b.no_code:
-            outcome = Discard("no_code")
-        elif not a.compile_ok or not b.compile_ok:
-            outcome = Discard("compile_failure")
-        elif a.aborted or b.aborted:
-            outcome = Discard("aborted")
-        else:
-            try:
-                score_a = pairwise_score(method, a.code, reference_code)
-                score_b = pairwise_score(method, b.code, reference_code)
-            except (ParseError, LexError, EmptyInput):
-                outcome = Discard("parse")
-            else:
-                if score_a == score_b:
-                    outcome = Discard("tie")
-                else:
-                    chosen, rejected = (a, b) if score_a > score_b else (b, a)
-                    outcome = PreferencePair(
-                        spec=spec, chosen=chosen.code, rejected=rejected.code,
-                        chosen_passed=chosen.passed,
-                        rejected_passed=rejected.passed, method=method)
+        outcome = pairwise_outcome(spec, reference_code, a, b, method)
         if isinstance(outcome, PreferencePair):
             if emitted >= cap:
                 continue
             emitted += 1
         outcomes.append(outcome)
     return outcomes
+
+
+def pairwise_outcome(spec, reference_code, a, b, method):
+    if a.no_code or b.no_code:
+        return Discard("no_code")
+    if method is PairMethod.TestbenchWithFails and a.compile_ok != b.compile_ok:
+        chosen, rejected = (a, b) if a.compile_ok else (b, a)
+    elif not a.compile_ok or not b.compile_ok:
+        return Discard("compile_failure")
+    elif a.aborted or b.aborted:
+        return Discard("aborted")
+    else:
+        if method in SIMILARITY_METHODS:
+            try:
+                score_a = pairwise_score(method, a.code, reference_code)
+                score_b = pairwise_score(method, b.code, reference_code)
+            except (ParseError, LexError, EmptyInput):
+                return Discard("parse")
+        else:
+            score_a, score_b = a.passed, b.passed
+            method = PairMethod.Testbench
+        if score_a == score_b:
+            return Discard("tie")
+        chosen, rejected = (a, b) if score_a > score_b else (b, a)
+    return PreferencePair(spec=spec, chosen=chosen.code, rejected=rejected.code,
+                          chosen_passed=chosen.passed,
+                          rejected_passed=rejected.passed, method=method)
 
 
 MIXED = [
@@ -302,7 +310,7 @@ CASES = {
 
 @pytest.mark.parametrize("cap", [0, 2, 100])
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("method", SIMILARITY_METHODS, ids=lambda m: m.value)
+@pytest.mark.parametrize("method", list(PairMethod), ids=lambda m: m.value)
 def test_build_pairs_matches_pairwise_reference(method, case, cap):
     reference_code, evals = CASES[case]
     expected = pairwise_reference("s", reference_code, evals, method, cap)
@@ -318,8 +326,8 @@ def status_ev(passed, code, status):
               aborted=status == "abort", no_code=status == "no_code")
 
 
-@settings(max_examples=60, deadline=None)
-@given(method=st.sampled_from(SIMILARITY_METHODS),
+@settings(max_examples=100, deadline=None)
+@given(method=st.sampled_from(list(PairMethod)),
        reference_code=st.sampled_from(_CODES + [REF_NO_PARSE, REF_NO_LEX]),
        candidates=st.lists(st.tuples(st.sampled_from(_CODES),
                                      st.sampled_from(STATUSES),
@@ -385,20 +393,20 @@ def test_build_pairs_scores_nothing_when_compile_status_discards_all(frontend_ca
 # ---- compile-status rule ----
 
 def test_with_fails_emits_on_status_difference():
-    pair = build_pair_with_fails("s", ev(3), ev(0, compile_ok=False))
+    pair = judge(ev(3), ev(0, compile_ok=False), PairMethod.TestbenchWithFails)
     assert isinstance(pair, PreferencePair)
     assert pair.method is PairMethod.TestbenchWithFails
     assert pair.chosen_passed == 3
 
 
 def test_with_fails_both_fail_discards():
-    outcome = build_pair_with_fails("s", ev(0, compile_ok=False),
-                                    ev(0, compile_ok=False))
+    outcome = judge(ev(0, compile_ok=False), ev(0, compile_ok=False),
+                    PairMethod.TestbenchWithFails)
     assert outcome == Discard("compile_failure")
 
 
 def test_with_fails_both_ok_falls_back_to_testbench_rule():
-    pair = build_pair_with_fails("s", ev(5), ev(3))
+    pair = judge(ev(5), ev(3), PairMethod.TestbenchWithFails)
     assert isinstance(pair, PreferencePair)
     assert pair.method is PairMethod.Testbench
 
@@ -410,11 +418,12 @@ def test_a_reply_with_no_code_is_never_a_side_of_a_pair(method):
     # compile and one that passes 3 of 4, each on either side.
     for other in (ev(0, total=4, code=NEAR), ev(0, compile_ok=False), ev(3, total=4, code=FAR)):
         for pair in ([other, empty], [empty, other]):
-            assert build_pairs("s", REF, pair, method) == [Discard("no_code")]
+            assert judge(*pair, method) == Discard("no_code")
 
 
 def test_with_fails_aborting_compiler_still_wins():
-    pair = build_pair_with_fails("s", ev(0, aborted=True), ev(0, compile_ok=False))
+    pair = judge(ev(0, aborted=True), ev(0, compile_ok=False),
+                 PairMethod.TestbenchWithFails)
     assert isinstance(pair, PreferencePair)
     assert pair.method is PairMethod.TestbenchWithFails
 
@@ -438,8 +447,8 @@ def test_randomized_pair_properties():
     rng = random.Random(1234)
     for _ in range(1000):
         a, b = random_eval(rng), random_eval(rng)
-        tb_pair = build_pair_testbench("s", a, b)
-        wf_pair = build_pair_with_fails("s", a, b)
+        tb_pair = judge(a, b, PairMethod.Testbench)
+        wf_pair = judge(a, b, PairMethod.TestbenchWithFails)
 
         if isinstance(tb_pair, PreferencePair):
             assert a.compile_ok and b.compile_ok
@@ -457,8 +466,8 @@ def test_randomized_pair_properties():
                               and not (a.no_code or b.no_code))
 
         # symmetry
-        assert build_pair_testbench("s", b, a) == tb_pair
-        assert build_pair_with_fails("s", b, a) == wf_pair
+        assert judge(b, a, PairMethod.Testbench) == tb_pair
+        assert judge(b, a, PairMethod.TestbenchWithFails) == wf_pair
 
 
 def test_accounting_pairs_plus_discards():
@@ -466,7 +475,7 @@ def test_accounting_pairs_plus_discards():
     outcomes = []
     for _ in range(200):
         a, b = random_eval(rng), random_eval(rng)
-        outcomes.append(build_pair_testbench("s", a, b))
+        outcomes.append(judge(a, b, PairMethod.Testbench))
     pairs = sum(isinstance(o, PreferencePair) for o in outcomes)
     discards = sum(isinstance(o, Discard) for o in outcomes)
     assert pairs + discards == 200
@@ -477,14 +486,6 @@ def test_build_pairs_cap():
     outcomes = build_pairs("s", REF, evals, PairMethod.Testbench, cap=3)
     pairs = [o for o in outcomes if isinstance(o, PreferencePair)]
     assert len(pairs) == 3
-
-
-def single_pair(a, b, score_a, score_b, method):
-    if method is PairMethod.Testbench:
-        return build_pair_testbench("s", a, b)
-    if method is PairMethod.TestbenchWithFails:
-        return build_pair_with_fails("s", a, b)
-    return build_pair_similarity("s", a, b, score_a, score_b, method)
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,10 +499,8 @@ def single_pair(a, b, score_a, score_b, method):
 def test_build_pairs_judges_each_combination_like_the_single_pair_builder(
         method, reference_code, candidates, cap):
     evals = [status_ev(passed, code, status) for code, status, passed in candidates]
-    scores = (preference._reference_scores(method, reference_code, evals)
-              if method in SIMILARITY_METHODS else [None] * len(evals))
-    judged = [single_pair(evals[i], evals[j], scores[i], scores[j], method)
-              for i, j in itertools.combinations(range(len(evals)), 2)]
+    judged = [judge(a, b, method, reference_code)
+              for a, b in itertools.combinations(evals, 2)]
     assert build_pairs("s", reference_code, evals, method, cap=len(judged)) == judged
     # The cap drops the pairs after the first ``cap`` and keeps every discard.
     expected, kept = [], 0

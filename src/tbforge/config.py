@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from tbforge.corpus import json_string
+from tbforge.corpus import json_int, json_number, json_string
 from tbforge.errors import ConfigError
 from tbforge.llm.client import HttpChatClient, LlmSettings, MockChatClient
 from tbforge.pipeline import PipelineConfig
@@ -119,15 +119,17 @@ def _sim_entry(entry):
         raise TypeError(f"entry is not an object: {entry!r}")
     kind = entry.get("kind")
     if kind == "compile":
-        return "ok" if entry.get("ok", True) \
-            else CompileError(log=json_string(entry.get("log", "compile failed")))
+        ok = entry.get("ok", True)
+        if not isinstance(ok, bool):
+            raise TypeError(f"not a boolean: {ok!r}")
+        return "ok" if ok else CompileError(log=json_string(entry.get("log", "compile failed")))
     if kind == "run":
         log = json_string(entry.get("log", ""))
         if "abort" in entry:
-            return RuntimeAbort(reason=entry["abort"], log=log)
-        return Report(int(entry["total"]), int(entry["failures"]), log=log)
+            return RuntimeAbort(reason=json_string(entry["abort"]), log=log)
+        return Report(json_int(entry["total"]), json_int(entry["failures"]), log=log)
     if kind == "coverage":
-        percent = float(entry["percent"])
+        percent = json_number(entry["percent"])
         if not 0 <= percent <= 100:
             raise ValueError(f"coverage percent out of range: {percent}")
         return percent

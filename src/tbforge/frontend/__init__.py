@@ -2,7 +2,7 @@
 
 from tbforge.frontend.tokens import Token, TokenKind, lex
 from tbforge.frontend.ast_nodes import AstNode, NodeKind
-from tbforge.frontend.parser import parse_module, parse_source
+from tbforge.frontend.parser import parse_module
 from tbforge.frontend.dfg import Dfg, extract_dfg
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "AstNode",
     "NodeKind",
     "parse_module",
-    "parse_source",
     "Dfg",
     "extract_dfg",
 ]

@@ -38,7 +38,7 @@ from typing import Callable, TypeVar
 
 from tbforge.errors import ParseError, ParseUnsupported
 from tbforge.frontend.ast_nodes import AstNode, NodeKind
-from tbforge.frontend.tokens import Token, TokenKind, lex
+from tbforge.frontend.tokens import Token, TokenKind
 
 _UNSUPPORTED_KEYWORDS = {
     "generate": "generate block",
@@ -584,7 +584,3 @@ def parse_module(tokens: list[Token]) -> AstNode:
         return parser.parse_module()
     except RecursionError:
         raise ParseError("nested too deeply", parser.cur().line) from None
-
-
-def parse_source(source: str) -> AstNode:
-    return parse_module(lex(source))

@@ -50,12 +50,14 @@ def parse_json_points(response: str, cap: int) -> list[dict]:
         raise MalformedJson("no JSON object in response")
     span = response[start:end + 1]
     try:
-        obj = json.loads(span)
-    except ValueError:
         try:
+            obj = json.loads(span)
+        except ValueError:
             obj = json.loads(_BARE_INT_KEY.sub(r'\1"\2":', span))
-        except ValueError as exc:
-            raise MalformedJson(f"unparseable JSON object: {exc}") from exc
+    except ValueError as exc:
+        raise MalformedJson(f"unparseable JSON object: {exc}") from exc
+    except RecursionError:
+        raise MalformedJson("JSON object nested too deeply") from None
     if not isinstance(obj, dict):
         raise MalformedJson("top-level JSON value is not an object")
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -128,7 +128,7 @@ class Terminated:
 @dataclass(frozen=True)
 class PipelineResult:
     outcome: Union[Finished, Terminated]
-    trace: tuple[TraceEntry, ...] = field(default=())
+    trace: tuple[TraceEntry, ...]
 
     @property
     def finished(self) -> bool:
@@ -160,12 +160,11 @@ class TestbenchPipeline:
     __test__ = False  # not a pytest class, despite the name
 
     def __init__(self, client, simulator: SimulatorBackend,
-                 config: PipelineConfig | None = None, *,
-                 llm: LlmSettings | None = None):
+                 config: PipelineConfig, *, llm: LlmSettings):
         self.client = client
         self.simulator = simulator
-        self.config = config or PipelineConfig()
-        self.llm = llm or LlmSettings()
+        self.config = config
+        self.llm = llm
         self._trace: list[TraceEntry] = []
         self._conversation: list[Message] = []  # shared by Draft, Improve, Rectify
 
@@ -344,9 +343,9 @@ class TestbenchPipeline:
             return PipelineResult(outcome=exc.outcome, trace=tuple(self._trace))
 
         testcase_count = final_report.total_cases
-        if testcase_count < 1:
-            markers = {int(m.group(1)) for m in CASE_MARKER.finditer(tb)}
-            testcase_count = max(markers) if markers else 1
+        if testcase_count < 1:  # a lone "Test Case 0." still counts as one
+            markers = [int(m.group(1)) for m in CASE_MARKER.finditer(tb)]
+            testcase_count = max([1, *markers])
         record = TestbenchRecord(
             testbench=tb,
             testcase_count=testcase_count,

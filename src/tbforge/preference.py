@@ -45,10 +45,6 @@ class PairMethod(Enum):
 
 SIMILARITY_METHODS = (PairMethod.Bleu, PairMethod.Ast, PairMethod.Dfg)
 
-# With more than two candidates per spec, emit at most this many strict
-# pairs per spec unless configured otherwise.
-DEFAULT_PAIR_CAP = 4
-
 
 @dataclass(frozen=True)
 class CandidateEval:
@@ -101,7 +97,7 @@ class SamplingParams:
     top_p: float | None = 0.95
     top_k: int | None = 50
     max_tokens: int = 4096
-    max_pairs_per_spec: int = DEFAULT_PAIR_CAP
+    max_pairs_per_spec: int = 4  # strict pairs kept per spec; discards are all kept
 
     def __post_init__(self):
         temperatures_ok = bool(self.temperatures) and all(
@@ -240,7 +236,7 @@ def _reference_scores(method: PairMethod, reference_code: str,
 
 
 def build_pairs(spec: str, reference_code: str, evals: Sequence[CandidateEval],
-                method: PairMethod, cap: int = DEFAULT_PAIR_CAP) -> list[PairOutcome]:
+                method: PairMethod, cap: int) -> list[PairOutcome]:
     """Every combination of the candidates judged in order, with at most
     ``cap`` pairs kept; discards are all kept. Each candidate's key is
     computed once, before any pair is judged."""

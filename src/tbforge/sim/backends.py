@@ -58,8 +58,8 @@ _EMPTY_SOURCE = CompileError(log="empty DUT or testbench source")
 class CommandSimulator:
     """Drives an external compile/run simulator pair via command templates."""
 
-    def __init__(self, config: SimulatorConfig | None = None):
-        self.config = config or SimulatorConfig()
+    def __init__(self, config: SimulatorConfig):
+        self.config = config
 
     @contextmanager
     def _workdir(self, dut: str, tb: str) -> Iterator[str]:

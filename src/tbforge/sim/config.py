@@ -58,9 +58,7 @@ class SimulatorConfig:
     def check_programs(self, *templates: str) -> None:
         """Raise ToolMissing for a command program named without a path that
         is not on PATH; a path is left to the call, which runs in its own
-        directory. The mock runs no program."""
-        if self.backend == "mock":
-            return
+        directory."""
         for template in templates:
             program = self.argv(template)[0]
             if os.sep not in program and shutil.which(program) is None:

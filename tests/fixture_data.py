@@ -1,6 +1,15 @@
 """Shared fixture texts: a serial audio encoder DUT, its testbench skeleton,
 a line-coverage report, and simulator logs in the display format the
-pipeline's testbenches emit."""
+pipeline's testbenches emit; and ``parse_text``, which parses a module
+text as the pair builder does."""
+
+from tbforge.frontend import lex, parse_module
+
+
+def parse_text(source: str):
+    """The Module root of one module's source text."""
+    return parse_module(lex(source))
+
 
 AUDIO_ENCODER_DUT = """\
 module serial_audio_encoder #(parameter width = 16) (

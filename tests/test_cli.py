@@ -110,6 +110,25 @@ def test_gen_testbench_terminations_do_not_fail_run(tmp_path):
     assert "terminated at DraftCompile: 2" in proc.stdout
 
 
+def test_a_passing_testbench_whose_only_case_is_numbered_0_counts_one_case(tmp_path):
+    # The run counts no case, so the count falls back to the highest case
+    # number in the testbench, here 0; the row still finishes with one case.
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 2)
+    llm_script, sim_script = write_pipeline_scripts(tmp_path)
+    llm = json.loads(llm_script.read_text(encoding="utf-8"))
+    llm[-1] = llm[-1].replace("Test Case 1.", "Test Case 0.")
+    llm_script.write_text(json.dumps(llm), encoding="utf-8")
+    sim = json.loads(sim_script.read_text(encoding="utf-8"))
+    sim[-1] = {"kind": "run", "total": 0, "failures": 0}
+    sim_script.write_text(json.dumps(sim), encoding="utf-8")
+    config = write_config(tmp_path, llm_script, sim_script)
+    out = tmp_path / "tb.jsonl"
+    assert cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
+                     "--config", str(config)]) == 0
+    assert [row["testcase_count"] for row in read_jsonl(out)] == [1, 1]
+
+
 def test_gen_testbench_min_code_lines_filter(pipeline_workspace):
     tmp_path, specs, config = pipeline_workspace
     out = tmp_path / "tb.jsonl"
@@ -690,6 +709,15 @@ def test_bad_setting_fails_before_any_chat_call(tmp_path, monkeypatch, capsys,
      "not a string: 5"),
     ("simulator", [{"kind": "compile", "ok": False, "log": ["e"]}],
      "not a string: ['e']"),
+    # Each field has one JSON type; nothing is converted.
+    ("simulator", [{"kind": "compile", "ok": "false"}], "not a boolean: 'false'"),
+    ("simulator", [{"kind": "compile", "ok": 0}], "not a boolean: 0"),
+    ("simulator", [{"kind": "run", "total": 2.9, "failures": 1}], "not an integer: 2.9"),
+    ("simulator", [{"kind": "run", "total": 2, "failures": True}], "not an integer: True"),
+    ("simulator", [{"kind": "run", "total": "5", "failures": 0}], "not an integer: '5'"),
+    ("simulator", [{"kind": "run", "abort": 5}], "not a string: 5"),
+    ("simulator", [{"kind": "coverage", "percent": "55"}], "not a number: '55'"),
+    ("simulator", [{"kind": "coverage", "percent": True}], "not a number: True"),
 ])
 def test_bad_mock_script_is_a_config_error_naming_it(pipeline_workspace, backend,
                                                      script, problem):

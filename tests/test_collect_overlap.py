@@ -15,7 +15,7 @@ import pytest
 from tbforge import cli
 from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError, UnparseableLog
-from tbforge.sim import Report
+from tbforge.sim.outcomes import Report
 
 from cli_fixtures import (
     CANDIDATE_A,

@@ -24,7 +24,7 @@ from tbforge.corpus import (
     write_jsonl,
 )
 from tbforge.errors import LONGEST_WAIT, ConfigError
-from tbforge.sim import CompileError, Report
+from tbforge.sim.outcomes import CompileError, Report
 
 
 # ---- JSONL ----

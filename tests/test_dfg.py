@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tbforge.frontend import AstNode, NodeKind, extract_dfg, parse_source
+from tbforge.frontend import AstNode, NodeKind, extract_dfg
 
-from fixture_data import AUDIO_ENCODER_DUT
+from fixture_data import AUDIO_ENCODER_DUT, parse_text
 
 
 def dfg_of(source):
-    return extract_dfg(parse_source(source))
+    return extract_dfg(parse_text(source))
 
 
 def test_simple_assign():

@@ -18,7 +18,7 @@ import pytest
 from tbforge import cli
 from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError
-from tbforge.sim import CompileError, CoverageReport, Report
+from tbforge.sim.outcomes import CompileError, CoverageReport, Report
 
 from cli_fixtures import (
     CASES_JSON,

@@ -270,6 +270,15 @@ def test_parse_non_object_raises():
         parse_json_points('{"1": "not an object"}', cap=3)
 
 
+@pytest.mark.parametrize("key", ['"1"', "1"], ids=["quoted", "bare"])
+def test_parse_nesting_past_the_recursion_limit_raises_malformed_json(key):
+    # A bare key fails the first parse at once; the nesting then fails the
+    # second, the one with the key quoted.
+    deep = "[" * 3000 + "]" * 3000
+    with pytest.raises(MalformedJson, match="^JSON object nested too deeply$"):
+        parse_json_points(f"{{{key}: {deep}}}", cap=3)
+
+
 @given(st.integers(min_value=1, max_value=12))
 def test_parse_length_never_exceeds_cap(n):
     parsed = parse_json_points(_points_json(n), cap=5)

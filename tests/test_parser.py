@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tbforge.errors import ParseError, ParseUnsupported
-from tbforge.frontend import AstNode, NodeKind, Token, TokenKind, parse_module, parse_source
+from tbforge.frontend import AstNode, NodeKind, Token, TokenKind, parse_module
 
-from fixture_data import AUDIO_ENCODER_DUT
+from fixture_data import AUDIO_ENCODER_DUT, parse_text
 
 
 def kinds_in(root):
@@ -13,12 +13,12 @@ def kinds_in(root):
 
 
 def test_minimal_module():
-    root = parse_source("module m; endmodule")
+    root = parse_text("module m; endmodule")
     assert root == AstNode(NodeKind.Module, label="m")
 
 
 def test_ansi_ports():
-    root = parse_source("module m(input clk, input [3:0] d, output reg [3:0] q); endmodule")
+    root = parse_text("module m(input clk, input [3:0] d, output reg [3:0] q); endmodule")
     ports = [c for c in root.children if c.kind is NodeKind.PortDecl]
     assert [(p.label, p.qualifier) for p in ports] == [
         ("clk", "input"), ("d", "input"), ("q", "output")]
@@ -26,14 +26,14 @@ def test_ansi_ports():
 
 
 def test_ansi_direction_inheritance():
-    root = parse_source("module m(input a, b, output y); endmodule")
+    root = parse_text("module m(input a, b, output y); endmodule")
     ports = [c for c in root.children if c.kind is NodeKind.PortDecl]
     assert [(p.label, p.qualifier) for p in ports] == [
         ("a", "input"), ("b", "input"), ("y", "output")]
 
 
 def test_non_ansi_ports():
-    root = parse_source("""
+    root = parse_text("""
         module m(a, b, y);
         input a, b;
         output y;
@@ -48,7 +48,7 @@ def test_non_ansi_ports():
 
 
 def test_always_block_contains_nested_if():
-    root = parse_source(AUDIO_ENCODER_DUT)
+    root = parse_text(AUDIO_ENCODER_DUT)
     always = [c for c in root.children if c.kind is NodeKind.AlwaysBlock]
     assert len(always) == 1
     assert always[0].qualifier == "posedge clk or posedge reset"
@@ -64,7 +64,7 @@ def test_always_block_contains_nested_if():
 
 def test_generate_unsupported():
     with pytest.raises(ParseUnsupported):
-        parse_source("""
+        parse_text("""
             module m;
             generate
             endgenerate
@@ -81,33 +81,33 @@ def test_generate_unsupported():
 ])
 def test_unsupported_constructs(body, needle):
     with pytest.raises(ParseUnsupported) as exc:
-        parse_source(f"module m(input clk, output reg q); {body} endmodule")
+        parse_text(f"module m(input clk, output reg q); {body} endmodule")
     assert needle.split()[0] in str(exc.value)
 
 
 def test_unsupported_reports_line():
     with pytest.raises(ParseUnsupported) as exc:
-        parse_source("module m;\n\ngenerate\nendgenerate\nendmodule")
+        parse_text("module m;\n\ngenerate\nendgenerate\nendmodule")
     assert exc.value.line == 3
 
 
 def test_malformed_input():
     with pytest.raises(ParseError):
-        parse_source("module m; assign = 1; endmodule")
+        parse_text("module m; assign = 1; endmodule")
     with pytest.raises(ParseError):
-        parse_source("module m; assign y = 1;")  # missing endmodule
+        parse_text("module m; assign y = 1;")  # missing endmodule
     with pytest.raises(ParseError):
-        parse_source("module m; endmodule module n; endmodule")  # two modules
+        parse_text("module m; endmodule module n; endmodule")  # two modules
 
 
 def test_parse_determinism():
-    a = parse_source(AUDIO_ENCODER_DUT)
-    b = parse_source(AUDIO_ENCODER_DUT)
+    a = parse_text(AUDIO_ENCODER_DUT)
+    b = parse_text(AUDIO_ENCODER_DUT)
     assert a == b
 
 
 def test_case_statement():
-    root = parse_source("""
+    root = parse_text("""
         module m(input [1:0] sel, input a, b, c, output reg y);
         always @(*) begin
           case (sel)
@@ -126,7 +126,7 @@ def test_case_statement():
 
 
 def test_instance_named_and_positional():
-    root = parse_source("""
+    root = parse_text("""
         module top(input a, b, output y);
         wire w;
         sub #(8) u1 (.x(a), .y(w));
@@ -142,7 +142,7 @@ def test_instance_named_and_positional():
 
 
 def test_expression_shapes():
-    root = parse_source("""
+    root = parse_text("""
         module m(input [7:0] a, b, input c, output [15:0] y0, y1, y2, y3, y4);
         assign y0 = c ? a + b : a - b;
         assign y1 = {a, b};
@@ -159,7 +159,7 @@ def test_expression_shapes():
 
 
 def test_precedence():
-    root = parse_source("module m(input a, b, c, output y); assign y = a | b & c; endmodule")
+    root = parse_text("module m(input a, b, c, output y); assign y = a | b & c; endmodule")
     assign = next(n for n in root.walk() if n.kind is NodeKind.ContAssign)
     rhs = assign.children[1]
     assert rhs.label == "|"
@@ -167,7 +167,7 @@ def test_precedence():
 
 
 def test_blocking_vs_nonblocking():
-    root = parse_source("""
+    root = parse_text("""
         module m(input clk, a, output reg x, y);
         always @(posedge clk) begin
           x = a;
@@ -181,7 +181,7 @@ def test_blocking_vs_nonblocking():
 
 
 def test_wire_initializer_desugars_to_assign():
-    root = parse_source("module m(input a, b); wire w = a & b; endmodule")
+    root = parse_text("module m(input a, b); wire w = a & b; endmodule")
     kinds = [c.kind for c in root.children]
     assert NodeKind.NetDecl in kinds
     assert NodeKind.ContAssign in kinds
@@ -208,7 +208,7 @@ def test_grammar_coverage_all_kinds_reachable():
     ]
     seen = set()
     for source in sources:
-        seen |= kinds_in(parse_source(source))
+        seen |= kinds_in(parse_text(source))
     assert seen == set(NodeKind)
 
 
@@ -218,7 +218,7 @@ def test_empty_token_list():
 
 
 def test_split_sized_literal_joins():
-    root = parse_source("module m(output [3:0] y); assign y = 4 'b0101; endmodule")
+    root = parse_text("module m(output [3:0] y); assign y = 4 'b0101; endmodule")
     lit = next(n for n in root.walk()
                if n.kind is NodeKind.NumberLit and "'" in n.label)
     assert lit.label == "4'b0101"
@@ -247,7 +247,7 @@ def test_tokens_and_nodes_are_immutable_records():
 # ---- expressions ----
 
 def rhs_of(expr_text):
-    root = parse_source(f"module m; assign y = {expr_text}; endmodule")
+    root = parse_text(f"module m; assign y = {expr_text}; endmodule")
     return root.children[0].children[1]
 
 
@@ -394,14 +394,14 @@ def test_expression_trees_round_trip(tree):
 ])
 def test_error_at_end_of_input_names_the_last_line(tail, message):
     with pytest.raises(ParseError) as exc:
-        parse_source(f"module m(input a, output y);\n{tail}")
+        parse_text(f"module m(input a, output y);\n{tail}")
     assert str(exc.value) == message
     assert exc.value.line == 2
 
 
 def test_nesting_past_the_limit_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
-        parse_source("module m(input a, output y);\nassign y =\n"
+        parse_text("module m(input a, output y);\nassign y =\n"
                      + "(" * 300 + "a" + ")" * 300 + ";\nendmodule")
     assert str(exc.value) == "L3: nested too deeply"
     assert not isinstance(exc.value, ParseUnsupported)
@@ -456,7 +456,7 @@ LIST_TREES = {
 
 @pytest.mark.parametrize("source", LIST_TREES)
 def test_list_grammar_trees(source):
-    assert parse_source(source) == LIST_TREES[source]
+    assert parse_text(source) == LIST_TREES[source]
 
 
 @pytest.mark.parametrize("source,message", [
@@ -469,7 +469,7 @@ def test_list_grammar_trees(source):
 ])
 def test_list_grammar_errors(source, message):
     with pytest.raises(ParseError) as exc:
-        parse_source(source)
+        parse_text(source)
     assert type(exc.value) is ParseError
     assert str(exc.value) == message
     assert exc.value.line == 2

@@ -25,15 +25,10 @@ from tbforge.pipeline import (
     TraceEntry,
     has_scaffold,
 )
-from tbforge.sim import (
-    CommandSimulator,
-    CompileError,
-    MockSimulator,
-    Report,
-    RuntimeAbort,
-    SimulatorConfig,
-    parse_coverage,
-)
+from tbforge.sim.backends import CommandSimulator, MockSimulator
+from tbforge.sim.config import SimulatorConfig
+from tbforge.sim.logparse import parse_coverage
+from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
 
 import cli_fixtures
 from fixture_data import AUDIO_ENCODER_DUT, COVERAGE_REPORT_SAMPLE, TESTBENCH_SKELETON
@@ -95,6 +90,18 @@ def test_analyze_prose_twice_fails():
     assert exc.value.outcome.stage is TerminationStage.ANALYZE
     assert exc.value.outcome.attempts == 0
     assert len(p.client.calls) == 2
+
+
+def test_analyze_reply_nested_too_deeply_gets_the_json_reask():
+    deep = '{"1": ' + "[" * 3000 + "]" * 3000 + "}"
+    p = pipeline([deep, deep], ["ok"])
+    with pytest.raises(StageTerminated) as exc:
+        p.analyze(PAIR.spec)
+    assert exc.value.outcome == Terminated(
+        TerminationStage.ANALYZE, 0, "function_points: JSON object nested too deeply")
+    assert len(p.client.calls) == 2
+    points, _ = pipeline([deep, POINTS_JSON, CASES_JSON], ["ok"]).analyze(PAIR.spec)
+    assert len(points) == 3
 
 
 def test_analyze_reask_recovers():
@@ -299,7 +306,7 @@ def test_coverage_that_prints_as_full_passes_a_full_threshold(tmp_path):
                       encoding="utf-8")
     config = Config(simulator=SimulatorConfig(backend="mock", mock_script=str(script)))
     p = TestbenchPipeline(MockChatClient(["unused"]), make_simulator_factory(config)(),
-                          PipelineConfig(coverage_threshold=100))
+                          PipelineConfig(coverage_threshold=100), llm=NO_BACKOFF)
     assert p.improve(PAIR.code, TESTBENCH_SKELETON) == (TESTBENCH_SKELETON, 100.0, 0)
     assert p._trace == [TraceEntry(Stage.IMPROVE, "coverage", "pass")]
     assert p.client.calls == []
@@ -326,7 +333,8 @@ def test_improve_without_coverage_support_is_config_error(tmp_path):
     mock = SimulatorConfig(backend="mock", mock_script=str(script))
     assert make_simulator_factory(Config(simulator=mock), coverage=True)() is not None
     client = MockChatClient(["x"])
-    p = TestbenchPipeline(client, CommandSimulator(settings), PipelineConfig())
+    p = TestbenchPipeline(client, CommandSimulator(settings), PipelineConfig(),
+                          llm=NO_BACKOFF)
     with pytest.raises(ConfigError, match="no coverage_command configured"):
         p.improve(PAIR.code, TESTBENCH_SKELETON)
     assert client.calls == []
@@ -586,7 +594,7 @@ class RandomBehaviorSim:
         return Report(total, self.rng.randint(0, total))
 
     def coverage(self, dut, tb):
-        from tbforge.sim import CoverageReport
+        from tbforge.sim.outcomes import CoverageReport
         covered = self.rng.randint(0, 10000)
         return CoverageReport("m", 10000, covered, round(covered / 100.0, 2))
 

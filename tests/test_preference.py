@@ -22,7 +22,8 @@ from tbforge.preference import (
     sample_candidates,
     similarity_form,
 )
-from tbforge.sim import CompileError, MockSimulator, Report, RuntimeAbort
+from tbforge.sim.backends import MockSimulator
+from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
 from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
 
@@ -144,7 +145,7 @@ REF = "module r(input a, b, output y); assign y = a & b; endmodule"
 
 def judge(a, b, method, reference_code=REF):
     """build_pairs on the two candidates a and b: its one outcome."""
-    [outcome] = build_pairs("s", reference_code, [a, b], method)
+    [outcome] = build_pairs("s", reference_code, [a, b], method, cap=1)
     return outcome
 
 
@@ -368,13 +369,13 @@ def test_build_pairs_parses_each_candidate_and_reference_once(frontend_calls, me
 def test_build_pairs_bleu_lexes_each_candidate_and_reference_once(frontend_calls):
     evals = [ev(1, code=NEAR), ev(2, code=FAR), ev(3, code=NEAR),
              ev(0, compile_ok=False, code=MID)]
-    build_pairs("s", REF, evals, PairMethod.Bleu)
+    build_pairs("s", REF, evals, PairMethod.Bleu, cap=100)
     assert frontend_calls == {"lex": 4, "parse_module": 0}
 
 
 def test_build_pairs_unparseable_reference_parsed_once(frontend_calls):
     evals = [ev(1, code=NEAR), ev(2, code=FAR), ev(3, code=MID)]
-    outcomes = build_pairs("s", REF_NO_PARSE, evals, PairMethod.Dfg)
+    outcomes = build_pairs("s", REF_NO_PARSE, evals, PairMethod.Dfg, cap=100)
     assert outcomes == [Discard("parse")] * 3
     assert frontend_calls["parse_module"] <= len(evals) + 1
     assert frontend_calls["lex"] <= len(evals) + 1
@@ -385,7 +386,7 @@ def test_build_pairs_scores_nothing_when_compile_status_discards_all(frontend_ca
                                                                     method):
     evals = [ev(0, compile_ok=False, code=NEAR), ev(0, aborted=True, code=FAR),
              ev(3, code=MID), ev(0, compile_ok=False, code=MID)]
-    outcomes = build_pairs("s", REF, evals, method)
+    outcomes = build_pairs("s", REF, evals, method, cap=100)
     assert all(o.reason in ("compile_failure", "aborted") for o in outcomes)
     assert frontend_calls == {"lex": 0, "parse_module": 0}
 

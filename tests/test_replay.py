@@ -7,7 +7,9 @@ import pytest
 from tbforge.config import Config, make_chat_client_factory, make_simulator_factory
 from tbforge.errors import ScriptExhausted
 from tbforge.llm import ChatRequest, LlmSettings, Message, MockChatClient
-from tbforge.sim import CompileError, MockSimulator, SimulatorConfig
+from tbforge.sim.backends import MockSimulator
+from tbforge.sim.config import SimulatorConfig
+from tbforge.sim.outcomes import CompileError
 
 REQUEST = ChatRequest(messages=(Message("user", "u"),))
 

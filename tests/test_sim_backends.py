@@ -17,17 +17,10 @@ from tbforge.errors import (
     ToolMissing,
     UnparseableReport,
 )
-from tbforge.sim import (
-    CaseLine,
-    CommandSimulator,
-    CompileError,
-    MockSimulator,
-    Report,
-    RuntimeAbort,
-    SimulatorBackend,
-    SimulatorConfig,
-    parse_coverage,
-)
+from tbforge.sim.backends import CommandSimulator, MockSimulator, SimulatorBackend
+from tbforge.sim.config import SimulatorConfig
+from tbforge.sim.logparse import parse_coverage
+from tbforge.sim.outcomes import CaseLine, CompileError, Report, RuntimeAbort
 
 from fixture_data import AUDIO_ENCODER_DUT, TESTBENCH_SKELETON
 
@@ -388,9 +381,6 @@ def test_check_programs_finds_a_bare_program_missing_from_path(fake_tools, monke
     config.check_programs("./not-here {out}", "{workdir}/not-here {out}")
     with pytest.raises(ToolMissing, match="^simulator command not found: not-here-xyz$"):
         config.check_programs("fakerun {out}", "not-here-xyz {out}")
-    # The mock runs no program.
-    SimulatorConfig(backend="mock", mock_script="sim.json").check_programs(
-        "not-here-xyz {out}")
 
 
 def test_config_validates_placeholders():

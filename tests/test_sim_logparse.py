@@ -7,12 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tbforge.errors import UnparseableLog, UnparseableReport
-from tbforge.sim import (
-    CaseLine,
-    Report,
-    parse_coverage,
-    parse_sim_log,
-)
+from tbforge.sim.logparse import parse_coverage, parse_sim_log
+from tbforge.sim.outcomes import CaseLine, Report
 
 from fixture_data import COVERAGE_REPORT_SAMPLE, SIM_LOG_ALL_PASS, SIM_LOG_FIVE_FAILURES
 

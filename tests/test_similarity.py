@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tbforge.errors import EmptyInput
-from tbforge.frontend import Dfg, lex, parse_source
+from tbforge.frontend import Dfg, lex
 from tbforge.frontend.tokens import Token, TokenKind
 from tbforge.similarity import (
     SimilarityScore,
@@ -16,7 +16,7 @@ from tbforge.similarity import (
     dfg_similarity,
 )
 
-from fixture_data import AUDIO_ENCODER_DUT
+from fixture_data import AUDIO_ENCODER_DUT, parse_text
 
 
 def idents(*texts):
@@ -116,13 +116,13 @@ def test_bleu_matches_oracle_and_range(ca, re_):
 # ---- AST similarity ----
 
 def test_ast_identical_modules():
-    a = parse_source(AUDIO_ENCODER_DUT)
+    a = parse_text(AUDIO_ENCODER_DUT)
     assert ast_similarity(a, a).value == 1.0
 
 
 def test_ast_no_shared_signatures():
-    a = parse_source("module m(input x); endmodule")
-    b = parse_source("module n; wire w; assign w = 1; endmodule")
+    a = parse_text("module m(input x); endmodule")
+    b = parse_text("module n; wire w; assign w = 1; endmodule")
     assert ast_similarity(a, b).value == 0.0
 
 
@@ -140,10 +140,10 @@ def oracle_signatures(root):
 
 
 def test_ast_one_assignment_deleted_matches_oracle():
-    full = parse_source(AUDIO_ENCODER_DUT)
+    full = parse_text(AUDIO_ENCODER_DUT)
     pruned_src = AUDIO_ENCODER_DUT.replace(
         "assign is_underrun = reg_underrun;\n", "")
-    pruned = parse_source(pruned_src)
+    pruned = parse_text(pruned_src)
 
     a, b = oracle_signatures(full), oracle_signatures(pruned)
     keys = set(a) | set(b)
@@ -157,8 +157,8 @@ def test_ast_one_assignment_deleted_matches_oracle():
 
 
 def test_ast_symmetry():
-    a = parse_source(AUDIO_ENCODER_DUT)
-    b = parse_source("module m(input x, output y); assign y = ~x; endmodule")
+    a = parse_text(AUDIO_ENCODER_DUT)
+    b = parse_text("module m(input x, output y); assign y = ~x; endmodule")
     assert ast_similarity(a, b).value == ast_similarity(b, a).value
 
 
@@ -166,9 +166,9 @@ def test_ast_rename_invariance():
     src_a = "module m(input alpha, beta, output gamma); assign gamma = alpha & beta; endmodule"
     renames = {"m": "k", "alpha": "p", "beta": "q", "gamma": "r"}
     src_b = re.sub(r"\b(m|alpha|beta|gamma)\b", lambda mm: renames[mm.group()], src_a)
-    base = parse_source(src_a)
-    renamed = parse_source(src_b)
-    other = parse_source("module z(input a, output w); assign w = ~a; endmodule")
+    base = parse_text(src_a)
+    renamed = parse_text(src_b)
+    other = parse_text("module z(input a, output w); assign w = ~a; endmodule")
     assert ast_similarity(base, other).value == ast_similarity(renamed, other).value
     assert ast_similarity(base, renamed).value == 1.0
 

@@ -146,6 +146,25 @@ class _Parser:
             items.append(item())
         return items
 
+    def _bracketed(self, opening: str, closing: str, what: str) -> list[str]:
+        """Take ``opening``, then tokens up to the ``closing`` that balances
+        it, and return the texts between the two. At the end of input the
+        run is an "unterminated ``what``"."""
+        self.expect(opening)
+        texts: list[str] = []
+        depth = 1
+        while True:
+            tok = self.take()
+            if tok is self.eof:
+                raise ParseError(f"unterminated {what}", tok.line)
+            if tok.text == opening:
+                depth += 1
+            elif tok.text == closing:
+                depth -= 1
+                if not depth:
+                    return texts
+            texts.append(tok.text)
+
     def reject_unsupported(self) -> None:
         tok = self.cur()
         if tok.kind is TokenKind.Keyword and tok.text in _UNSUPPORTED_KEYWORDS:
@@ -189,25 +208,13 @@ class _Parser:
                 self.accept("localparam")
             self.accept("signed")
             if self.at("["):
-                self._skip_range()
+                self._bracketed("[", "]", "range")
             name = self.expect_ident().text
             default = (self._expr(),) if self.accept("=") else ()
             params.append(AstNode(NodeKind.ParamDecl, label=name, children=default,
                                   qualifier="parameter"))
             self.accept(",")
         return params
-
-    def _skip_range(self) -> None:
-        self.expect("[")
-        depth = 1
-        while depth:
-            tok = self.take()
-            if tok is self.eof:
-                raise ParseError("unterminated range", self.eof.line)
-            if tok.text == "[":
-                depth += 1
-            elif tok.text == "]":
-                depth -= 1
 
     def _port_list(self) -> list[AstNode]:
         ports: list[AstNode] = []
@@ -269,7 +276,7 @@ class _Parser:
         flavor = self.take().text
         self.accept("signed")
         if self.at("["):
-            self._skip_range()
+            self._bracketed("[", "]", "range")
         decls = self._comma_list(lambda: AstNode(
             NodeKind.ParamDecl, label=self.expect_ident().text,
             children=(self._expr_after("="),), qualifier=flavor))
@@ -326,15 +333,7 @@ class _Parser:
     def _event_control(self) -> str:
         if self.accept("*"):
             return "*"
-        self.expect("(")
-        parts: list[str] = []
-        while not self.at(")"):
-            tok = self.take()
-            if tok is self.eof:
-                raise ParseError("unterminated event control", self.eof.line)
-            parts.append(tok.text)
-        self.expect(")")
-        return " ".join(parts)
+        return " ".join(self._bracketed("(", ")", "event control"))
 
     # -- statements --
 

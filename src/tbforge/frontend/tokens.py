@@ -6,15 +6,16 @@ in the corpus and irrelevant to similarity scoring. Sized number literals
 such as ``8'hFF`` or ``2'b01`` lex as a single Number token when written
 without internal whitespace.
 
-``lex`` makes one scanner match per token. Each match first skips, by a
-prefix of the pattern, the spaces, line comments and escaped identifiers
-in front of the token; the token's text is the match's only group. One
-``findall`` therefore returns every token text in a single pass over the
-source, together with the newlines, block comments and attributes that
-the line count needs. A text's kind comes from a table keyed by the whole
-text (keywords, operators, punctuation), else from one keyed by its first
-character. Only when ``lex`` is about to raise does it scan the source
-again, to find the offending text's column.
+``lex`` makes one scanner match per text. Each match first skips, by a
+prefix of the pattern, the blanks (spaces, tabs, carriage returns and form
+feeds) in front of the text; the text is the match's only group. One
+``findall`` therefore returns, in a single pass over the source, every
+token text together with the newlines, comments, attributes and escaped
+identifiers, which the lex loop drops after counting their newlines. A
+text's kind comes from a table keyed by the whole text (keywords,
+operators, punctuation), else from one keyed by its first character. Only
+when ``lex`` is about to raise does it scan the source again, to find the
+offending text's column.
 """
 
 from __future__ import annotations
@@ -67,30 +68,26 @@ _OPERATORS = [
 
 _PUNCTUATION = "()[]{};,.#@"
 
-# Group 1 is the token text. The prefix in front of it skips what makes no
-# token and holds no newline: runs of " \t\r\f", line comments and escaped
-# identifiers. Where two alternatives match at the same place the first
-# wins, and that order is the lexer's precedence: longer operators before
-# their prefixes, block comments before "/", attributes before "(" ("(*)"
-# in an event control is not one), sized numbers before plain ones. A "/*"
-# or "(*" that is never closed matches alone. The catch-all matches any
-# other character alone: a newline, a one-character operator or punctuation
-# mark, a lone '"', "\", "$", "`" or "'", or an illegal character; the
-# tables below tell them apart.
-#
-# requires-python is >=3.10, so the skip cannot be made possessive or
-# atomic (both need 3.11). It needs neither: after the greedy skip the next
-# character is not one of " \t\r\f", so the catch-all "[^ \t\r\f]" or, at
-# the end of the source, "\Z" always matches on the first try, and the
-# plain "*" never backtracks into the skip. (Without "\Z", trailing spaces
-# would be split every possible way before the match failed.) At the end
-# of the source "\Z" makes one or two empty matches, which end the scan.
+# Group 1 is the text. The prefix in front of it skips blanks only, which
+# make no token and hold no newline. Where two alternatives match at the
+# same place the first wins, and that order is the lexer's precedence:
+# longer operators before their prefixes, comments before "/", attributes
+# before "(" ("(*)" in an event control is not one), escaped identifiers
+# before a stray "\", sized numbers before plain ones. A "/*" or "(*" that
+# is never closed matches alone. The catch-all matches any other character
+# alone: a newline, a one-character operator or punctuation mark, a lone
+# '"', "\", "$", "`" or "'", or an illegal character; the tables below tell
+# them apart. After the blanks the next character is not a blank, so the
+# catch-all or, at the end of the source, "\Z" always matches, and no match
+# backtracks into the prefix. At the end of the source "\Z" makes one or
+# two empty matches, which end the scan.
 _SCANNER = re.compile(
-    r"(?:[ \t\r\f]+|//[^\n]*|\\\S+)*"
+    r"[ \t\r\f]*"
     r"([A-Za-z_][A-Za-z0-9_$]*"
     r"|" + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1) +
-    r"|/\*(?:[\s\S]*?\*/)?"
+    r"|//[^\n]*|/\*(?:[\s\S]*?\*/)?"
     r"|\(\*(?!\))(?:[\s\S]*?\*\))?"
+    r"|\\\S+"
     r"|(?:\d[\d_]*)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+"
     r"|\d[\d_]*(?:\.\d[\d_]*)?"
     r'|"(?:[^"\\\n]|\\[\s\S])*"'
@@ -122,9 +119,10 @@ _KINDS = {
 }
 
 # Kind by the first character, for texts missing from _KINDS. What starts
-# with a character missing here is a string literal ('"'), a block comment
-# ("/"), an attribute ("("), a number that starts with a non-ASCII decimal
-# digit (which "\d" matches), or an illegal character.
+# with a character missing here is a string literal ('"'), a comment ("/"),
+# an attribute ("("), an escaped identifier ("\"), a number that starts
+# with a non-ASCII decimal digit (which "\d" matches), or an illegal
+# character.
 _FIRST_KINDS = {
     **dict.fromkeys(string.ascii_letters + "_$`", TokenKind.Identifier),
     **dict.fromkeys(string.digits + "'", TokenKind.Number),
@@ -157,7 +155,7 @@ def lex(source: str) -> list[Token]:
                     append(make((TokenKind.StringLiteral, text, line)))
                     line += text.count("\n")
                     continue
-                if first == "/" or first == "(":  # a comment or an attribute
+                if first in "/(\\":  # a comment, an attribute or an escaped identifier
                     line += text.count("\n")
                     continue
                 if not first.isdecimal():

@@ -342,10 +342,10 @@ class TestbenchPipeline:
         except StageTerminated as exc:
             return PipelineResult(outcome=exc.outcome, trace=tuple(self._trace))
 
-        testcase_count = final_report.total_cases
-        if testcase_count < 1:  # a lone "Test Case 0." still counts as one
-            markers = [int(m.group(1)) for m in CASE_MARKER.finditer(tb)]
-            testcase_count = max([1, *markers])
+        # A run that prints no case line counts the testbench's distinct case
+        # numbers instead, and at least one.
+        testcase_count = final_report.total_cases or max(
+            1, len({int(m.group(1)) for m in CASE_MARKER.finditer(tb)}))
         record = TestbenchRecord(
             testbench=tb,
             testcase_count=testcase_count,

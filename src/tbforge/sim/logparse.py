@@ -34,7 +34,8 @@ _LINE_FLAG = re.compile(r"^\s*([01])/1(?!\d)")
 def parse_sim_log(stdout: str) -> Report:
     """Parse simulator stdout into a Report.
 
-    The verdict is the last line, outside the test-case lines, that holds
+    Its cases are the distinct numbers N of its "Test Case N." lines. The
+    verdict is the last line, outside the test-case lines, that holds
     the pass marker or a failure count. Raises UnparseableLog when there is
     no such line.
     """
@@ -57,7 +58,7 @@ def parse_sim_log(stdout: str) -> Report:
     if failures is None:
         raise UnparseableLog("no terminal pass/failure marker in simulation log")
 
-    total = max(indices) if indices else 0
+    total = len(indices)
     inconsistent = False
     if failures > total:
         total = failures

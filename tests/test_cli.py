@@ -111,8 +111,8 @@ def test_gen_testbench_terminations_do_not_fail_run(tmp_path):
 
 
 def test_a_passing_testbench_whose_only_case_is_numbered_0_counts_one_case(tmp_path):
-    # The run counts no case, so the count falls back to the highest case
-    # number in the testbench, here 0; the row still finishes with one case.
+    # The run counts no case, so the count falls back to the distinct case
+    # numbers in the testbench, here only 0: the row finishes with one case.
     specs = tmp_path / "specs.jsonl"
     write_spec_rows(specs, 2)
     llm_script, sim_script = write_pipeline_scripts(tmp_path)

@@ -276,3 +276,36 @@ def test_lex_matches_reference_on_generated_text(source):
 def test_lex_matches_reference_on_generated_verilog(fragments, separator):
     source = separator.join(fragments)
     assert lex_result(lex, source) == lex_result(reference_lex, source)
+
+
+# Comments and escaped identifiers are texts the lex loop drops, so one glued
+# to a token on either side still leaves the reference's token stream.
+GLUED_SOURCES = [
+    "a//c\nb",
+    "a//c",
+    "a/*c*/b",
+    "x\\esc;y",
+    "x \\esc y",
+    "x\n\\esc",
+    "x = a;\\esc",
+    "a(* k *)b",
+    "a//\\esc\n\\esc//c\nb",
+]
+
+
+@pytest.mark.parametrize("source", GLUED_SOURCES)
+def test_glued_comments_and_escaped_identifiers_match_reference(source):
+    assert lex_result(lex, source) == lex_result(reference_lex, source)
+
+
+@pytest.mark.parametrize("source,line,col", [
+    (" " * 200_000 + "\x01", 1, 200_001),
+    ("\t\f\r " * 50_000 + "\x01", 1, 200_001),
+    ("// c\n" * 40_000 + "\x01", 40_001, 1),
+    ("//" + "c" * 200_000 + "\n\x01", 2, 1),
+    ("a " + "//\n" * 70_000 + "\x01", 70_001, 1),
+])
+def test_long_skipped_runs_report_the_illegal_character(source, line, col):
+    expected = ("LexError", f"L{line}:{col}: illegal character '\\x01'", line, col)
+    assert lex_result(reference_lex, source) == expected
+    assert lex_result(lex, source) == expected

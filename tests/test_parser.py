@@ -473,3 +473,62 @@ def test_list_grammar_errors(source, message):
     assert type(exc.value) is ParseError
     assert str(exc.value) == message
     assert exc.value.line == 2
+
+
+# ---- bracketed runs: parameter ranges and event controls ----
+
+def _param(name, value, flavor="parameter"):
+    return AstNode(NodeKind.ParamDecl, label=name,
+                   children=(AstNode(NodeKind.NumberLit, label=value),), qualifier=flavor)
+
+
+# A parameter's range is skipped, not parsed, so what it holds only has to
+# balance its brackets.
+RANGED_PARAMS = {
+    "module m #(parameter [7:0] W = 8) ();\nendmodule": (_param("W", "8"),),
+    "module m;\nlocalparam signed [W-1:0] X = 1;\nendmodule": (
+        _param("X", "1", "localparam"),),
+    "module m;\nparameter [A[0]:0] P = 2, Q = 3;\nendmodule": (
+        _param("P", "2"), _param("Q", "3")),
+    "module m #(parameter [A[0]:0] W = 8) ();\nendmodule": (_param("W", "8"),),
+    "module m #(parameter N = 4, localparam [$clog2(N)-1:0] M = 0) ();\nendmodule": (
+        _param("N", "4"), _param("M", "0")),
+    "module m;\nlocalparam [$clog2(N)-1:0] M = 0;\nendmodule": (
+        _param("M", "0", "localparam"),),
+}
+
+
+@pytest.mark.parametrize("source", RANGED_PARAMS)
+def test_ranged_parameter_declarations(source):
+    assert parse_text(source) == AstNode(NodeKind.Module, label="m",
+                                         children=RANGED_PARAMS[source])
+
+
+def _sensitivity(source):
+    [always] = parse_text(f"module m;\n{source} q <= d;\nendmodule").children
+    return always.qualifier
+
+
+@pytest.mark.parametrize("control,qualifier", [
+    ("@(posedge clk or negedge rst)", "posedge clk or negedge rst"),
+    ("@((a or b))", "( a or b )"),
+    ("@((a) or (b[0]))", "( a ) or ( b [ 0 ] )"),
+    ("@*", "*"),
+])
+def test_event_control_qualifier(control, qualifier):
+    assert _sensitivity(f"always {control}") == qualifier
+
+
+@pytest.mark.parametrize("source,message", [
+    ("module m #(\n  parameter [7:0", "L2: unterminated range"),
+    ("module m #(parameter [A[0]:0\n  ", "L1: unterminated range"),
+    ("module m;\nparameter [7:0", "L2: unterminated range"),
+    ("module m;\nlocalparam [A[0]\n  :0", "L3: unterminated range"),
+    ("module m;\nalways @(a", "L2: unterminated event control"),
+    ("module m;\nalways @((a or b)\n  q", "L3: unterminated event control"),
+])
+def test_unterminated_bracketed_run_names_the_last_line(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse_text(source)
+    assert type(exc.value) is ParseError
+    assert str(exc.value) == message

@@ -23,6 +23,7 @@ from tbforge.preference import (
     similarity_form,
 )
 from tbforge.sim.backends import MockSimulator
+from tbforge.sim.logparse import parse_sim_log
 from tbforge.sim.outcomes import CompileError, Report, RuntimeAbort
 from tbforge.similarity import ast_similarity, bleu, dfg_similarity
 
@@ -170,6 +171,21 @@ def test_testbench_rule_discards_tie():
 
 def test_testbench_rule_discards_abort():
     assert judge(ev(0, aborted=True), ev(5), PairMethod.Testbench) == Discard("aborted")
+
+
+def test_testbench_rule_orders_logs_numbered_from_zero():
+    # Cases 0-4 are five cases, so four failures leave one pass and five
+    # leave none: the two candidates differ and form a pair.
+    def evaluated(failures):
+        log = "".join(f"Test Case {i}. Expected x: 1\nTest Case {i}. Actual x: 0\n"
+                      for i in range(5)) + f"Test with {failures} failures\n"
+        sim = MockSimulator(["ok", parse_sim_log(log)])
+        return evaluate_candidate(f"module c{failures}; endmodule", "tb", sim)
+
+    pair = judge(evaluated(5), evaluated(4), PairMethod.Testbench)
+    assert isinstance(pair, PreferencePair)
+    assert (pair.chosen, pair.chosen_passed, pair.rejected_passed) == (
+        "module c4; endmodule", 1, 0)
 
 
 def test_symmetry_in_argument_order():

@@ -83,6 +83,29 @@ def test_pass_marker_in_case_line_is_not_a_verdict():
         parse_sim_log("Test Case 1. Actual Your Design Passed\n")
 
 
+def numbered_log(cases, failures):
+    """A log whose case lines carry the numbers ``cases``, ending in
+    ``failures``' verdict."""
+    lines = [f"Test Case {i}. {kind} x: {i}" for i in cases for kind in ("Expected", "Actual")]
+    lines.append(f"Test with {failures} failures" if failures else "Your Design Passed")
+    return "\n".join(lines) + "\n"
+
+
+# A log's cases are its distinct case numbers, wherever the numbering starts.
+@pytest.mark.parametrize("cases,failures,total,passed", [
+    (range(5), 0, 5, 5),
+    (range(5), 4, 5, 1),
+    (range(5), 5, 5, 0),
+    ([0], 0, 1, 1),
+    ([1, 3], 0, 2, 2),
+    ([2, 2, 7], 1, 2, 1),
+])
+def test_cases_are_the_distinct_case_numbers(cases, failures, total, passed):
+    report = parse_sim_log(numbered_log(cases, failures))
+    assert (report.total_cases, report.passed) == (total, passed)
+    assert not report.inconsistent
+
+
 def render_sim_log(report: Report) -> str:
     """The reference renderer: a Report in the display format the generated
     testbenches print and parse_sim_log reads."""

@@ -7,8 +7,9 @@ bounds the backends, not the rows: at most N chat calls, and so N
 chat-endpoint connections, and N simulator calls are in flight at once.
 Both run 2N rows, each making one backend call at a time, so one row's
 simulator call overlaps another row's chat call. One runner, ``_row_runner``,
-alone builds each row's chat client and simulator and holds the slots; a
-command only says what one row does with them.
+alone builds each row's chat client and simulator, holds the slots and owns
+the batch's threads and output files; a command only says what one row does
+with its backends and what lines its result writes.
 
 Exit codes: 0 success, 1 usage/config, 2 IO, 3 backend unavailable.
 Outside input is checked where it enters: a bad row of ``--testbenches``,
@@ -21,12 +22,14 @@ coverage that cannot be measured, or a program that is not on PATH (which
 exits 3). A ValueError that reaches ``main`` is a bug. Batch output lines
 are appended in input order and flushed after each row, so a batch that
 stops keeps every row that finished before the stop; as nothing is fsynced,
-a SIGKILL in the middle of a write can leave one partial last line. Per-row pipeline
-terminations are reported in the summary, never as a nonzero exit. A row
-that raises any other toolkit error is errored: it is left out of the
+a SIGKILL in the middle of a write can leave one partial last line. Per-row
+pipeline terminations are reported in the summary, never as a nonzero exit.
+A row that raises any other toolkit error is errored: it is left out of the
 outputs and counted in the summary, the other rows are still written, and
 the run exits with the first errored row's code. The errors in
-``_BATCH_FATAL`` end the batch at once.
+``_BATCH_FATAL`` end the batch at once, and so does a failed write, which
+exits 2: the rows not yet started are cancelled, and the running ones
+finish, unwritten, before the command returns.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import sys
 import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import ExitStack
 from pathlib import Path
 
 import click
@@ -134,18 +137,24 @@ def _row_runner(config, jobs, coverage=False):
     """Build the config's backend factories now, so a bad backend setting, or
     with ``coverage`` a simulator that cannot measure it, fails before any
     input is read; the chat factory closes with the command.
-    Returns ``run_rows(items, work)``, which yields ``(item, work(item, chat,
-    simulator))`` in input order from ``2 * jobs`` threads, so one row
-    simulates while another waits on the endpoint. Each row gets its own
-    backends, whose calls hold one of ``jobs`` slots per backend. A row's
-    toolkit error outside ``_BATCH_FATAL`` is its result; any other exception
-    ends the batch and cancels the rows not yet started."""
+    Returns ``run_rows(items, work, emit, *outputs)``. It runs ``work(item,
+    chat, simulator)`` on ``2 * jobs`` threads, so one row simulates while
+    another waits on the endpoint; each call of a row's backends holds one
+    of ``jobs`` slots per backend. In input order, it appends each list that
+    ``emit(item, result)`` returns to its ``(path, write)`` output with
+    ``write(handle, lines)``, flushed (not fsynced) after each row; the files
+    are created before the first row runs, and an output with no path is
+    skipped. A row's toolkit error outside ``_BATCH_FATAL`` is its result:
+    it is logged, and ``run_rows`` returns these errors. Any exception, a
+    batch-fatal row or a failed write included, cancels the rows not yet
+    started, waits for the running ones and closes the files before it
+    propagates."""
     make_client = click.get_current_context().with_resource(
-        closing(make_chat_client_factory(config)))
+        make_chat_client_factory(config))
     make_simulator = make_simulator_factory(config, coverage=coverage)
     chat_slots, sim_slots = _Slots(jobs), _Slots(jobs)
 
-    def run_rows(items, work):
+    def run_rows(items, work, emit, *outputs) -> list[TbforgeError]:
         def guarded(item):
             try:
                 return work(item, _Slotted(make_client(), chat_slots),
@@ -155,33 +164,24 @@ def _row_runner(config, jobs, coverage=False):
             except TbforgeError as exc:
                 return exc
 
-        with ThreadPoolExecutor(max_workers=2 * jobs) as pool:
-            yield from zip(items, pool.map(guarded, items))
+        _make_output_dirs(*(path for path, _ in outputs))
+        errors = []
+        with ExitStack() as stack:
+            files = [(path and stack.enter_context(open(path, "w", encoding="utf-8")), write)
+                     for path, write in outputs]
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=2 * jobs))
+            stack.callback(pool.shutdown, wait=False, cancel_futures=True)
+            for item, result in zip(items, pool.map(guarded, items)):
+                if isinstance(result, TbforgeError):
+                    log.error("[error] %s: %s: %s", item.id, type(result).__name__, result)
+                    errors.append(result)
+                for (handle, write), lines in zip(files, emit(item, result)):
+                    if handle:
+                        write(handle, lines)
+                        handle.flush()
+        return errors
 
     return run_rows
-
-
-def _write_rows(results, emit, *outputs) -> list[TbforgeError]:
-    """Append each row's lines to the ``(path, write)`` outputs as ``run_rows``
-    yields it: ``emit(item, result)`` returns one list per output, and
-    ``write(handle, lines)`` appends it to the file, flushed (not fsynced)
-    before the next row, so a stopped batch keeps the rows it finished. The
-    files are created before the first row runs; an output with no path is
-    skipped. Logs each errored row and returns their errors, in input order."""
-    _make_output_dirs(*(path for path, _ in outputs))
-    errors = []
-    with ExitStack() as stack:
-        files = [(path and stack.enter_context(open(path, "w", encoding="utf-8")), write)
-                 for path, write in outputs]
-        for item, result in results:
-            if isinstance(result, TbforgeError):
-                log.error("[error] %s: %s: %s", item.id, type(result).__name__, result)
-                errors.append(result)
-            for (handle, write), lines in zip(files, emit(item, result)):
-                if handle:
-                    write(handle, lines)
-                    handle.flush()
-    return errors
 
 
 def _check_distinct(outputs, inputs) -> None:
@@ -294,9 +294,9 @@ def cmd_gen_testbench(input_path, out_path, config_path, jobs, min_code_lines,
         log.warning("[terminated] %s at %s after %d attempts", pair.id, stage, attempts)
         return [], trace + [f"{pair.id} [terminate] {stage} attempts={attempts}"]
 
-    errors = _write_rows(run_rows(pairs, run_row), emit, (out_path, corpus.write_jsonl),
-                         (trace_path, lambda handle, lines: handle.writelines(
-                             line + "\n" for line in lines)))
+    errors = run_rows(pairs, run_row, emit, (out_path, corpus.write_jsonl),
+                      (trace_path, lambda handle, lines: handle.writelines(
+                          line + "\n" for line in lines)))
 
     click.echo(f"rows: {len(pairs)}  finished: {counts['finished']}  "
                f"terminated: {termination_counts.total()}  errored: {len(errors)}  "
@@ -374,8 +374,8 @@ def cmd_collect_pairs(specs_path, tb_path, out_path, method, n_candidates,
         return pair_rows, [corpus.eval_row(spec.id, idx, evaluation)
                            for idx, evaluation in enumerate(evals)]
 
-    errors = _write_rows(run_rows(joined, run_row), emit,
-                         (out_path, corpus.write_jsonl), (evals_path, corpus.write_jsonl))
+    errors = run_rows(joined, run_row, emit,
+                      (out_path, corpus.write_jsonl), (evals_path, corpus.write_jsonl))
 
     click.echo(f"specs: {len(joined)}  pairs: {counts['pairs']}  "
                f"discards: {discard_counts.total()}  errored: {len(errors)}  "

@@ -18,6 +18,7 @@ import configparser
 import json
 import types
 from collections import defaultdict
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -156,25 +157,16 @@ def make_simulator_factory(config: Config, coverage: bool = False):
     return lambda: shared
 
 
-class ChatClientFactory:
-    """A zero-arg callable producing a chat client, plus ``close()``, which
-    closes the connections the clients it made opened."""
-
-    def __init__(self, make, close=lambda: None):
-        self._make = make
-        self.close = close
-
-    def __call__(self):
-        return self._make()
-
-
-def make_chat_client_factory(config: Config) -> ChatClientFactory:
-    """Mock clients are fresh per call, like mock simulators; every call
-    shares one HTTP client and its pool of idle connections."""
+@contextmanager
+def make_chat_client_factory(config: Config):
+    """Yields a zero-arg callable producing a chat client. Mock clients are
+    fresh per call, like mock simulators; every call shares one HTTP client
+    and its pool of idle connections, which close on exit."""
     if config.llm.backend == "mock":
         script = _load_script(config.llm.mock_script, "llm", json_string)
-        return ChatClientFactory(lambda: MockChatClient(script))
+        yield lambda: MockChatClient(script)
+        return
     if not config.llm.endpoint:
         raise ConfigError("llm backend http needs an endpoint URL")
-    shared = HttpChatClient(config.llm)
-    return ChatClientFactory(lambda: shared, shared.close)
+    with closing(HttpChatClient(config.llm)) as shared:
+        yield lambda: shared

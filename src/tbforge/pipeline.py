@@ -17,14 +17,16 @@ ends the row when its attempt bound is hit:
   Rectify  makes sure the testbench reports a final score (one render pass
            adds the error_count epilogue when missing), then runs the
            simulator and re-prompts with its output as printed, as Improve
-           does with the coverage report, until the design passes, for at
-           most the configured number of rectification loops.
+           does with the coverage report, until the design passes at least
+           one case and fails none, for at most the configured number of
+           rectification loops.
 
-A stage that hits its bound raises StageTerminated, and run() turns it into
-the row's Terminated outcome. One pipeline instance is strictly sequential:
-it owns the row's trace and the conversation Draft, Improve and Rectify
-share, and run() starts both fresh. Run any number of instances
-concurrently.
+A row with a blank specification or a blank reference code terminates
+before any chat call, at Analyze or at DraftCompile. A stage that hits its
+bound raises StageTerminated, and run() turns it into the row's Terminated
+outcome. One pipeline instance is strictly sequential: it owns the row's
+trace and the conversation Draft, Improve and Rectify share, and run()
+starts both fresh. Run any number of instances concurrently.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from tbforge.llm.prompts import (
     render_text,
 )
 from tbforge.sim.backends import SimulatorBackend
-from tbforge.sim.logparse import CASE_MARKER, has_scaffold, has_score_epilogue
+from tbforge.sim.logparse import has_scaffold, has_score_epilogue
 from tbforge.sim.outcomes import Report, RuntimeAbort, SimOutcome
 
 
@@ -153,6 +155,8 @@ _TERMINATES_AT = {
 def _outcome_log(outcome: SimOutcome) -> str:
     if isinstance(outcome, RuntimeAbort):
         return f"simulation aborted ({outcome.reason}): {outcome.log}"
+    if isinstance(outcome, Report) and not outcome.total_cases:
+        return f"simulation reported no test case: {outcome.log}"
     return outcome.log
 
 
@@ -206,8 +210,6 @@ class TestbenchPipeline:
         Only the specification is shown, keeping the focus on intended
         behavior rather than implementation details.
         """
-        if not spec.strip():
-            raise StageTerminated(TerminationStage.ANALYZE, 0, "empty specification")
         conversation: list[Message] = []
 
         def ask_json(prompt: str, parse, action: str):
@@ -316,7 +318,7 @@ class TestbenchPipeline:
         iterations = 0
         while True:
             outcome = self.simulator.run_test(code, tb)
-            if isinstance(outcome, Report) and outcome.failures == 0:
+            if isinstance(outcome, Report) and outcome.total_cases and not outcome.failures:
                 self._record(Stage.RECTIFY, "verify", "pass")
                 return tb, outcome, iterations
             log = _outcome_log(outcome)
@@ -335,6 +337,11 @@ class TestbenchPipeline:
         self._trace = []
         self._conversation = []
         try:
+            if not pair.spec.strip():
+                raise StageTerminated(TerminationStage.ANALYZE, 0, "empty specification")
+            if not pair.code.strip():
+                raise StageTerminated(TerminationStage.DRAFT_COMPILE, 0,
+                                      "empty reference code")
             _, cases = self.analyze(pair.spec)
             tb, draft_attempts = self.draft(pair.spec, pair.code, cases)
             tb, coverage_percent, improve_rounds = self.improve(pair.code, tb)
@@ -342,13 +349,9 @@ class TestbenchPipeline:
         except StageTerminated as exc:
             return PipelineResult(outcome=exc.outcome, trace=tuple(self._trace))
 
-        # A run that prints no case line counts the testbench's distinct case
-        # numbers instead, and at least one.
-        testcase_count = final_report.total_cases or max(
-            1, len({int(m.group(1)) for m in CASE_MARKER.finditer(tb)}))
         record = TestbenchRecord(
             testbench=tb,
-            testcase_count=testcase_count,
+            testcase_count=final_report.total_cases,
             coverage_percent=coverage_percent,
             provenance=Provenance(draft_attempts=draft_attempts,
                                   improve_rounds=improve_rounds,

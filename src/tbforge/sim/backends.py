@@ -148,9 +148,9 @@ class MockSimulator(Replay):
 
     Script entries are consumed one per backend call, in order:
     ``"ok"``/CompileError for compile calls, Report/RuntimeAbort for run
-    calls, CoverageReport or a bare percentage for coverage calls (read as
-    the header and TOTAL rows of a report printed at two decimals). A
-    ``run_test`` consumes a compile entry and, if it compiled, a run entry.
+    calls, a percentage for coverage calls (read as the header and TOTAL
+    rows of a report printed at two decimals). A ``run_test`` consumes a
+    compile entry and, if it compiled, a run entry.
     """
 
     def compile(self, dut: str, tb: str) -> CompileError | None:
@@ -172,8 +172,6 @@ class MockSimulator(Replay):
 
     def coverage(self, dut: str, tb: str) -> CoverageReport:
         entry = self._next("coverage")
-        if isinstance(entry, CoverageReport):
-            return entry
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
             # Out of 10,000 lines, a two-decimal percentage is an exact count.
             percent = f"{entry:.2f}"

@@ -24,7 +24,6 @@ PASS_MARKER = "Your Design Passed"
 TESTCASE_BANNER = "===========TestCases==========="
 _EXPECTED_LINE = re.compile(r"Test Case \d+\.\s*Expected")
 _ACTUAL_LINE = re.compile(r"Test Case \d+\.\s*Actual")
-CASE_MARKER = re.compile(r"Test Case (\d+)\.")
 
 _COVERAGE_TOTAL = re.compile(r"^TOTAL\s+(\d+)\s+(\d+)\s+(\d+(?:\.(\d+))?)\s*$")
 _COVERAGE_MODULE = re.compile(r"^Line Coverage for Module\s*:\s*(\S+)")

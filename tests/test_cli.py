@@ -6,13 +6,14 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import click
 import pytest
 
 from tbforge import cli, corpus
-from tbforge.config import ChatClientFactory, load_config, make_simulator_factory
+from tbforge.config import load_config, make_simulator_factory
 from tbforge.corpus import read_jsonl
 from tbforge.errors import ConfigError, RequestRejected, ToolMissing, TransportError
 from tbforge.llm import HttpChatClient, MockChatClient
@@ -110,23 +111,44 @@ def test_gen_testbench_terminations_do_not_fail_run(tmp_path):
     assert "terminated at DraftCompile: 2" in proc.stdout
 
 
-def test_a_passing_testbench_whose_only_case_is_numbered_0_counts_one_case(tmp_path):
-    # The run counts no case, so the count falls back to the distinct case
-    # numbers in the testbench, here only 0: the row finishes with one case.
+def _gen_testbench_with_run(tmp_path, printed):
+    """gen-testbench over two rows whose every run prints ``printed``;
+    returns (the process, the testbench rows written)."""
     specs = tmp_path / "specs.jsonl"
     write_spec_rows(specs, 2)
-    llm_script, sim_script = write_pipeline_scripts(tmp_path)
+    llm_script, _ = write_pipeline_scripts(tmp_path)
     llm = json.loads(llm_script.read_text(encoding="utf-8"))
-    llm[-1] = llm[-1].replace("Test Case 1.", "Test Case 0.")
-    llm_script.write_text(json.dumps(llm), encoding="utf-8")
-    sim = json.loads(sim_script.read_text(encoding="utf-8"))
-    sim[-1] = {"kind": "run", "total": 0, "failures": 0}
-    sim_script.write_text(json.dumps(sim), encoding="utf-8")
-    config = write_config(tmp_path, llm_script, sim_script)
+    llm_script.write_text(json.dumps(llm + llm[-1:] * 3), encoding="utf-8")
+    tools = _fake_tools(tmp_path, run=f"printf '{printed}'\n")
+    config = tmp_path / "config.ini"
+    config.write_text(
+        f"[llm]\nbackend = mock\nmock_script = {llm_script}\n\n"
+        "[simulator]\ncompile_command = true {out} {dut} {tb}\n"
+        f"run_command = {tools}/run {{out}}\n\n[pipeline]\nskip_coverage = true\n",
+        encoding="utf-8")
     out = tmp_path / "tb.jsonl"
-    assert cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
-                     "--config", str(config)]) == 0
-    assert [row["testcase_count"] for row in read_jsonl(out)] == [1, 1]
+    proc = run_cli("gen-testbench", "--input", str(specs), "--out", str(out),
+                   "--config", str(config))
+    return proc, read_jsonl(out)
+
+
+def test_a_passing_testbench_whose_only_case_is_numbered_0_counts_one_case(tmp_path):
+    # The run's cases are its distinct case numbers, here only 0.
+    proc, rows = _gen_testbench_with_run(
+        tmp_path, "Test Case 0. Expected 1\\nTest Case 0. Actual 1\\n"
+                  "Your Design Passed\\n")
+    assert proc.returncode == 0, proc.stderr
+    assert [row["testcase_count"] for row in rows] == [1, 1]
+
+
+def test_a_run_that_reports_no_case_is_not_a_pass(tmp_path):
+    # A pass marker with no case line verifies nothing: Rectify re-prompts
+    # until its bound, and no testbench of 0 cases is written.
+    proc, rows = _gen_testbench_with_run(tmp_path, "Your Design Passed\\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "rows: 2  finished: 0  terminated: 2" in proc.stdout
+    assert "terminated at RectifyVerify: 2" in proc.stdout
+    assert rows == []
 
 
 def test_gen_testbench_min_code_lines_filter(pipeline_workspace):
@@ -183,7 +205,7 @@ def test_output_under_a_regular_file_fails_before_any_chat_call(
     tmp_path, specs, config = pipeline_workspace
     client = MockChatClient(["unused"])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     testbenches = tmp_path / "testbenches.jsonl"
     testbenches.write_text("".join(json.dumps({"id": f"design{i:03d}", "tb": "t"}) + "\n"
                                    for i in range(4)), encoding="utf-8")
@@ -209,7 +231,7 @@ def test_two_output_flags_naming_one_file_is_a_usage_error(
     tmp_path, specs, config = pipeline_workspace
     client = MockChatClient(["unused"])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     out = tmp_path / "out.jsonl"
     code = cli.main([command, *batch_inputs(command, tmp_path, specs),
                      "--config", str(config), "--out", str(out),
@@ -230,7 +252,7 @@ def test_an_output_flag_naming_an_input_file_is_a_usage_error(
     tmp_path, specs, config = pipeline_workspace
     client = MockChatClient(["unused"])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     results = tmp_path / "results.jsonl"
     results.write_text(json.dumps({"task": "t", "n": 2, "c_syntax": 1, "c_function": 1})
                        + "\n", encoding="utf-8")
@@ -340,7 +362,7 @@ def test_gen_testbench_without_coverage_fails_before_any_chat_call(
         "[pipeline]\nskip_coverage = false\n", encoding="utf-8")
     client = MockChatClient(json.loads(llm_script.read_text(encoding="utf-8")))
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     out = tmp_path / "tb.jsonl"
     out.write_bytes(PREVIOUS_RUN)
     code = cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
@@ -394,7 +416,7 @@ def test_settings_that_can_never_work_leave_outputs_untouched(
                             lambda self, body, headers: posted.append(body))
     else:
         script = json.loads(llm_script.read_text(encoding="utf-8"))
-        monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: ChatClientFactory(
+        monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: nullcontext(
             lambda: clients.append(MockChatClient(script)) or clients[-1]))
     second = "--trace-log" if command == "gen-testbench" else "--evals-out"
     outputs = {"--out": tmp_path / "out.jsonl", second: tmp_path / "second.txt"}
@@ -418,7 +440,7 @@ def test_missing_coverage_program_fails_only_the_command_that_measures_coverage(
         encoding="utf-8")
     client = MockChatClient(["unused"])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     out = tmp_path / "out.jsonl"
     assert cli.main(["gen-testbench", "--input", str(specs), "--out", str(out),
                      "--config", str(config)]) == cli.EXIT_BACKEND
@@ -436,7 +458,7 @@ def test_jobs_below_one_is_a_usage_error(pipeline_workspace, monkeypatch, capsys
     tmp_path, specs, config = pipeline_workspace
     client = MockChatClient(["unused"])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     out = tmp_path / "out.jsonl"
     inputs = (["--input", str(specs)] if command == "gen-testbench" else
               ["--specs", str(specs), "--testbenches", str(specs),
@@ -470,7 +492,7 @@ def test_gen_testbench_transport_error_ends_only_its_row(pipeline_workspace,
         "[llm]\n", "[llm]\nretries = 1\nbackoff_seconds = 0\n"), encoding="utf-8")
     llm_script, _ = write_pipeline_scripts(tmp_path)
     script = json.loads(llm_script.read_text(encoding="utf-8"))
-    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: ChatClientFactory(
+    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: nullcontext(
         lambda: FailingRowChat(script, "variant 1.")))
     out = tmp_path / "tb.jsonl"
     trace = tmp_path / "trace.log"
@@ -530,7 +552,7 @@ def test_errored_rows_are_logged_in_input_order(pipeline_workspace, monkeypatch,
         "[llm]\n", "[llm]\nretries = 1\nbackoff_seconds = 0\n"), encoding="utf-8")
     script = json.loads(llm_script.read_text(encoding="utf-8"))
     second_failed = threading.Event()
-    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: ChatClientFactory(
+    monkeypatch.setattr(cli, "make_chat_client_factory", lambda config: nullcontext(
         lambda: ReverseFailingChat(script, second_failed)))
     code = cli.main([command, *inputs, "--out", str(tmp_path / "out.jsonl"),
                      "--config", str(config), "--jobs", "3"])
@@ -542,6 +564,64 @@ def test_errored_rows_are_logged_in_input_order(pipeline_workspace, monkeypatch,
         "chat completion failed after 1 attempts: variant 0 gone",
         "[error] design002: TransportError: "
         "chat completion failed after 1 attempts: variant 2 gone"]
+
+
+@pytest.mark.parametrize("failure", ["second row", "full disk"])
+@pytest.mark.parametrize("command", ["gen-testbench", "collect-pairs"])
+def test_a_failed_write_cancels_the_rows_not_started_and_exits_2(
+        tmp_path, monkeypatch, capsys, command, failure):
+    # A write fails: the rows not yet started are cancelled, the running ones
+    # finish before main returns, and the first row's --out line stays. The
+    # batch's threads are gone even while the error is still referenced, by
+    # this test or by a failed close that chains to it.
+    specs = tmp_path / "specs.jsonl"
+    write_spec_rows(specs, 20)
+    scripts = write_pipeline_scripts if command == "gen-testbench" else \
+        write_collect_scripts
+    llm_script, sim_script = scripts(tmp_path)
+    config = write_config(tmp_path, llm_script, sim_script)
+    script = json.loads(llm_script.read_text(encoding="utf-8"))
+    calls = []
+
+    class SlowChat(MockChatClient):
+        def complete_once(self, request):
+            calls.append(request)
+            time.sleep(0.02)
+            return super().complete_once(request)
+
+    monkeypatch.setattr(cli, "make_chat_client_factory",
+                        lambda config: nullcontext(lambda: SlowChat(script)))
+    second_output = []
+    if failure == "second row":
+        write, writes, error = corpus.write_jsonl, [], OSError("disk full")
+
+        def write_once(handle, rows):
+            writes.append(rows)
+            if len(writes) > 1:
+                raise error
+            write(handle, rows)
+        monkeypatch.setattr(corpus, "write_jsonl", write_once)
+    elif Path("/dev/full").exists():
+        second_output = ["--trace-log" if command == "gen-testbench" else "--evals-out",
+                         "/dev/full"]
+    else:
+        pytest.skip("no /dev/full")
+    out = tmp_path / "out.jsonl"
+    threads = threading.active_count()
+    code = cli.main([command, *batch_inputs(command, tmp_path, specs, count=20),
+                     "--config", str(config), "--jobs", "2", "--out", str(out),
+                     *second_output])
+    returned = len(calls)
+    assert threading.active_count() == threads
+    assert code == cli.EXIT_IO
+    assert capsys.readouterr().err.endswith(
+        "io error: disk full\n" if failure == "second row" else
+        "io error: [Errno 28] No space left on device\n")
+    assert [row["id"] for row in read_jsonl(out)] == \
+        ["design000" if command == "gen-testbench" else "design000#0"]
+    time.sleep(0.2)
+    gc.collect()
+    assert len(calls) == returned < 20 * len(script)
 
 
 def test_batch_fatal_errors_are_the_ones_every_row_would_hit():
@@ -682,7 +762,7 @@ def test_bad_setting_fails_before_any_chat_call(tmp_path, monkeypatch, capsys,
     config.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
     client = MockChatClient([CANDIDATE_A, CANDIDATE_B])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     testbenches = tmp_path / "testbenches.jsonl"
     testbenches.write_text("".join(json.dumps({"id": f"design{i:03d}", "tb": "t"}) + "\n"
                                    for i in range(4)), encoding="utf-8")
@@ -1403,7 +1483,7 @@ def test_count_flag_out_of_range_is_a_usage_error(pipeline_workspace, monkeypatc
     tmp_path, specs, config = pipeline_workspace
     client = MockChatClient(["unused"])
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(lambda: client))
+                        lambda config: nullcontext(lambda: client))
     reads = []
     monkeypatch.setattr(corpus, "iter_jsonl", lambda path, *args: reads.append(path))
     out = tmp_path / "out.jsonl"

@@ -9,11 +9,11 @@ overlap.
 import json
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from tbforge import cli
-from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError, UnparseableLog
 from tbforge.sim.outcomes import Report
 
@@ -49,7 +49,7 @@ def collect(monkeypatch, tmp_path, chat_factory, sim_factory, specs=1, n=2,
     Spec i asks for "variant i." and its testbench names ``design00i``."""
     tmp_path.mkdir(parents=True, exist_ok=True)
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(chat_factory))
+                        lambda config: nullcontext(chat_factory))
     monkeypatch.setattr(cli, "make_simulator_factory",
                         lambda config, coverage: sim_factory)
     llm_script, sim_script = write_collect_scripts(tmp_path)

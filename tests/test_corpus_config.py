@@ -334,8 +334,8 @@ def test_mock_factories_give_fresh_instances(tmp_path, scripts):
     a.compile("d", "t")
     # b replays from the top regardless of a's cursor
     assert b.compile("d", "t") is None
-    llm_factory = make_chat_client_factory(config)
-    assert llm_factory() is not llm_factory()
+    with make_chat_client_factory(config) as llm_factory:
+        assert llm_factory() is not llm_factory()
 
 
 def test_empty_file_loads_the_defaults(tmp_path):

@@ -12,11 +12,11 @@ import json
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from tbforge import cli
-from tbforge.config import ChatClientFactory
 from tbforge.errors import ToolMissing, TransportError
 from tbforge.sim.outcomes import CompileError, CoverageReport, Report
 
@@ -51,7 +51,7 @@ def generate(monkeypatch, tmp_path, chat_factory, sim_factory, rows=4, jobs=1,
     ``design i.`` (blank for the indexes in ``blank``) and a DUT whose last
     line names its id; outputs go to tb.jsonl and trace.log."""
     monkeypatch.setattr(cli, "make_chat_client_factory",
-                        lambda config: ChatClientFactory(chat_factory))
+                        lambda config: nullcontext(chat_factory))
     monkeypatch.setattr(cli, "make_simulator_factory",
                         lambda config, coverage: sim_factory)
     tmp_path.mkdir(exist_ok=True)

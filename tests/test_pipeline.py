@@ -287,9 +287,25 @@ def test_improve_recompile_failure_consumes_attempt():
     assert "broken" in feedback
 
 
+class SampleCoverageSim:
+    """Compiles anything; measures the sample report, uncovered lines
+    included, and then 95%."""
+
+    def __init__(self):
+        self.reports = iter([parse_coverage(COVERAGE_REPORT_SAMPLE),
+                             MockSimulator([95.0]).coverage("", "")])
+
+    def compile(self, dut, tb):
+        return None
+
+    def coverage(self, dut, tb):
+        return next(self.reports)
+
+
 def test_improve_prompt_shows_the_uncovered_source_lines():
-    p = pipeline([fenced(TESTBENCH_SKELETON)],
-                 [parse_coverage(COVERAGE_REPORT_SAMPLE), "ok", 95.0])
+    p = TestbenchPipeline(MockChatClient([fenced(TESTBENCH_SKELETON)]),
+                          SampleCoverageSim(), PipelineConfig(),
+                          llm=NO_BACKOFF)
     p.improve(PAIR.code, TESTBENCH_SKELETON)
     prompt = p.client.calls[0].messages[-1].content
     uncovered = [line for line in COVERAGE_REPORT_SAMPLE.splitlines()
@@ -437,6 +453,23 @@ def test_rectify_quotes_a_mock_run_entrys_log(tmp_path):
     assert prompt.endswith("Below is the simulation output: Test Case 3. Actual out: 7\n")
 
 
+def test_rectify_does_not_pass_a_run_that_reports_no_case(tmp_path):
+    # A run that prints only the pass marker reads 0 of 0 cases: it verifies
+    # nothing, so Rectify re-prompts, and its prompt says why.
+    simulator = _command_standin(tmp_path, "echo 'Your Design Passed'\n")
+    last_log, prompt = _rectify_once(simulator)
+    assert last_log == "simulation reported no test case: Your Design Passed\n"
+    assert last_log in prompt
+
+
+def test_rectify_passes_once_a_run_reports_a_case():
+    p = pipeline([fenced(TESTBENCH_SKELETON)], ["ok", Report(0, 0), "ok", Report(1, 0)])
+    tb, report, iterations = p.rectify(PAIR.code, TESTBENCH_SKELETON)
+    assert (report, iterations) == (Report(1, 0), 1)
+    assert p._trace == [TraceEntry(Stage.RECTIFY, "verify", "fail"),
+                        TraceEntry(Stage.RECTIFY, "verify", "pass")]
+
+
 def test_rectify_request_cuts_a_run_that_prints_in_a_loop(tmp_path):
     simulator = _command_standin(tmp_path, (
         "echo 'first line'\n"
@@ -557,6 +590,19 @@ def test_run_turns_each_stage_bound_into_terminated(llm, sim, spec, stage, attem
     result = pipeline(llm, sim).run(pair)
     assert result.outcome == Terminated(stage, attempts, last_log)
     assert result.trace[-1:] == trace_tail
+
+
+@pytest.mark.parametrize("spec,code,stage,last_log", [
+    (PAIR.spec, "   \n", TerminationStage.DRAFT_COMPILE, "empty reference code"),
+    ("", "", TerminationStage.ANALYZE, "empty specification"),
+], ids=["blank code", "blank spec and code"])
+def test_a_blank_input_ends_the_row_before_any_chat_call(spec, code, stage, last_log):
+    p = pipeline(analyze_script() + [fenced(TESTBENCH_SKELETON)] * 3, ["ok"])
+    result = p.run(SpecCodePair(id=PAIR.id, spec=spec, code=code))
+    assert result.outcome == Terminated(stage, 0, last_log)
+    assert result.trace == ()
+    assert p.client.calls == []
+    assert p.simulator.calls == []
 
 
 def test_terminated_never_carries_record():

@@ -1,6 +1,7 @@
 """Both mock backends replay their script one way."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -13,8 +14,8 @@ from tbforge.sim.outcomes import CompileError
 
 REQUEST = ChatRequest(messages=(Message("user", "u"),))
 
-# double: (class, script, config factory, one call, what each call returns,
-# what ``calls`` records for each call)
+# double: (class, script, config factory as a context, one call, what each
+# call returns, what ``calls`` records for each call)
 DOUBLES = {
     "chat": (MockChatClient, ["first", "second", "third"],
              lambda path: make_chat_client_factory(
@@ -24,8 +25,8 @@ DOUBLES = {
     "simulator": (MockSimulator, [{"kind": "compile"},
                                   {"kind": "compile", "ok": False, "log": "e"},
                                   {"kind": "compile"}],
-                  lambda path: make_simulator_factory(Config(
-                      simulator=SimulatorConfig(backend="mock", mock_script=path))),
+                  lambda path: nullcontext(make_simulator_factory(Config(
+                      simulator=SimulatorConfig(backend="mock", mock_script=path)))),
                   lambda double: double.compile("d", "t"),
                   [None, CompileError("e"), None], "compile"),
 }
@@ -36,8 +37,8 @@ def test_double_replays_its_script_once_in_order(tmp_path, kind):
     cls, script, factory, call, returns, recorded = DOUBLES[kind]
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script), encoding="utf-8")
-    make = factory(str(path))
-    first, second = make(), make()
+    with factory(str(path)) as make:
+        first, second = make(), make()
     assert type(first) is cls
     for double in (first, second):  # each replays the whole shared script
         assert [call(double) for _ in script] == returns
